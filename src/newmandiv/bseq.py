@@ -11,20 +11,25 @@ no root rules out the coefficient pattern that would allow c_n = 0.
 
 Only a five-entry window is ever alive: the recurrence looks back 2 and 5
 steps, so B_{n-5} is the oldest entry needed.
+
+Two walks share the recurrence: ``b_step`` on ModPoly/IntPoly windows, the
+oracle and diagnostic path, and ``b_pairs``, the batch walk of the
+verifier, which keeps the window in the packed form of ``modpoly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
-from .modpoly import CapacityError, IntPoly, ModPoly, Prime
+from .modpoly import CapacityError, IntPoly, ModPoly, PackedPoly, Prime, pack
 
 __all__ = [
     "ZERO_POLY_LAW",
     "BWindow",
     "b_init",
     "b_step",
+    "b_pairs",
     "b_leading",
     "b_constant",
     "EXACT_INDEX_CAP",
@@ -109,6 +114,19 @@ def b_step(w: BWindow) -> BWindow:
             out[i] = (out[i] - int(c)) % p
         new = ModPoly(w.modulus, out)
     return BWindow(w.modulus, w.window[1:] + (new,), n, w.exact_cap)
+
+
+def b_pairs(prime: Prime, hi: int) -> Iterator[Tuple[int, PackedPoly, PackedPoly]]:
+    """Yield (n, B_{n-2} mod p, B_{n-5} mod p) for n = 5, 6, ..., hi, packed.
+
+    The pair for n is read off before the step that evicts B_{n-5}.
+    """
+    one = pack(ModPoly.one(prime))
+    w = [pack(ModPoly(prime, c)) for c in _INIT]
+    for n in range(5, hi + 1):
+        b2, b5 = w[3], w[0]
+        yield n, b2, b5
+        w = w[1:] + [one - b2.shift(1) - b5]
 
 
 def b_leading(n: int):

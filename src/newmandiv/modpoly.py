@@ -1,16 +1,25 @@
 """Dense polynomial arithmetic over prime fields and over the integers.
 
-Two resultant routines with opposite trade-offs:
+Two resultant routines with opposite trade-offs, both oracle and
+diagnostic paths:
 
 * ``resultant_prs``  — Euclidean polynomial-remainder-sequence over GF(p),
   O(d^2) field operations, usable at degree ~5000;
 * ``resultant_sylvester`` — exact integer determinant of the Sylvester
   matrix (fraction-free Bareiss elimination), O(d^3), capped at small
-  degree; serves as the independent oracle for the fast path.
+  degree; the independent oracle for everything mod p.
+
+The certificate kernel is ``coprime`` on ``PackedPoly``: GF(p)[t] held in
+Python ints, so one big-int operation acts on every coefficient at once.
+p = 2 uses a bitmask, p = 3 two bit planes and p >= 5 W-bit lanes.  Only
+Euclid runs, because over a field Res(f, g) != 0 iff gcd(f, g) = 1; that
+the reduced pair still has the integer pair's degrees is the caller's
+check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +30,12 @@ __all__ = [
     "Prime",
     "ModPoly",
     "IntPoly",
+    "PackedPoly",
+    "coprime",
     "mp_mul",
     "mp_rem",
     "mp_gcd",
+    "pack",
     "resultant_prs",
     "resultant_sylvester",
 ]
@@ -245,9 +257,6 @@ class IntPoly:
                     out[i + j] += a * b
         return IntPoly(out)
 
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly([k * c for c in self.coeffs])
-
     def shift(self, m: int) -> "IntPoly":
         """Multiply by x^m."""
         if self.is_zero():
@@ -452,3 +461,337 @@ def resultant_sylvester(f: IntPoly, g: IntPoly) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+# --------------------------------------------------------------------------
+# packed GF(p)[t]: the certificate kernel
+# --------------------------------------------------------------------------
+
+
+def _gcd2(f: int, g: int) -> int:
+    """gcd in GF(2)[x], polynomials encoded bit k <-> coeff of x^k."""
+    while g:
+        dg = g.bit_length() - 1
+        df = f.bit_length() - 1
+        while df >= dg:
+            f ^= g << (df - dg)
+            df = f.bit_length() - 1
+        f, g = g, f
+    return f
+
+
+class _Bits:
+    """GF(2): one int, bit k is the coefficient of t^k."""
+
+    def __init__(self):
+        self.p = 2
+
+    def pack(self, cs) -> int:
+        return sum(1 << k for k, c in enumerate(cs) if c)
+
+    def unpack(self, x: int) -> list:
+        return [(x >> k) & 1 for k in range(x.bit_length())]
+
+    def degree(self, x: int) -> int:
+        return x.bit_length() - 1
+
+    def leading(self, x: int) -> int:
+        return 1
+
+    def sub(self, x: int, y: int) -> int:
+        return x ^ y
+
+    def shift(self, x: int, k: int) -> int:
+        return x << k
+
+    def coprime(self, x: int, y: int) -> bool:
+        return _gcd2(x, y) == 1
+
+
+class _Planes:
+    """GF(3): two bit planes (m, s); bit k of m marks a nonzero coefficient
+    of t^k and bit k of s (a subset of m) marks that it equals 2 = -1.
+
+    Addition is seven word operations: r_m = (m1^m2) | (m1^s1^s2) and
+    r_s = (m1&m2) ^ (s1|s2); negation flips the sign of the nonzeros."""
+
+    def __init__(self):
+        self.p = 3
+
+    def pack(self, cs) -> tuple:
+        m = sum(1 << k for k, c in enumerate(cs) if c)
+        s = sum(1 << k for k, c in enumerate(cs) if c == 2)
+        return m, s
+
+    def unpack(self, x: tuple) -> list:
+        m, s = x
+        return [((m >> k) & 1) << ((s >> k) & 1) for k in range(m.bit_length())]
+
+    def degree(self, x: tuple) -> int:
+        return x[0].bit_length() - 1
+
+    def leading(self, x: tuple) -> int:
+        m, s = x
+        return 2 if s >> (m.bit_length() - 1) else 1
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        (xm, xs), (ym, ys) = x, y
+        return (xm ^ ym) | (xm ^ xs ^ ys), (xm & ym) ^ (xs | ys)
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        ym, ys = y
+        return self.add(x, (ym, ys ^ ym))
+
+    def shift(self, x: tuple, k: int) -> tuple:
+        return x[0] << k, x[1] << k
+
+    def coprime(self, x: tuple, y: tuple) -> bool:
+        (fm, fs), (gm, gs) = x, y
+        df, dg = fm.bit_length() - 1, gm.bit_length() - 1
+        if df < dg:
+            fm, fs, gm, gs, df, dg = gm, gs, fm, fs, dg, df
+        if dg < 0:
+            return df == 0
+        while dg > 0:
+            gsign = gs >> dg
+            gneg = gs ^ gm
+            while df >= dg:
+                k = df - dg
+                ym = gm << k
+                # subtract lc(f)/lc(g) * t^k * g: g itself when the signs of
+                # the two leading coefficients agree, -g when they differ
+                ys = (gneg if fs >> df == gsign else gs) << k
+                fm, fs = (fm ^ ym) | (fm ^ fs ^ ys), (fm & ym) ^ (fs | ys)
+                df = fm.bit_length() - 1
+            if df < 0:
+                return False
+            fm, fs, gm, gs, df, dg = gm, gs, fm, fs, dg, df
+        return True
+
+
+class _Lanes:
+    """GF(p), p >= 5: one int of W-bit lanes; lane k holds a nonnegative
+    value congruent to the coefficient of t^k and is only ever read mod p.
+
+    Every polynomial at rest has lanes <= ``rest`` and a top lane that is
+    nonzero mod p, so its degree is exact.  Lane sums are tracked as upper
+    bounds; before a sum could carry into the next lane the lanes are
+    folded with 2^h = r (mod p):  x -> (x & LO) + r * ((x >> h) & HI),
+    which maps any W-bit lane back to <= rest.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.w, self.h = _lane_shape(p)
+        self.r = pow(2, self.h, p)
+        self.lane = (1 << self.w) - 1
+        self.cap = 1 << self.w  # every lane must stay below this
+        self.rest = self._fold_bound(self.lane)
+        self._lo = self._hi = 0
+
+    def _fold_bound(self, b: int) -> int:
+        return min(b, (1 << self.h) - 1) + self.r * (b >> self.h)
+
+    def _masks(self, nbits: int):
+        if self._lo.bit_length() < nbits:
+            lanes = 2 * (nbits // self.w + 1)
+            rep = ((1 << (lanes * self.w)) - 1) // self.lane  # 1 in every lane
+            self._lo = ((1 << self.h) - 1) * rep
+            self._hi = ((1 << (self.w - self.h)) - 1) * rep
+        return self._lo, self._hi
+
+    def _fold(self, x: int) -> int:
+        lo, hi = self._masks(x.bit_length())
+        top = (x >> self.h) & hi
+        return (x & lo) + (top if self.r == 1 else self.r * top)
+
+    def _trim(self, x: int) -> int:
+        """Cut top lanes that are 0 mod p (x has no garbage above its top)."""
+        w, p = self.w, self.p
+        d = (x.bit_length() - 1) // w
+        while d >= 0 and (x >> (d * w)) % p == 0:
+            x &= (1 << (d * w)) - 1
+            d = (x.bit_length() - 1) // w
+        return x
+
+    def pack(self, cs) -> int:
+        x = 0
+        for c in reversed(cs):
+            x = (x << self.w) | (c % self.p)
+        return self._trim(x)
+
+    def unpack(self, x: int) -> list:
+        w, lane, p = self.w, self.lane, self.p
+        return [((x >> (k * w)) & lane) % p for k in range(self.degree(x) + 1)]
+
+    def degree(self, x: int) -> int:
+        return (x.bit_length() - 1) // self.w
+
+    def leading(self, x: int) -> int:
+        return (x >> (self.degree(x) * self.w)) % self.p
+
+    def sub(self, x: int, y: int) -> int:
+        return self._trim(self._fold(x + (self.p - 1) * y))
+
+    def shift(self, x: int, k: int) -> int:
+        return x << (k * self.w)
+
+    def coprime(self, f: int, g: int) -> bool:
+        p, w, lane, cap, rest = self.p, self.w, self.lane, self.cap, self.rest
+        df, dg = self.degree(f), self.degree(g)
+        if df < dg:
+            f, g, df, dg = g, f, dg, df
+        if dg < 0:
+            return df == 0
+        self._masks(f.bit_length())
+        bf = bg = rest
+        while dg > 0:
+            # f -= (f div g) * g as one product: Kronecker substitution adds
+            # the negated quotient's lanes times g with no carry between lanes
+            if df == dg + 1:  # the normal case, one step of degree
+                t = f >> (dg * w)
+                u = g >> ((dg - 1) * w)
+                ig = pow(u >> w, -1, p)
+                q1 = (t >> w) * ig % p
+                qneg = ((p - q1) << w) | ((q1 * (u & lane) - (t & lane)) * ig % p)
+                terms = 2
+            else:
+                qneg = self._neg_quotient(f, g, df, dg)
+                terms = min(df - dg + 1, dg + 1)  # products summed into one lane
+            step = terms * (p - 1) * bg
+            if bf + step >= cap:
+                if bg > rest:
+                    g, bg = self._fold(g), self._fold_bound(bg)
+                    step = terms * (p - 1) * bg
+                if bf + step >= cap:
+                    f, bf = self._fold(f), self._fold_bound(bf)
+            if bf + step < cap:
+                f += qneg * g
+                bf += step
+            else:  # too many quotient lanes for one product: k at a time
+                k = (cap - 1 - rest) // ((p - 1) * bg)
+                step = k * (p - 1) * bg
+                for i in range(0, df - dg + 1, k):
+                    if bf + step >= cap:
+                        f, bf = self._fold(f), self._fold_bound(bf)
+                    f += (((qneg >> (i * w)) & ((1 << (k * w)) - 1)) * g) << (i * w)
+                    bf += step
+            # lanes dg.. of f now hold multiples of p: cut them, then any
+            # further top lanes that vanish mod p
+            f &= (1 << (dg * w)) - 1
+            df = dg - 1
+            while df >= 0 and (f >> (df * w)) % p == 0:
+                f &= (1 << (df * w)) - 1
+                df -= 1
+            if df < 0:
+                return False
+            f, g, df, dg, bf, bg = g, f, dg, df, bg, bf
+        return True
+
+    def _neg_quotient(self, f: int, g: int, df: int, dg: int) -> int:
+        """-(f div g) packed, by long division on the top lanes."""
+        p, w, lane = self.p, self.w, self.lane
+        delta = df - dg
+        lo = max(dg - delta, 0)
+        fl = [(f >> (i * w)) & lane for i in range(dg, df + 1)]  # fl[k]: t^(dg+k)
+        gl = [(g >> (i * w)) & lane for i in range(dg, lo - 1, -1)]  # gl[j]: t^(dg-j)
+        ig = pow(gl[0], -1, p)
+        qneg = 0
+        for k in range(delta, -1, -1):
+            c = fl[k] * ig % p
+            qneg = (qneg << w) | (-c % p)
+            if c:
+                for j in range(1, min(k, dg) + 1):
+                    fl[k - j] -= c * gl[j]
+        return qneg
+
+
+def _lane_shape(p: int):
+    """(W, h) for the lane form of GF(p): the narrowest W from 16 up, with
+    the h that gives it the smallest lane bound at rest, that holds a sum of
+    four products at rest.  Narrow lanes keep every big-int pass short:
+    measured per call at n = 1000..8000, W = 16 was no slower than 20, 24
+    or 32 for p = 5, 7 and 17."""
+    w = 16
+    while True:
+        rest, h = min(
+            ((1 << h) - 1 + pow(2, h, p) * ((1 << (w - h)) - 1), h) for h in range(w // 2, w)
+        )
+        if 4 * p * rest < 1 << w:
+            return w, h
+        w += 4
+
+
+@functools.lru_cache(maxsize=None)
+def _form(p: int):
+    if p == 2:
+        return _Bits()
+    if p == 3:
+        return _Planes()
+    return _Lanes(p)
+
+
+class PackedPoly:
+    """Immutable element of GF(p)[t] packed into Python ints.
+
+    The form depends only on p (bitmask for 2, two bit planes for 3, W-bit
+    lanes from 5 on) and stays private to this module; callers get
+    subtraction, multiplication by t^k, degree, leading coefficient and
+    ``coprime``.
+    """
+
+    __slots__ = ("_form", "_x")
+
+    def __init__(self, form, x):
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_x", x)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PackedPoly is immutable")
+
+    def degree(self):
+        d = self._form.degree(self._x)
+        return MINUS_INFINITY if d < 0 else d
+
+    def is_zero(self) -> bool:
+        return self._form.degree(self._x) < 0
+
+    def leading(self) -> int:
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self._form.leading(self._x)
+
+    def __sub__(self, other: "PackedPoly") -> "PackedPoly":
+        _require_same_form(self, other)
+        return PackedPoly(self._form, self._form.sub(self._x, other._x))
+
+    def shift(self, k: int) -> "PackedPoly":
+        """Multiply by t^k."""
+        return PackedPoly(self._form, self._form.shift(self._x, k))
+
+    def unpack(self) -> ModPoly:
+        return ModPoly(Prime(self._form.p), self._form.unpack(self._x))
+
+    def __repr__(self):
+        return f"PackedPoly(mod {self._form.p}, {self._form.unpack(self._x)})"
+
+
+def _require_same_form(f: PackedPoly, g: PackedPoly):
+    if f._form is not g._form:
+        raise ValueError(f"modulus mismatch: {f._form.p} vs {g._form.p}")
+
+
+def pack(f: ModPoly) -> PackedPoly:
+    """f in the packed form of its field."""
+    form = _form(f.modulus.value)
+    return PackedPoly(form, form.pack([int(c) for c in f.coeffs]))
+
+
+def coprime(f: PackedPoly, g: PackedPoly) -> bool:
+    """True iff gcd(f, g) is a nonzero constant (Euclid over GF(p)).
+
+    For nonzero f and g this is Res(f, g) != 0 over GF(p); gcd(0, 0) = 0
+    is not coprime.
+    """
+    _require_same_form(f, g)
+    return f._form.coprime(f._x, g._x)

@@ -13,6 +13,14 @@ whose leading coefficient dies mod p is *skipped* for that prime and must
 wait for a later one; the first prime (in ascending order) that proves a
 case is recorded as its witness.
 
+Over a field a resultant is nonzero exactly when the two polynomials are
+coprime, so the batch pass never forms the resultant: one packed walk of
+the window (``bseq.b_pairs``) feeds each admissible pair, checked against
+the leading-coefficient law, to ``modpoly.coprime``, the same Euclid kernel
+for every prime.  ``resultant_mod`` (remainder-sequence resultant) and
+``verify_exact_small`` (exact Sylvester determinant) are the independent
+single-case paths the tests hold it to.
+
 Cases n = 5..10 are handled directly: one member of each pair is the zero
 polynomial or has no root in (0, 1) at all, so no common root can exist.
 """
@@ -27,12 +35,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .bseq import b_init, b_step
+from .bseq import b_init, b_leading, b_pairs, b_step
 from .modpoly import (
     CapacityError,
     IntPoly,
-    ModPoly,
+    PackedPoly,
     Prime,
+    coprime,
     resultant_prs,
     resultant_sylvester,
 )
@@ -196,85 +205,62 @@ def check_base_case(case: BaseCase, grid_points: int = 512) -> Tuple[bool, float
 # --------------------------------------------------------------------------
 
 
-def _gcd2(f: int, g: int) -> int:
-    """gcd in GF(2)[x], polynomials encoded bit k <-> coeff of x^k."""
-    while g:
-        dg = g.bit_length() - 1
-        df = f.bit_length() - 1
-        while df >= dg:
-            f ^= g << (df - dg)
-            df = f.bit_length() - 1
-        f, g = g, f
-    return f
+def _check_leading(n: int, p: int, f: PackedPoly, g: PackedPoly) -> None:
+    """Raise ArithmeticError unless B_{n-2} and B_{n-5} mod p keep the
+    degree and leading coefficient that b_leading predicts.
+
+    At an admissible n both leading coefficients survive mod p, which is
+    what makes coprimality of the reduced pair equal to R_n != 0 mod p.
+    """
+    for m, poly in ((n - 2, f), (n - 5, g)):
+        deg, lead = b_leading(m)
+        if poly.degree() != deg or poly.leading() != lead % p:
+            raise ArithmeticError(
+                f"B_{m} mod {p} breaks the leading law at n={n}: "
+                f"degree {poly.degree()}, expected {deg} with leading {lead % p}"
+            )
 
 
 def _run_chunk(p: int, ns: Sequence[int]) -> List[int]:
-    """Decide the cases in ns for prime p; returns those proved.
+    """Decide the admissible cases in ns for prime p; returns those proved.
 
-    Walks the window B_0, B_1, ... mod p once, up through max(ns); at each
-    requested n the pair (B_{n-2}, B_{n-5}) is read off *before* the step
-    that would evict B_{n-5}.  Over GF(2) the polynomials live as bitmask
-    integers and a nonzero resultant is equivalent to gcd = 1.
+    Walks the packed window once (``b_pairs``), up through max(ns).  At each
+    requested n the pair (B_{n-2}, B_{n-5}) is checked against the leading
+    law and proved when the two are coprime over GF(p); with both leading
+    coefficients intact that is exactly R_n != 0 mod p.
     """
     if not ns:
         return []
-    ns = sorted(ns)
-    hi = ns[-1]
     want = set(ns)
     proved: List[int] = []
-
-    if p == 2:
-        w = [1, 0, 3, 0, 7]  # B_0..B_4 as bitmasks
-        n = 4
-        while n < hi:
-            n += 1
-            b2, b5 = w[3], w[0]  # B_{n-2}, B_{n-5}
-            if n in want and b2 and b5 and _gcd2(b2, b5) == 1:
-                proved.append(n)
-            w = w[1:] + [1 ^ (b2 << 1) ^ b5]
-        return proved
-
-    prime = Prime(p)
-    w = [
-        np.array(c, dtype=np.int64) % p
-        for c in ([1], [0], [1, -1], [0], [1, -1, 1])
-    ]
-    n = 4
-    while n < hi:
-        n += 1
-        b2, b5 = w[3], w[0]
+    for n, f, g in b_pairs(Prime(p), max(ns)):
         if n in want:
-            f = ModPoly(prime, b2)
-            g = ModPoly(prime, b5)
-            if not f.is_zero() and not g.is_zero() and resultant_prs(f, g) != 0:
+            _check_leading(n, p, f, g)
+            if coprime(f, g):
                 proved.append(n)
-        new = np.zeros(max(len(b2) + 1, len(b5), 1), dtype=np.int64)
-        new[0] = 1
-        new[1 : len(b2) + 1] -= b2
-        new[: len(b5)] -= b5
-        np.remainder(new, p, out=new)
-        k = len(new)
-        while k > 0 and new[k - 1] == 0:
-            k -= 1
-        w = w[1:] + [new[:k]]
     return proved
+
+
+#: measured growth of one certificate's cost with n (fits over n = 500..8000:
+#: about 1.1 for the GF(3) planes, 1.35 for the lanes of p = 5 and 7)
+_COST_EXPONENT = 1.3
 
 
 def _chunk_by_weight(ns: Sequence[int], k: int) -> List[List[int]]:
     """Split a sorted case list into <= k contiguous chunks of roughly equal
-    total cost, using the n^2 cost model of one resultant."""
-    total = sum(n * n for n in ns)
-    target = total / k if k > 0 else total
+    total cost, weighting each case by n ** _COST_EXPONENT."""
+    weights = [n**_COST_EXPONENT for n in ns]
+    target = sum(weights) / k if k > 0 else sum(weights)
     chunks: List[List[int]] = []
     cur: List[int] = []
-    acc = 0
-    for n in ns:
+    acc = 0.0
+    for n, wt in zip(ns, weights):
         cur.append(n)
-        acc += n * n
+        acc += wt
         if acc >= target and len(chunks) < k - 1:
             chunks.append(cur)
             cur = []
-            acc = 0
+            acc = 0.0
     if cur:
         chunks.append(cur)
     return chunks
@@ -359,19 +345,31 @@ class _Checkpoint:
         ]
 
     def load_into(self, table: ClaimTable) -> Set[int]:
-        """Read the file (creating it if absent); returns completed primes."""
+        """Read the file (creating it if absent); returns completed primes.
+
+        An unterminated last line is what a crash mid-append leaves: it is
+        cut from the file and its case is recomputed.  Every witness is
+        checked before it is trusted: a prime only for an admissible
+        n >= 11, the case analysis only for n <= 10.
+        """
         if not os.path.exists(self.path):
-            with open(self.path, "w") as fh:
+            tmp = self.path + ".tmp"
+            with open(tmp, "w") as fh:
                 fh.write("\n".join(self._header()) + "\n")
+            os.replace(tmp, self.path)  # a crash never leaves half a header
             return set()
-        with open(self.path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        lines = data[:whole].decode().splitlines()
         header = self._header()
         if lines[: len(header)] != header:
             raise CheckpointMismatch(
                 f"{self.path} was written for different parameters "
                 f"(wanted max_n={self.max_n}, primes={self.primes})"
             )
+        if whole < len(data):
+            os.truncate(self.path, whole)
         done: Set[int] = set()
         for ln in lines[len(header) :]:
             if not ln.strip():
@@ -379,16 +377,28 @@ class _Checkpoint:
             if ln.startswith("# pass p="):
                 done.add(int(ln[len("# pass p=") : -len(" complete")]))
                 continue
-            parts = ln.split()
-            if len(parts) != 3 or parts[1] != "proven":
-                raise CheckpointMismatch(f"unreadable checkpoint line: {ln!r}")
-            n = int(parts[0])
-            w: Witness = parts[2] if parts[2] == BASE_CASE_WITNESS else int(parts[2])
-            if isinstance(w, int) and w not in self.primes:
-                raise CheckpointMismatch(f"witness {w} not in prime list: {ln!r}")
+            n, w = self._claim(ln)
             table.mark(n, w)
             self._persisted.add(n)
         return done
+
+    def _claim(self, ln: str) -> Tuple[int, Witness]:
+        parts = ln.split()
+        if len(parts) != 3 or parts[1] != "proven" or not parts[0].isdigit():
+            raise CheckpointMismatch(f"unreadable checkpoint line: {ln!r}")
+        n = int(parts[0])
+        if not 5 <= n <= self.max_n:
+            raise CheckpointMismatch(f"case outside 5..{self.max_n}: {ln!r}")
+        if parts[2] == BASE_CASE_WITNESS:
+            if n >= FIRST_RESULTANT_INDEX:
+                raise CheckpointMismatch(f"case analysis covers only n <= 10: {ln!r}")
+            return n, BASE_CASE_WITNESS
+        if not parts[2].isdigit() or int(parts[2]) not in self.primes:
+            raise CheckpointMismatch(f"witness not in prime list: {ln!r}")
+        w = int(parts[2])
+        if n < FIRST_RESULTANT_INDEX or skip_rule(n, w):
+            raise CheckpointMismatch(f"witness {w} is inadmissible at n={n}: {ln!r}")
+        return n, w
 
     def persist(self, table: ClaimTable, completed_prime: Optional[int] = None):
         new = sorted(n for n in table.witness if n not in self._persisted)
@@ -478,7 +488,7 @@ def verify_range(
     One pass per prime: resultants are computed only for cases no earlier
     prime settled and the skip rule admits, so later (more expensive) primes
     see only the stragglers.  With jobs > 1 each pass is split into
-    contiguous n-ranges balanced by the n^2 cost model; passes themselves
+    contiguous n-ranges balanced by the measured cost model; passes themselves
     are barriers, so witnesses match the sequential run exactly.
     """
     t0 = time.perf_counter()

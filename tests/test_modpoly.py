@@ -7,12 +7,15 @@ from newmandiv.modpoly import (
     IntPoly,
     ModPoly,
     Prime,
+    coprime,
     mp_gcd,
     mp_mul,
     mp_rem,
+    pack,
     resultant_prs,
     resultant_sylvester,
 )
+from newmandiv.verifier import DEFAULT_PRIMES
 
 P5 = Prime(5)
 P7 = Prime(7)
@@ -272,3 +275,97 @@ def test_large_prime_paths():
     h = mp_mul(f, f)
     hi = fi * fi
     assert list(h.coeffs) == [c % p.value for c in hi.coeffs]
+
+
+# ---------------------------------------------------------------- packed kernel
+
+
+def coeff_list(max_deg):
+    return st.lists(st.integers(min_value=0, max_value=10**6), max_size=max_deg + 1)
+
+
+@st.composite
+def packed_pairs(draw):
+    """(p, f, g) as ModPolys: random pairs, pairs given a common factor h,
+    and pairs whose Euclid quotients span many terms, so that the lane folds
+    and the piecewise product of a long quotient both run."""
+    prime = Prime(draw(st.sampled_from(DEFAULT_PRIMES)))
+    f = ModPoly(prime, draw(coeff_list(40)))
+    g = ModPoly(prime, draw(coeff_list(40)))
+    shape = draw(st.sampled_from(["random", "common", "long"]))
+    if shape == "common":
+        h = ModPoly(prime, draw(coeff_list(6)))
+        f, g = mp_mul(f, h), mp_mul(g, h)
+    elif shape == "long":  # f = q*g + r with a quotient of up to 160 terms
+        q = ModPoly(prime, draw(coeff_list(160)))
+        r = ModPoly(prime, draw(coeff_list(8)))
+        f = _add(mp_mul(q, g), r)
+    return prime, f, g
+
+
+def _zip_pad(a, b):
+    n = max(len(a), len(b))
+    return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
+
+
+def _add(f, g):
+    return ModPoly(f.modulus, [int(x) + int(y) for x, y in _zip_pad(f.coeffs, g.coeffs)])
+
+
+@given(packed_pairs())
+@settings(max_examples=300, deadline=None)
+def test_coprime_iff_gcd_is_constant(case):
+    """Property: coprime(f, g) == (deg gcd(f, g) == 0) for every default p."""
+    prime, f, g = case
+    assert coprime(pack(f), pack(g)) == (mp_gcd(f, g).degree() == 0)
+    assert coprime(pack(g), pack(f)) == (mp_gcd(f, g).degree() == 0)
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_coprime_long_quotient(p):
+    """A quotient of 300 terms is too long for one lane product at every
+    p >= 5, so the kernel adds it in pieces and folds in between."""
+    prime = Prime(p)
+    g = ModPoly(prime, [3, 1, 4, 1, 5, 9, 2, 6, 1])
+    q = ModPoly(prime, [(7 * k * k + 3) % p for k in range(300)] + [1])
+    for r in (ModPoly(prime, [1, 1]), ModPoly.zero(prime)):
+        f = _add(mp_mul(q, g), r)
+        expect = mp_gcd(f, g).degree() == 0
+        assert coprime(pack(f), pack(g)) is expect
+
+
+@given(st.sampled_from(DEFAULT_PRIMES), coeff_list(30), coeff_list(30), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_packed_ring_ops_match_modpoly(p, a, b, k):
+    prime = Prime(p)
+    f, g = ModPoly(prime, a), ModPoly(prime, b)
+    pf, pg = pack(f), pack(g)
+    assert pf.unpack() == f
+    diff = [int(x) - int(y) for x, y in _zip_pad(f.coeffs, g.coeffs)]
+    assert (pf - pg).unpack() == ModPoly(prime, diff)
+    shifted = [0] * k + list(f.coeffs) if not f.is_zero() else []
+    assert pf.shift(k).unpack() == ModPoly(prime, shifted)
+    assert pf.degree() == f.degree()
+    if not f.is_zero():
+        assert pf.leading() == f.leading()
+
+
+def test_packed_rejects_mixed_primes():
+    f = pack(ModPoly(P5, [1, 2]))
+    g = pack(ModPoly(P7, [1, 2]))
+    with pytest.raises(ValueError):
+        coprime(f, g)
+    with pytest.raises(ValueError):
+        f - g
+
+
+def test_packed_zero_cases():
+    z = pack(ModPoly.zero(P5))
+    one = pack(ModPoly.one(P5))
+    x = pack(ModPoly(P5, [0, 1]))
+    assert z.is_zero() and z.degree() == MINUS_INFINITY
+    assert not coprime(z, z)
+    assert coprime(z, one)
+    assert not coprime(z, x)
+    with pytest.raises(ValueError):
+        z.leading()

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newmandiv.bseq import ZERO_POLY_LAW, b_leading
-from newmandiv.modpoly import CapacityError, IntPoly, Prime
+from newmandiv.bseq import ZERO_POLY_LAW, b_init, b_leading, b_step
+from newmandiv.modpoly import CapacityError, IntPoly, Prime, _gcd2, resultant_prs
 from newmandiv.verifier import (
     BASE_CASE_WITNESS,
     DEFAULT_PRIMES,
     CheckpointMismatch,
     ClaimTable,
+    _COST_EXPONENT,
     _chunk_by_weight,
-    _gcd2,
     _run_chunk,
     base_cases,
     check_base_case,
@@ -152,13 +152,57 @@ def test_bitmask_agrees_with_generic_path_mod2():
         assert (resultant_mod(n, Prime(2)) != 0) == (n in proved_fast), n
 
 
-@pytest.mark.parametrize("p", [3, 7, 13])
+@pytest.mark.parametrize("p", PRIMES)
 def test_window_pass_agrees_with_single_case_path(p):
-    """The batch numpy walk and the one-shot bseq walk must agree, n <= 300."""
+    """The packed batch walk and the one-shot bseq walk must agree, n <= 300."""
     ns = [n for n in range(11, 301) if not skip_rule(n, p)]
     proved_fast = set(_run_chunk(p, ns))
     for n in ns[::7] + ns[-3:]:
         assert (resultant_mod(n, Prime(p)) != 0) == (n in proved_fast), n
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_band_near_2000_agrees_with_prs(p):
+    """n in 1990..2010: the packed pass decides each admissible case as the
+    remainder-sequence resultant does, on pairs from one b_step walk."""
+    prime = Prime(p)
+    ns = [n for n in range(1990, 2011) if not skip_rule(n, p)]
+    proved = set(_run_chunk(p, ns))
+    w = b_init(prime)
+    while w.index < ns[-1] - 1:
+        w = b_step(w)
+        n = w.index + 1  # window now holds B_{n-5} .. B_{n-1}
+        if n in ns:
+            nonzero = resultant_prs(w.poly(n - 2), w.poly(n - 5)) != 0
+            assert nonzero == (n in proved), n
+
+
+def test_leading_law_guard_rejects_corrupted_pair(monkeypatch):
+    """A pair whose leading coefficient breaks b_leading stops the pass."""
+    from newmandiv import verifier
+    from newmandiv.modpoly import ModPoly, pack
+
+    assert not skip_rule(12, 3) and b_leading(10) == (5, -1)
+    clean = _run_chunk(3, [11, 14])
+    real = verifier.b_pairs
+
+    def corrupted(prime, hi):
+        for n, f, g in real(prime, hi):
+            if n == 12:  # B_10 mod 3 leads with 2 at degree 5; make it 1
+                f = f - pack(ModPoly(prime, [0, 0, 0, 0, 0, 1]))
+            yield n, f, g
+
+    monkeypatch.setattr(verifier, "b_pairs", corrupted)
+    assert _run_chunk(3, [11, 14]) == clean  # cases that read no bad pair pass
+    with pytest.raises(ArithmeticError):
+        _run_chunk(3, [11, 12])
+
+
+def test_leading_law_guard_rejects_inadmissible_case():
+    """An inadmissible n reaching the kernel is an error, not a verdict."""
+    assert skip_rule(16, 3)
+    with pytest.raises(ArithmeticError):
+        _run_chunk(3, [16])
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +349,7 @@ def test_chunk_by_weight_partitions():
     assert len(chunks) <= 4
     flat = [n for c in chunks for n in c]
     assert flat == ns  # contiguous, order-preserving, complete
-    weights = [sum(n * n for n in c) for c in chunks]
+    weights = [sum(n**_COST_EXPONENT for n in c) for c in chunks]
     assert max(weights) < 2 * (sum(weights) / len(weights))
 
 
@@ -356,3 +400,50 @@ def test_checkpoint_rejects_corrupt_lines(tmp_path):
         fh.write("this is not a claim line\n")
     with pytest.raises(CheckpointMismatch):
         verify_range(60, primes=[2, 3], checkpoint=path)
+
+
+def test_checkpoint_drops_torn_last_line(tmp_path):
+    """A crash mid-append leaves an unterminated line: it is cut and the
+    case recomputed, and the next append starts on a clean line."""
+    path = str(tmp_path / "ck.txt")
+    full = verify_range(61, primes=[2, 3])
+    verify_range(61, primes=[2, 3], checkpoint=path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    cut = next(i for i, ln in enumerate(lines) if ln.startswith("61 proven"))
+    with open(path, "w") as fh:
+        fh.writelines(lines[:cut])
+        fh.write("61 prov")  # torn: no newline
+    resumed = verify_range(61, primes=[2, 3], checkpoint=path)
+    assert resumed.table.witness == full.table.witness
+    kept = "".join(lines[:cut])
+    lost = [q for q in (2, 3) if f"# pass p={q} complete" not in kept]
+    assert [ps.prime for ps in resumed.passes] == lost
+    with open(path) as fh:
+        text = fh.read()
+    assert "61 prov\n" not in text and "61 prov6" not in text
+    assert text.count(f"61 proven {full.table.witness[61]}\n") == 1
+    again = verify_range(61, primes=[2, 3], checkpoint=path)  # file still loads
+    assert again.table.witness == full.table.witness
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "13 proven 3",  # skip_rule(13, 3): p=3 cannot certify n=13
+        "7 proven 2",  # a base case never has a prime witness
+        "12 proven case-analysis",  # the case analysis stops at n=10
+        "99 proven 3",  # outside 5..max_n
+        "x proven 3",
+    ],
+)
+def test_checkpoint_rejects_unsound_witness(tmp_path, line):
+    path = str(tmp_path / "ck.txt")
+    primes = [2, 3, 5, 7, 11, 13]
+    verify_range(60, primes=primes, checkpoint=path)
+    with open(path) as fh:
+        header = fh.readlines()[:4]
+    with open(path, "w") as fh:
+        fh.writelines(header + [line + "\n"])
+    with pytest.raises(CheckpointMismatch):
+        verify_range(60, primes=primes, checkpoint=path)
