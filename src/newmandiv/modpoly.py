@@ -15,11 +15,16 @@ p = 2 uses a bitmask, p = 3 two bit planes and p >= 5 W-bit lanes.  Only
 Euclid runs, because over a field Res(f, g) != 0 iff gcd(f, g) = 1; that
 the reduced pair still has the integer pair's degrees is the caller's
 check.
+
+Over Z there is a primitive-remainder-sequence gcd, ``ip_gcd``, and Yun's
+squarefree decomposition, ``squarefree_decomposition``, in exact integer
+arithmetic; the scan's high-precision retry finds roots on its factors.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +37,14 @@ __all__ = [
     "IntPoly",
     "PackedPoly",
     "coprime",
+    "ip_gcd",
     "mp_mul",
     "mp_rem",
     "mp_gcd",
     "pack",
     "resultant_prs",
     "resultant_sylvester",
+    "squarefree_decomposition",
 ]
 
 #: degree of the zero polynomial — a real minus infinity, never -1-as-integer,
@@ -263,6 +270,19 @@ class IntPoly:
             return self
         return IntPoly((0,) * m + self.coeffs)
 
+    def derivative(self) -> "IntPoly":
+        return IntPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def primitive(self) -> "tuple[int, IntPoly]":
+        """(c, pp) with self = c * pp, pp primitive with a positive leading
+        coefficient; the zero polynomial gives (0, zero)."""
+        if self.is_zero():
+            return 0, self
+        c = math.gcd(*self.coeffs)
+        if self.coeffs[-1] < 0:
+            c = -c
+        return c, IntPoly([a // c for a in self.coeffs])
+
     def reduce_mod(self, modulus: Prime) -> ModPoly:
         return ModPoly(modulus, self.coeffs)
 
@@ -341,6 +361,93 @@ def mp_gcd(f: ModPoly, g: ModPoly) -> ModPoly:
         return f
     inv = pow(f.leading(), p - 2, p)
     return ModPoly(f.modulus, np.remainder(f.coeffs * inv, p))
+
+
+# --------------------------------------------------------------------------
+# integer gcd and squarefree decomposition
+# --------------------------------------------------------------------------
+
+
+def _prem_primitive(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive part of a pseudo-remainder of f by a nonzero g."""
+    r = list(f.coeffs)
+    dg = len(g.coeffs) - 1
+    lg = g.coeffs[-1]
+    while len(r) - 1 >= dg:
+        lr = r[-1]
+        h = math.gcd(lr, lg)
+        a, b = lg // h, lr // h
+        shift = len(r) - 1 - dg
+        r = [a * c for c in r]
+        for j, c in enumerate(g.coeffs):
+            r[shift + j] -= b * c
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPoly(r).primitive()[1]
+
+
+def _exquo(f: IntPoly, g: IntPoly) -> IntPoly:
+    """f / g for a nonzero g that divides f in Z[x]; ArithmeticError otherwise."""
+    r = list(f.coeffs)
+    dg = len(g.coeffs) - 1
+    lg = g.coeffs[-1]
+    q = [0] * max(len(r) - dg, 0)
+    while len(r) - 1 >= dg:
+        c, rem = divmod(r[-1], lg)
+        if rem:
+            raise ArithmeticError("inexact polynomial division over Z")
+        shift = len(r) - 1 - dg
+        q[shift] = c
+        for j, b in enumerate(g.coeffs):
+            r[shift + j] -= c * b
+        while r and r[-1] == 0:
+            r.pop()
+    if r:
+        raise ArithmeticError("inexact polynomial division over Z")
+    return IntPoly(q)
+
+
+def ip_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """gcd in Z[x] by the primitive remainder sequence.
+
+    The result has a positive leading coefficient and content
+    gcd(content f, content g); gcd(0, 0) = 0.
+    """
+    cf, a = f.primitive()
+    cg, b = g.primitive()
+    if a.degree() < b.degree():
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, _prem_primitive(a, b)
+    c = math.gcd(cf, cg)
+    return IntPoly([c * x for x in a.coeffs])
+
+
+def squarefree_decomposition(f: IntPoly) -> "tuple[int, list[tuple[IntPoly, int]]]":
+    """Yun's algorithm over Z: (c, [(a_1, 1), (a_2, 2), ...]).
+
+    f = c * prod a_i^i, each a_i primitive, squarefree, with a positive
+    leading coefficient and pairwise coprime; factors equal to 1 are left
+    out, so the list is empty for a constant f.  Every division is exact in
+    Z[x] (Gauss's lemma), so no rational arithmetic is needed.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no squarefree decomposition")
+    c, f = f.primitive()
+    df = f.derivative()
+    a = ip_gcd(f, df)
+    b = _exquo(f, a)
+    d = _exquo(df, a) - b.derivative()
+    factors = []
+    i = 1
+    while b.degree() > 0:
+        a = ip_gcd(b, d)
+        b = _exquo(b, a)
+        d = _exquo(d, a) - b.derivative()
+        if a.degree() > 0:
+            factors.append((a, i))
+        i += 1
+    return c, factors
 
 
 # --------------------------------------------------------------------------

@@ -9,9 +9,14 @@ scanner confirms it exhaustively for all degrees up to 12 (and stays sound
 up to 24, where the root-finder seeding is validated).
 
 Splits are classified numerically, so there is a deliberate indeterminate
-band around the thresholds; anything landing in it is retried at roughly
-four times the working precision with a hundredfold tighter tolerance,
-and only splits that survive that escalation are reported.
+band around the thresholds; a mask with a split in it (or whose double
+pass fails) is retried at roughly four times the working precision with a
+hundredfold tighter tolerance, and only splits that survive that
+escalation are reported.  The retry first splits the mask exactly into its
+squarefree factors over Z, finds the simple roots of each factor, and
+lists every root as often as its multiplicity: the masks that escalate are
+the ones with repeated roots, on which root finding would otherwise
+converge only linearly.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import mpmath
 import numpy as np
 
 from .analytic import aberth_roots
-from .modpoly import CapacityError
+from .modpoly import CapacityError, IntPoly, squarefree_decomposition
 
 __all__ = [
     "MAX_DEGREE",
@@ -50,9 +55,11 @@ DEFAULT_TOL = 1e-8
 _ESCALATION_PRECISION = 212
 _ESCALATION_TOL_FACTOR = 100.0
 
-#: |Im ρ| below this multiple of tol counts as a real root (double roots on
-#: the axis split into conjugate-looking pairs with imaginary parts around
-#: sqrt(eps), well under 1000 tol at the default tolerance)
+#: |Im ρ| below this multiple of tol counts as a real root.  The double pass
+#: needs the slack: there a double root on the axis splits into a
+#: conjugate-looking pair with imaginary parts around sqrt(eps), well under
+#: 1000 tol at the default tolerance.  The retry's roots are simple, so its
+#: real roots sit far inside the band.
 _REAL_AXIS_FACTOR = 1e3
 
 
@@ -160,19 +167,19 @@ def _roots_double(r: Newman01) -> np.ndarray:
         raise NumericFailure(f"root finding failed for {r}") from exc
 
 
-def _roots_mp(r: Newman01) -> List:
-    """Aberth iteration in the ambient mpmath precision.
+def _roots_mp(coeffs: Sequence[int]) -> List:
+    """Roots of a squarefree integer polynomial (ascending coefficients) by
+    Aberth iteration in the ambient mpmath precision.
 
-    Stops when no approximation moved by more than 2^(-prec/2): that is the
-    accuracy limit a multiple root admits at the working precision, and it
-    is what lets the iteration terminate on the repeated-root masks where a
-    full-precision stopping rule (as in mpmath.polyroots) never triggers.
+    Every root is simple, so convergence is cubic once the approximations
+    separate; the iteration stops when no approximation moved by more than
+    2^(-prec/2), by which point the next error is far below 2^(-prec).
     """
-    d = r.degree
+    d = len(coeffs) - 1
     if d == 1:
-        return [mpmath.mpf(-1)]
-    coeffs = [mpmath.mpf((r.bits >> k) & 1) for k in range(d + 1)]
-    dcoeffs = [k * coeffs[k] for k in range(1, d + 1)]
+        return [mpmath.mpf(-coeffs[0]) / coeffs[1]]
+    cs = [mpmath.mpf(c) for c in coeffs]
+    dcs = [k * cs[k] for k in range(1, d + 1)]
 
     def horner(cs, x):
         acc = mpmath.mpf(0)
@@ -189,10 +196,10 @@ def _roots_mp(r: Newman01) -> List:
     for _ in range(400):
         max_step = mpmath.mpf(0)
         for i in range(d):
-            fz = horner(coeffs, z[i])
+            fz = horner(cs, z[i])
             if fz == 0:
                 continue
-            fpz = horner(dcoeffs, z[i])
+            fpz = horner(dcs, z[i])
             if fpz == 0:
                 z[i] += stop  # nudge off an exact critical point
                 continue
@@ -209,8 +216,22 @@ def _roots_mp(r: Newman01) -> List:
         if max_step < stop:
             break
     else:
-        raise NumericFailure(f"root finding failed for {r} at high precision")
+        raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
     return z
+
+
+def _roots_squarefree(r: Newman01) -> List:
+    """Roots of r with multiplicity, from its exact squarefree factors.
+
+    Each factor's roots are simple, so _roots_mp converges fast on it; a
+    root of multiplicity k is then listed k times, equal copies side by side.
+    """
+    _, factors = squarefree_decomposition(IntPoly([(r.bits >> k) & 1 for k in range(r.degree + 1)]))
+    roots = []
+    for factor, mult in factors:
+        for z in _roots_mp(factor.coeffs):
+            roots.extend([z] * mult)
+    return roots
 
 
 def _units(roots, tol: float, to_float: Callable[[object], float]):
@@ -251,22 +272,33 @@ def _units(roots, tol: float, to_float: Callable[[object], float]):
     return units
 
 
-def _expand(units, picked: int, zero, im_limit: float, to_float: Callable[[object], float]):
-    """Multiply the picked units' factors; measure and drop imaginary residue.
+def _mul(poly, factor, zero):
+    out = [zero] * (len(poly) + len(factor) - 1)
+    for i, c in enumerate(poly):
+        for j, f in enumerate(factor):
+            out[i + j] = out[i + j] + c * f
+    return out
 
-    Returns (real coefficients, worst imaginary residue).  Residue beyond
-    im_limit means the conjugate pairing itself went wrong, not just root
-    noise, and is raised as a failure.
+
+def _products(units, zero) -> List[List]:
+    """Product of the factors of every unit subset, indexed by unit bitmask.
+
+    products[mask] is products[mask without its top unit] times that unit's
+    factor, so each subset costs one multiplication and performs the same
+    float operations, in the same order, as multiplying its units ascending.
     """
-    poly = [zero + 1]
-    for k, (_, factor) in enumerate(units):
-        if not (picked >> k) & 1:
-            continue
-        out = [zero] * (len(poly) + len(factor) - 1)
-        for i, c in enumerate(poly):
-            for j, f in enumerate(factor):
-                out[i + j] = out[i + j] + c * f
-        poly = out
+    products = [[zero + 1]]
+    for _, factor in units:
+        products += [_mul(poly, factor, zero) for poly in products]
+    return products
+
+
+def _real_part(poly, im_limit: float, to_float: Callable[[object], float]):
+    """Real coefficients of an expanded product and its worst imaginary residue.
+
+    Residue beyond im_limit means the conjugate pairing itself went wrong,
+    not just root noise, and is raised as a failure.
+    """
     worst_im = max(abs(to_float(c.imag)) for c in poly)
     if worst_im > im_limit:
         raise NumericFailure(f"imaginary residue {worst_im:.3g} above {im_limit:.3g}")
@@ -288,21 +320,24 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
         zero = 0.0
     else:
         with mpmath.workprec(precision):
-            roots = _roots_mp(r)
+            roots = _roots_squarefree(r)
             units = _units(roots, tol, float)
             zero = mpmath.mpf(0)
     m = len(units)
     out: List[SplitCandidate] = []
     if m < 2:
         return out
-    full = (1 << m) - 1
     im_limit = _REAL_AXIS_FACTOR * tol
     with mpmath.workprec(precision) if precision != 53 else nullcontext():
-        for picked in range(1, full):
-            if picked > (full ^ picked):
-                continue
-            p, p_im = _expand(units, picked, zero, im_limit, float)
-            q, q_im = _expand(units, full ^ picked, zero, im_limit, float)
+        # the smaller mask of a subset/complement pair is the one without the
+        # top unit, so only subsets of the lower units are tabulated; each
+        # complement is its lower part times the top unit's factor
+        top = units[-1][1]
+        products = _products(units[:-1], zero)
+        rest = len(products) - 1
+        for picked in range(1, len(products)):
+            p, p_im = _real_part(products[picked], im_limit, float)
+            q, q_im = _real_part(_mul(products[rest ^ picked], top, zero), im_limit, float)
             cls, mc, dev = _classify_coeffs(p, q, tol)
             if max(p_im, q_im) > tol:
                 # coefficients carry more imaginary noise than the verdict

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from newmandiv.modpoly import (
@@ -8,12 +9,14 @@ from newmandiv.modpoly import (
     ModPoly,
     Prime,
     coprime,
+    ip_gcd,
     mp_gcd,
     mp_mul,
     mp_rem,
     pack,
     resultant_prs,
     resultant_sylvester,
+    squarefree_decomposition,
 )
 from newmandiv.verifier import DEFAULT_PRIMES
 
@@ -275,6 +278,93 @@ def test_large_prime_paths():
     h = mp_mul(f, f)
     hi = fi * fi
     assert list(h.coeffs) == [c % p.value for c in hi.coeffs]
+
+
+# ---------------------------------------------------------------- squarefree decomposition over Z
+
+
+def _sympy_sqf(f: IntPoly):
+    x = sympy.Symbol("x")
+    c, factors = sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ").sqf_list()
+    return int(c), [(IntPoly(reversed([int(a) for a in g.all_coeffs()])), k) for g, k in factors]
+
+
+def _power(f: IntPoly, k: int) -> IntPoly:
+    out = IntPoly.one()
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+@st.composite
+def sqf_inputs(draw):
+    # random polynomials are mostly squarefree, so half the draws are
+    # products of small factors raised to random powers
+    if draw(st.booleans()):
+        return draw(intpoly_st())
+    f = IntPoly([draw(st.integers(min_value=-6, max_value=6).filter(bool))])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        g = draw(intpoly_st(max_deg=3, max_coeff=4))
+        if g.degree() >= 1:
+            f = f * _power(g, draw(st.integers(min_value=1, max_value=4)))
+    return f
+
+
+@given(sqf_inputs())
+@settings(max_examples=150, deadline=None)
+def test_squarefree_decomposition_rebuilds_and_matches_sympy(f):
+    """Property: c * prod a_i^i == f, each a_i squarefree and primitive,
+    and the decomposition is sympy's sqf_list."""
+    if f.is_zero():
+        return
+    c, factors = squarefree_decomposition(f)
+    rebuilt = IntPoly([c])
+    for a, k in factors:
+        assert a.degree() >= 1 and a.leading() > 0
+        assert a.primitive() == (1, a)
+        assert ip_gcd(a, a.derivative()) == IntPoly.one()
+        rebuilt = rebuilt * _power(a, k)
+    assert rebuilt == f
+    assert [k for _, k in factors] == sorted({k for _, k in factors})
+    assert (c, factors) == _sympy_sqf(f)
+
+
+@given(intpoly_st(6), intpoly_st(6), intpoly_st(3))
+@settings(max_examples=150, deadline=None)
+def test_ip_gcd_matches_sympy(f, g, h):
+    """Property: ip_gcd(f*h, g*h) is sympy's gcd, normalised to a positive
+    leading coefficient."""
+    f, g = f * h, g * h
+    got = ip_gcd(f, g)
+    x = sympy.Symbol("x")
+    want = sympy.gcd(
+        sympy.Poly(list(reversed(f.coeffs)) or [0], x, domain="ZZ"),
+        sympy.Poly(list(reversed(g.coeffs)) or [0], x, domain="ZZ"),
+    )
+    want = IntPoly(reversed([int(a) for a in want.all_coeffs()]))
+    if not want.is_zero() and want.leading() < 0:
+        want = -want
+    assert got == want
+
+
+def test_squarefree_decomposition_worked_examples():
+    # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2)
+    assert squarefree_decomposition(IntPoly([1, 1, 0, 1, 1])) == (
+        1,
+        [(IntPoly([1, -1, 1]), 1), (IntPoly([1, 1]), 2)],
+    )
+    # -12 (x - 1)^3 = 12 - 36x + 36x^2 - 12x^3
+    assert squarefree_decomposition(IntPoly([12, -36, 36, -12])) == (-12, [(IntPoly([-1, 1]), 3)])
+    assert squarefree_decomposition(IntPoly([-7])) == (-7, [])
+    with pytest.raises(ValueError):
+        squarefree_decomposition(IntPoly.zero())
+
+
+def test_intpoly_derivative_and_primitive():
+    assert IntPoly([5, 3, 0, 2]).derivative() == IntPoly([3, 0, 6])
+    assert IntPoly([4]).derivative().is_zero()
+    assert IntPoly([6, -4, -2]).primitive() == (-2, IntPoly([-3, 2, 1]))
+    assert IntPoly.zero().primitive() == (0, IntPoly.zero())
 
 
 # ---------------------------------------------------------------- packed kernel

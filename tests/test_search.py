@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newmandiv.modpoly import CapacityError
+from newmandiv.modpoly import CapacityError, IntPoly, squarefree_decomposition
 from newmandiv.search import (
     Classification,
     DEFAULT_TOL,
@@ -18,7 +18,7 @@ from newmandiv.search import (
     scan,
     split_survey,
 )
-from newmandiv.search import _ESCALATION_PRECISION
+from newmandiv.search import _ESCALATION_PRECISION, _products, _roots_double, _units
 
 # ----------------------------------------------------------------------
 # masks and enumeration
@@ -145,6 +145,39 @@ def test_reconstruction_bound(degree, rng):
         assert np.max(np.abs(got - want)) <= budget
 
 
+def _product_by_loop(units, picked, zero):
+    # the reference: multiply the picked units' factors in ascending order
+    poly = [zero + 1]
+    for k, (_, factor) in enumerate(units):
+        if (picked >> k) & 1:
+            out = [zero] * (len(poly) + len(factor) - 1)
+            for i, c in enumerate(poly):
+                for j, f in enumerate(factor):
+                    out[i + j] = out[i + j] + c * f
+            poly = out
+    return poly
+
+
+@pytest.mark.parametrize("bits", [0b111111111111, 0b100110110011, 0b110101100101, 0b101000101])
+def test_shared_products_equal_the_ascending_loop(bits):
+    # the subset-product table must reproduce the per-subset loop bit for
+    # bit, since the first pass's verdicts are pinned by the scan digest
+    r = Newman01(bits.bit_length() - 1, bits)
+    units = _units(_roots_double(r), DEFAULT_TOL, float)
+    assert len(units) >= 4
+    products = _products(units, 0.0)
+    assert len(products) == 1 << len(units)
+    for picked, poly in enumerate(products):
+        assert poly == _product_by_loop(units, picked, 0.0)
+    # the survey visits each subset without the top unit once, in order
+    full = len(products) - 1
+    survey = split_survey(r)
+    assert len(survey) == len(products) // 2 - 1
+    for picked, c in enumerate(survey, start=1):
+        assert c.p_coeffs == tuple(float(x.real) for x in _product_by_loop(units, picked, 0.0))
+        assert c.q_coeffs == tuple(float(x.real) for x in _product_by_loop(units, full ^ picked, 0.0))
+
+
 def _verdict_counts(survey):
     out = {cls: 0 for cls in Classification}
     for c in survey:
@@ -154,8 +187,9 @@ def _verdict_counts(survey):
 
 def test_reciprocal_metamorphic_full_degree_seven():
     # root inversion gives a split bijection, so verdict counts must agree
-    # mask by mask (degree 7 has no repeated-root masks, keeping the
-    # borderline bands empty on both sides)
+    # mask by mask; the one repeated-root mask of degree 7,
+    # 1+x^2+x^3+x^4+x^5+x^7 = (x^2-x+1)^2 (x^3+2x^2+2x+1), is palindromic,
+    # so it is its own reversal and both sides see the same survey
     for r in enumerate_01(7):
         a = _verdict_counts(split_survey(r))
         b = _verdict_counts(split_survey(r.reciprocal()))
@@ -207,12 +241,67 @@ def test_scan_small_degrees_hold():
     assert rep.offenders == ()
 
 
+#: every mask of degree <= 10 the double-precision pass flags, as
+#: (degree, bits) -> split count of its 212-bit survey; each count is
+#: 2^(m-1) - 1 for m real roots plus conjugate pairs, with multiplicity
+ESCALATED_TO_DEGREE_10 = {
+    (4, 27): 3, (6, 99): 7, (7, 189): 7, (8, 297): 15, (8, 325): 7,
+    (8, 495): 15, (9, 891): 31, (9, 975): 15, (10, 1161): 31,
+    (10, 1215): 31, (10, 1539): 31, (10, 1647): 31, (10, 1755): 31,
+    (10, 1911): 15, (10, 1935): 31, (10, 1971): 31, (10, 2025): 31,
+}
+
+
+def _flagged(r):
+    try:
+        survey = split_survey(r)
+    except NumericFailure:
+        return True
+    return any(c.classification is not Classification.FAIR for c in survey)
+
+
+def test_escalated_masks_have_repeated_factors_and_fair_retries():
+    flagged = {(r.degree, r.bits) for d in range(1, 11) for r in enumerate_01(d) if _flagged(r)}
+    assert flagged == set(ESCALATED_TO_DEGREE_10)
+    for (degree, bits), n_splits in ESCALATED_TO_DEGREE_10.items():
+        r = Newman01(degree, bits)
+        _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
+        assert max(k for _, k in factors) >= 2, str(r)
+        retry = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+        assert len(retry) == n_splits, str(r)
+        assert all(c.classification is Classification.FAIR for c in retry), str(r)
+
+
+def _degree_row(degree, polynomials, splits, fair, indeterminate, escalated):
+    return {
+        "degree": degree, "polynomials": polynomials, "splits": splits,
+        "fair": fair, "unfair": 0, "indeterminate": indeterminate,
+        "escalated": escalated, "residual_unfair": 0, "residual_indeterminate": 0,
+    }
+
+
 def test_scan_degree_ten_resolves_all_indeterminates():
-    rep = scan(10)
-    assert rep.conjecture_holds()
-    assert sum(s.indeterminate for s in rep.summaries) > 0  # first pass sees some
-    assert sum(s.escalated for s in rep.summaries) > 0
-    assert rep.total_residual_indeterminate == 0
+    # the first pass sees indeterminate splits, escalation resolves them all;
+    # every count of the report is deterministic and pinned, because a change
+    # in any of them changes the scan digest
+    assert scan(10).to_dict() == {
+        "max_degree": 10,
+        "tol": DEFAULT_TOL,
+        "degrees": [
+            _degree_row(1, 1, 0, 0, 0, 0),
+            _degree_row(2, 2, 0, 0, 0, 0),
+            _degree_row(3, 4, 4, 4, 0, 0),
+            _degree_row(4, 8, 10, 8, 2, 1),
+            _degree_row(5, 16, 48, 48, 0, 0),
+            _degree_row(6, 32, 120, 118, 2, 1),
+            _degree_row(7, 64, 448, 444, 4, 1),
+            _degree_row(8, 128, 1128, 1118, 10, 3),
+            _degree_row(9, 256, 3872, 3864, 8, 2),
+            _degree_row(10, 512, 9824, 9796, 28, 9),
+        ],
+        "offenders": [],
+        "conjecture_holds": True,
+    }
 
 
 def test_scan_range_validation():
