@@ -12,117 +12,55 @@ no root rules out the coefficient pattern that would allow c_n = 0.
 Only a five-entry window is ever alive: the recurrence looks back 2 and 5
 steps, so B_{n-5} is the oldest entry needed.
 
-Two walks share the recurrence: ``b_step`` on ModPoly/IntPoly windows, the
-oracle and diagnostic path, and ``b_pairs``, the batch walk of the
-verifier, which keeps the window in the packed form of ``modpoly``.
+``b_pairs`` is the one walk of the recurrence.  With a prime it keeps the
+window in the packed form of ``modpoly`` (the verifier's batch walk); with
+no prime it yields exact integer polynomials, capped at EXACT_INDEX_CAP
+because their coefficients grow exponentially.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
 from .modpoly import CapacityError, IntPoly, ModPoly, PackedPoly, Prime, pack
 
 __all__ = [
     "ZERO_POLY_LAW",
-    "BWindow",
-    "b_init",
-    "b_step",
     "b_pairs",
     "b_leading",
     "b_constant",
     "EXACT_INDEX_CAP",
 ]
 
-#: default cap on exact-mode stepping: integer coefficients grow exponentially
-#: and exact mode exists only as an oracle for the mod-p fast path.
+#: cap on the exact walk's last index: integer coefficients grow
+#: exponentially and the exact walk exists only as an oracle for the mod-p one.
 EXACT_INDEX_CAP = 200
 
 #: sentinel returned by b_leading for the identically-zero small odd cases
 #: (B_1 = B_3 = B_5 = 0), where the degree law does not apply.
 ZERO_POLY_LAW = "zero-polynomial"
 
-_Poly = Union[ModPoly, IntPoly]
-
 # initial window, as integer coefficient lists (index k = coeff of t^k)
 _INIT = ([1], [0], [1, -1], [0], [1, -1, 1])
 
+_Poly = Union[IntPoly, PackedPoly]
 
-@dataclass(frozen=True)
-class BWindow:
-    """Sliding window holding B_{index-4} .. B_{index}.
 
-    modulus None means exact integer mode; exact stepping is capped (see
-    ``exact_cap``) because coefficient growth makes large exact indices
-    unfeasible — exact mode is an oracle, not the workhorse.
+def b_pairs(prime: Optional[Prime], hi: int) -> Iterator[Tuple[int, _Poly, _Poly]]:
+    """Yield (n, B_{n-2}, B_{n-5}) for n = 5, 6, ..., hi.
+
+    With a prime the pair is reduced mod p and packed; with prime None it is
+    exact, and hi may not exceed EXACT_INDEX_CAP.  The pair for n is read off
+    before the step that evicts B_{n-5}.
     """
-
-    modulus: Optional[Prime]
-    window: Tuple[_Poly, _Poly, _Poly, _Poly, _Poly]
-    index: int
-    exact_cap: int = EXACT_INDEX_CAP
-
-    def __post_init__(self):
-        if len(self.window) != 5:
-            raise ValueError("window must hold exactly five polynomials")
-        if self.index < 4:
-            raise ValueError("index starts at 4")
-
-    def newest(self) -> _Poly:
-        """B_{index}."""
-        return self.window[4]
-
-    def poly(self, n: int) -> _Poly:
-        """B_n for any n still inside the window."""
-        off = n - (self.index - 4)
-        if not 0 <= off <= 4:
-            raise ValueError(f"B_{n} is outside the live window at index {self.index}")
-        return self.window[off]
-
-
-def b_init(modulus: Optional[Prime] = None, exact_cap: int = EXACT_INDEX_CAP) -> BWindow:
-    """Window holding (B_0, ..., B_4) with index 4."""
-    if modulus is None:
-        polys = tuple(IntPoly(c) for c in _INIT)
+    if prime is None:
+        if hi > EXACT_INDEX_CAP:
+            raise CapacityError(f"exact walk capped at n = {EXACT_INDEX_CAP}, asked for {hi}")
+        one = IntPoly.one()
+        w = [IntPoly(c) for c in _INIT]
     else:
-        polys = tuple(ModPoly(modulus, c) for c in _INIT)
-    return BWindow(modulus, polys, 4, exact_cap)
-
-
-def b_step(w: BWindow) -> BWindow:
-    """Advance one index: append B_{n+1} = 1 - t*B_{n-1} - B_{n-4}."""
-    n = w.index + 1
-    b2 = w.window[3]  # B_{n-2}
-    b5 = w.window[0]  # B_{n-5}
-    if w.modulus is None:
-        if n > w.exact_cap:
-            raise CapacityError(
-                f"exact-mode index cap {w.exact_cap} exceeded at n={n}"
-            )
-        new = IntPoly.one() - b2.shift(1) - b5
-    else:
-        p = w.modulus.value
-        t_b2 = [0] + [int(c) for c in b2.coeffs]
-        b5c = list(b5.coeffs)
-        m = max(len(t_b2), len(b5c), 1)
-        out = [0] * m
-        out[0] = 1
-        for i, c in enumerate(t_b2):
-            out[i] = (out[i] - c) % p
-        for i, c in enumerate(b5c):
-            out[i] = (out[i] - int(c)) % p
-        new = ModPoly(w.modulus, out)
-    return BWindow(w.modulus, w.window[1:] + (new,), n, w.exact_cap)
-
-
-def b_pairs(prime: Prime, hi: int) -> Iterator[Tuple[int, PackedPoly, PackedPoly]]:
-    """Yield (n, B_{n-2} mod p, B_{n-5} mod p) for n = 5, 6, ..., hi, packed.
-
-    The pair for n is read off before the step that evicts B_{n-5}.
-    """
-    one = pack(ModPoly.one(prime))
-    w = [pack(ModPoly(prime, c)) for c in _INIT]
+        one = pack(ModPoly.one(prime))
+        w = [pack(ModPoly(prime, c)) for c in _INIT]
     for n in range(5, hi + 1):
         b2, b5 = w[3], w[0]
         yield n, b2, b5

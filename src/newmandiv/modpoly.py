@@ -1,10 +1,11 @@
 """Dense polynomial arithmetic over prime fields and over the integers.
 
-Two resultant routines with opposite trade-offs, both oracle and
+``ModPoly`` (GF(p)[x]) and ``IntPoly`` (Z[x]) hold their coefficients as
+tuples of Python ints.  Two resultant routines serve as oracle and
 diagnostic paths:
 
 * ``resultant_prs``  — Euclidean polynomial-remainder-sequence over GF(p),
-  O(d^2) field operations, usable at degree ~5000;
+  O(d^2) field operations, each reduced mod p as it is made;
 * ``resultant_sylvester`` — exact integer determinant of the Sylvester
   matrix (fraction-free Bareiss elimination), O(d^3), capped at small
   degree; the independent oracle for everything mod p.
@@ -26,8 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "MINUS_INFINITY",
@@ -51,10 +50,6 @@ __all__ = [
 #: so arithmetic on degrees (skip rules, exponent bookkeeping) stays honest.
 MINUS_INFINITY = float("-inf")
 
-# Magnitude ceiling for deferred modular reduction inside the PRS: keep every
-# intermediate below 2^62 so int64 products/sums cannot wrap.
-_INT64_SAFE = 1 << 62
-
 
 class CapacityError(ValueError):
     """An input exceeds a documented size cap (not a math error)."""
@@ -72,7 +67,7 @@ def _is_prime(n: int) -> bool:
     # every n < 3.3e24, far beyond the 2^31 constructor cap.
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -99,8 +94,7 @@ def _is_prime(n: int) -> bool:
 class Prime:
     """A prime modulus, primality asserted at construction.
 
-    Values are restricted to < 2^31 so that a product of two reduced
-    coefficients fits comfortably in 64-bit intermediates.
+    Values are restricted to [2, 2^31).
     """
 
     value: int
@@ -125,17 +119,10 @@ class Prime:
 # --------------------------------------------------------------------------
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    k = len(a)
-    while k > 0 and a[k - 1] == 0:
-        k -= 1
-    return a[:k]
-
-
 class ModPoly:
     """Dense polynomial over GF(p); coeffs[k] is the coefficient of x^k.
 
-    Canonical form: all coefficients in [0, p-1], no trailing zeros.
+    Canonical form: a tuple of ints in [0, p-1] with no trailing zeros.
     Instances are immutable after construction.
     """
 
@@ -145,15 +132,11 @@ class ModPoly:
         if not isinstance(modulus, Prime):
             raise TypeError("modulus must be a Prime")
         p = modulus.value
-        arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs)
-        if arr.dtype == object or arr.dtype.kind not in "iu":
-            arr = np.array([int(c) % p for c in arr], dtype=np.int64)
-        else:
-            arr = np.remainder(arr.astype(np.int64, copy=True), p)
-        arr = _trim(arr).copy()
-        arr.flags.writeable = False
+        cs = [int(c) % p for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ModPoly is immutable")
@@ -176,28 +159,27 @@ class ModPoly:
     def leading(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return int(self.coeffs[-1])
+        return self.coeffs[-1]
 
     def __call__(self, x: int) -> int:
         p = self.modulus.value
         acc = 0
-        for c in self.coeffs[::-1]:
-            acc = (acc * x + int(c)) % p
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % p
         return acc
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModPoly)
             and self.modulus == other.modulus
-            and len(self.coeffs) == len(other.coeffs)
-            and bool(np.all(self.coeffs == other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs.tobytes()))
+        return hash((self.modulus, self.coeffs))
 
     def __repr__(self):
-        return f"ModPoly(mod {self.modulus.value}, {list(map(int, self.coeffs))})"
+        return f"ModPoly(mod {self.modulus.value}, {list(self.coeffs)})"
 
 
 class IntPoly:
@@ -308,24 +290,24 @@ def _require_same_modulus(f: ModPoly, g: ModPoly):
         )
 
 
+def _rem(f, g, p: int) -> list:
+    """Coefficients of f mod g over GF(p); f and g reduced, g nonzero."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    while len(r) > dg:
+        c = r.pop() * inv % p  # the top coefficient cancels
+        s = len(r) - dg
+        r[s:] = [(a - c * b) % p for a, b in zip(r[s:], g)]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def mp_mul(f: ModPoly, g: ModPoly) -> ModPoly:
     """Product in GF(p)[x]."""
     _require_same_modulus(f, g)
-    p = f.modulus.value
-    if f.is_zero() or g.is_zero():
-        return ModPoly.zero(f.modulus)
-    fa, ga = f.coeffs, g.coeffs
-    # convolution sums (p-1)^2 * min(len) — use the one-shot path only when
-    # that provably fits in int64, else reduce row by row
-    if (p - 1) * (p - 1) * min(len(fa), len(ga)) < _INT64_SAFE:
-        out = np.remainder(np.convolve(fa, ga), p)
-    else:
-        out = np.zeros(len(fa) + len(ga) - 1, dtype=np.int64)
-        for i, c in enumerate(ga):
-            ci = int(c)
-            if ci:
-                out[i : i + len(fa)] = np.remainder(out[i : i + len(fa)] + ci * fa, p)
-    return ModPoly(f.modulus, out)
+    return ModPoly(f.modulus, (IntPoly(f.coeffs) * IntPoly(g.coeffs)).coeffs)
 
 
 def mp_rem(f: ModPoly, g: ModPoly) -> ModPoly:
@@ -333,34 +315,18 @@ def mp_rem(f: ModPoly, g: ModPoly) -> ModPoly:
     _require_same_modulus(f, g)
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    p = f.modulus.value
-    dg = len(g.coeffs) - 1
-    if len(f.coeffs) - 1 < dg:
-        return f
-    fv = f.coeffs.astype(np.int64, copy=True)
-    gv = g.coeffs
-    inv = pow(int(gv[dg]), p - 2, p)
-    top = len(fv) - 1
-    while top >= dg:
-        c = int(fv[top]) * inv % p
-        if c:
-            fv[top - dg : top + 1] = np.remainder(fv[top - dg : top + 1] - c * gv, p)
-        top -= 1
-        while top >= 0 and fv[top] == 0:
-            top -= 1
-    return ModPoly(f.modulus, fv[: top + 1] if top >= 0 else [])
+    return ModPoly(f.modulus, _rem(f.coeffs, g.coeffs, f.modulus.value))
 
 
 def mp_gcd(f: ModPoly, g: ModPoly) -> ModPoly:
     """Monic gcd in GF(p)[x] (Euclid); gcd(0, 0) = 0."""
     _require_same_modulus(f, g)
     p = f.modulus.value
-    while not g.is_zero():
-        f, g = g, mp_rem(f, g)
-    if f.is_zero():
-        return f
-    inv = pow(f.leading(), p - 2, p)
-    return ModPoly(f.modulus, np.remainder(f.coeffs * inv, p))
+    a, b = f.coeffs, g.coeffs
+    while b:
+        a, b = b, _rem(a, b, p)
+    inv = pow(a[-1], -1, p) if a else 0
+    return ModPoly(f.modulus, [c * inv for c in a])
 
 
 # --------------------------------------------------------------------------
@@ -460,13 +426,8 @@ def resultant_prs(f: ModPoly, g: ModPoly) -> int:
 
     Same value as the Sylvester determinant reduced mod p.  Bookkeeping per
     division step:  Res(f, g) = (-1)^(df*dg) * lc(g)^(df - deg r) * Res(g, r),
-    ending with Res(f, c) = c^(deg f) for a constant c.
-
-    Modular reduction of the work arrays is deferred while a runtime bound
-    proves every intermediate still fits in int64; both live polynomials are
-    reduced together when the bound would be breached (reducing only one lets
-    the two-term recurrence r_{k+1} = r_{k-1} - q*r_k compound the other line
-    without limit).
+    ending with Res(f, c) = c^(deg f) for a constant c.  The step holds for
+    df < dg too (r = f), so no initial swap is needed.
     """
     _require_same_modulus(f, g)
     if f.is_zero() and g.is_zero():
@@ -474,50 +435,18 @@ def resultant_prs(f: ModPoly, g: ModPoly) -> int:
     if f.is_zero() or g.is_zero():
         return 0
     p = f.modulus.value
-    fv = f.coeffs.astype(np.int64, copy=True)
-    gv = g.coeffs.astype(np.int64, copy=True)
+    a, b = f.coeffs, g.coeffs
     res = 1
-    df, dg = len(fv) - 1, len(gv) - 1
-    if df < dg:
-        if (df * dg) % 2:
-            res = p - 1
-        fv, gv, df, dg = gv, fv, dg, df
-    bf = bg = float(p - 1)  # magnitude bounds of the two live arrays
-    while dg > 0:
-        lg = int(gv[dg]) % p
-        inv = pow(lg, p - 2, p)
-        delta = df - dg
-        # worst-case magnitude after this division: |r| <= bf + (delta+1)*(p-1)*bg
-        if bf + (delta + 1) * (p - 1) * bg >= _INT64_SAFE:
-            np.remainder(fv, p, out=fv)
-            np.remainder(gv, p, out=gv)
-            bf = bg = float(p - 1)
-        # quotient coefficients, highest first, tracked scalar-side
-        q = [0] * (delta + 1)
-        ftop = [int(fv[df - i]) % p for i in range(delta + 1)]
-        for i in range(delta + 1):
-            c = ftop[i] * inv % p
-            q[i] = c
-            if c:
-                for j in range(i + 1, delta + 1):
-                    gi = dg - (j - i)
-                    if gi >= 0:
-                        ftop[j] = (ftop[j] - c * int(gv[gi])) % p
-        qa = np.array(q[::-1], dtype=np.int64)
-        fv[: df + 1] -= np.convolve(qa, gv)
-        bf = bf + (delta + 1) * (p - 1) * bg
-        dr = dg - 1
-        while dr >= 0 and int(fv[dr]) % p == 0:
-            dr -= 1
-        if dr < 0:
+    while len(b) > 1:
+        r = _rem(a, b, p)
+        if not r:
             return 0
-        if (df * dg) % 2:
-            res = p - res
-        res = res * pow(lg, df - dr, p) % p
-        fv, gv = gv, fv[: dr + 1]
-        bf, bg = bg, bf
-        df, dg = dg, dr
-    return res * pow(int(gv[0]) % p, df, p) % p
+        da, db = len(a) - 1, len(b) - 1
+        if da * db % 2:
+            res = -res
+        res = res * pow(b[-1], da - (len(r) - 1), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def _sylvester_matrix(f: IntPoly, g: IntPoly):
@@ -891,7 +820,7 @@ def _require_same_form(f: PackedPoly, g: PackedPoly):
 def pack(f: ModPoly) -> PackedPoly:
     """f in the packed form of its field."""
     form = _form(f.modulus.value)
-    return PackedPoly(form, form.pack([int(c) for c in f.coeffs]))
+    return PackedPoly(form, form.pack(f.coeffs))
 
 
 def coprime(f: PackedPoly, g: PackedPoly) -> bool:

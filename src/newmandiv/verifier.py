@@ -17,25 +17,26 @@ Over a field a resultant is nonzero exactly when the two polynomials are
 coprime, so the batch pass never forms the resultant: one packed walk of
 the window (``bseq.b_pairs``) feeds each admissible pair, checked against
 the leading-coefficient law, to ``modpoly.coprime``, the same Euclid kernel
-for every prime.  ``resultant_mod`` (remainder-sequence resultant) and
-``verify_exact_small`` (exact Sylvester determinant) are the independent
-single-case paths the tests hold it to.
+for every prime.  ``resultant_mod`` (the remainder-sequence resultant on
+the same walk's pair, unpacked) and ``verify_exact_small`` (exact Sylvester
+determinant on the exact walk) are the independent single-case paths the
+tests hold it to.
 
 Cases n = 5..10 are handled directly: one member of each pair is the zero
 polynomial or has no root in (0, 1) at all, so no common root can exist.
+That no-root check is exact (Descartes' rule of signs in integers).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
-from .bseq import b_init, b_leading, b_pairs, b_step
+from .bseq import b_leading, b_pairs
 from .modpoly import (
     CapacityError,
     IntPoly,
@@ -168,36 +169,26 @@ _BASE_WITNESS_SLOT = {5: 1, 6: 0, 7: 1, 8: 0, 9: 0, 10: 0}
 
 def base_cases() -> List[BaseCase]:
     """The six small cases, with exact window polynomials."""
-    w = b_init()
-    polys = {m: w.poly(m) for m in range(5)}
-    for _ in range(4):  # extend through B_8
-        w = b_step(w)
-        polys[w.index] = w.newest()
-    out = []
-    for n in range(5, 11):
-        pair = (polys[n - 2], polys[n - 5])
-        out.append(BaseCase(n, pair, pair[_BASE_WITNESS_SLOT[n]]))
-    return out
+    return [
+        BaseCase(n, (f, g), (f, g)[_BASE_WITNESS_SLOT[n]]) for n, f, g in b_pairs(None, 10)
+    ]
 
 
-def check_base_case(case: BaseCase, grid_points: int = 512) -> Tuple[bool, float]:
-    """Numerically re-check the witness polynomial has no root in (0, 1).
+def check_base_case(case: BaseCase) -> bool:
+    """Exactly check that the witness polynomial has no root in (0, 1).
 
-    Two independent looks: numpy root-finding filtered to real roots inside
-    the open interval, and a positivity scan on an interior grid.  Returns
-    (ok, smallest grid value).
+    t = 1/(1+y) maps (0, 1) onto y > 0, so the roots of f in (0, 1) are the
+    positive roots of (1+y)^d f(1/(1+y)), d = deg f, whose coefficients are
+    integers.  By Descartes' rule of signs no sign change among them means
+    no such root.  Any sign change returns False, even where the rule only
+    gives an upper bound, so a witness with a root is never passed; the zero
+    polynomial is not a witness.
     """
-    poly = case.no_root_witness
-    cs = list(poly.coeffs)
-    if len(cs) > 1:
-        roots = np.roots(cs[::-1])
-        for r in roots:
-            if abs(r.imag) < 1e-9 and 1e-9 < r.real < 1 - 1e-9:
-                return False, 0.0
-    ts = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
-    vals = sum(c * ts**k for k, c in enumerate(cs)) if cs else np.zeros_like(ts)
-    lo = float(np.min(vals))
-    return lo > 0.0, lo
+    cs = case.no_root_witness.coeffs
+    d = len(cs) - 1
+    moved = [sum(c * math.comb(d - k, j) for k, c in enumerate(cs)) for j in range(d + 1)]
+    signs = {x > 0 for x in moved if x}
+    return len(signs) == 1
 
 
 # --------------------------------------------------------------------------
@@ -284,18 +275,14 @@ def resultant_mod(n: int, prime: Prime) -> int:
 
     Equals R_n mod p exactly when skip_rule(n, p) is False; at a skipped n
     the value is still well-defined but certifies nothing.  Single-case
-    diagnostic path — the batch driver amortizes the window walk instead.
+    diagnostic path: the last pair of one ``b_pairs`` walk, unpacked, goes
+    to the remainder-sequence resultant, not to the packed kernel.
     """
     if n < FIRST_RESULTANT_INDEX:
         raise ValueError(f"resultants start at n = {FIRST_RESULTANT_INDEX}")
-    w = b_init(prime)
-    while w.index < n - 2:
-        w = b_step(w)
-    f = w.poly(n - 2)
-    g = w.poly(n - 5)
-    if f.is_zero() or g.is_zero():
-        return 0
-    return resultant_prs(f, g)
+    for _, f, g in b_pairs(prime, n):
+        pass
+    return resultant_prs(f.unpack(), g.unpack())
 
 
 def verify_exact_small(lo: int = 11, hi: int = 60) -> Dict[int, int]:
@@ -306,15 +293,7 @@ def verify_exact_small(lo: int = 11, hi: int = 60) -> Dict[int, int]:
     """
     if not (FIRST_RESULTANT_INDEX <= lo <= hi <= 60):
         raise CapacityError(f"exact range must sit inside 11..60, got {lo}..{hi}")
-    w = b_init()
-    polys: Dict[int, IntPoly] = {m: w.poly(m) for m in range(5)}
-    while w.index < hi - 2:
-        w = b_step(w)
-        polys[w.index] = w.newest()
-    return {
-        n: resultant_sylvester(polys[n - 2], polys[n - 5])
-        for n in range(lo, hi + 1)
-    }
+    return {n: resultant_sylvester(f, g) for n, f, g in b_pairs(None, hi) if n >= lo}
 
 
 # --------------------------------------------------------------------------
@@ -510,8 +489,7 @@ def verify_range(
     for case in base_cases():
         if case.n > max_n or table.is_proven(case.n):
             continue
-        ok, _ = check_base_case(case)
-        if not ok:
+        if not check_base_case(case):
             raise ArithmeticError(f"base case n={case.n} failed its no-root check")
         table.mark(case.n, BASE_CASE_WITNESS)
     if ckpt is not None:

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from newmandiv.bseq import (
     EXACT_INDEX_CAP,
     ZERO_POLY_LAW,
-    BWindow,
     b_constant,
-    b_init,
     b_leading,
-    b_step,
+    b_pairs,
 )
 from newmandiv.modpoly import CapacityError, IntPoly, ModPoly, Prime
+from newmandiv.verifier import DEFAULT_PRIMES
 
 
 def sympy_b(n_max):
@@ -40,54 +39,54 @@ def as_coeff_list(poly):
     return [int(c) for c in cs]
 
 
+def b_polys(prime, hi):
+    """{m: B_m} for m = 0 .. hi-2 (hi >= 7), read off the pairs of
+    b_pairs(prime, hi); mod-p entries are unpacked to ModPoly."""
+    out = {}
+    for n, f, g in b_pairs(prime, hi):
+        out[n - 5], out[n - 2] = g, f
+    if prime is not None:
+        out = {m: poly.unpack() for m, poly in out.items()}
+    return out
+
+
 # --------------------------------------------------------------------------
-# window mechanics
+# initial window
 # --------------------------------------------------------------------------
 
 
 def test_initial_window_exact():
-    w = b_init()
-    assert w.index == 4
-    assert w.poly(0) == IntPoly([1])
-    assert w.poly(1) == IntPoly([])
-    assert w.poly(2) == IntPoly([1, -1])
-    assert w.poly(3) == IntPoly([])
-    assert w.poly(4) == IntPoly([1, -1, 1])
-    assert w.newest() == w.poly(4)
+    first = next(b_pairs(None, 5))
+    assert first == (5, IntPoly([]), IntPoly([1]))  # (n, B_3, B_0)
+    w = b_polys(None, 7)
+    assert w[5] == IntPoly([])
+    assert {m: w[m] for m in range(5)} == {
+        0: IntPoly([1]),
+        1: IntPoly([]),
+        2: IntPoly([1, -1]),
+        3: IntPoly([]),
+        4: IntPoly([1, -1, 1]),
+    }
 
 
 def test_initial_window_mod2():
     p = Prime(2)
-    w = b_init(p)
-    assert w.poly(2) == ModPoly(p, [1, 1])
-    assert w.poly(4) == ModPoly(p, [1, 1, 1])
+    w = b_polys(p, 7)
+    assert w[2] == ModPoly(p, [1, 1])
+    assert w[4] == ModPoly(p, [1, 1, 1])
 
 
 def test_initial_window_mod3():
     p = Prime(3)
-    w = b_init(p)
-    assert w.poly(2) == ModPoly(p, [1, 2])
-    assert w.poly(4) == ModPoly(p, [1, 2, 1])
+    w = b_polys(p, 7)
+    assert w[2] == ModPoly(p, [1, 2])
+    assert w[4] == ModPoly(p, [1, 2, 1])
 
 
-def test_window_eviction():
-    w = b_init()
-    w = b_step(w)  # index 5, window holds B_1..B_5
-    w.poly(1)
-    with pytest.raises(ValueError):
-        w.poly(0)
-    with pytest.raises(ValueError):
-        w.poly(6)
-
-
-def test_index_floor():
-    with pytest.raises(ValueError):
-        BWindow(None, tuple(IntPoly([1]) for _ in range(5)), 3)
-
-
-def test_window_must_have_five_entries():
-    with pytest.raises(ValueError):
-        BWindow(None, (IntPoly([1]),), 4)
+def test_pairs_run_from_five_to_hi():
+    assert [n for n, _, _ in b_pairs(None, 12)] == list(range(5, 13))
+    assert [n for n, _, _ in b_pairs(Prime(5), 12)] == list(range(5, 13))
+    assert list(b_pairs(Prime(5), 4)) == []
 
 
 # --------------------------------------------------------------------------
@@ -106,49 +105,45 @@ FROZEN = {
 
 
 def test_frozen_values_b5_to_b11():
-    w = b_init()
+    w = b_polys(None, 13)
     for n in range(5, 12):
-        w = b_step(w)
-        assert w.newest() == IntPoly(FROZEN[n]), f"B_{n}"
+        assert w[n] == IntPoly(FROZEN[n]), f"B_{n}"
 
 
 def test_exact_window_matches_sympy_to_60():
     oracle = sympy_b(60)
-    w = b_init()
-    for n in range(5, 61):
-        w = b_step(w)
-        assert list(w.newest().coeffs) == as_coeff_list(oracle[n]), f"B_{n}"
+    w = b_polys(None, 62)
+    for n in range(61):
+        assert list(w[n].coeffs) == as_coeff_list(oracle[n]), f"B_{n}"
 
 
 def test_exact_cap_enforced():
-    w = b_init(exact_cap=10)
-    for _ in range(6):
-        w = b_step(w)
-    assert w.index == 10
+    assert len(list(b_pairs(None, EXACT_INDEX_CAP))) == EXACT_INDEX_CAP - 4
     with pytest.raises(CapacityError):
-        b_step(w)
+        next(b_pairs(None, EXACT_INDEX_CAP + 1))
+    # the cap is on the exact walk only
+    assert next(b_pairs(Prime(3), EXACT_INDEX_CAP + 1))[0] == 5
 
 
 def test_default_exact_cap():
     assert EXACT_INDEX_CAP == 200
-    w = b_init()
-    assert w.exact_cap == 200
 
 
 # --------------------------------------------------------------------------
-# mod-p window vs exact window
+# mod-p walk vs exact walk
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
 def test_modp_window_is_exact_reduced(p):
+    """The packed pairs the verifier reads, unpacked, are the exact pairs
+    reduced mod p at every n the exact walk reaches."""
     prime = Prime(p)
-    we = b_init()
-    wm = b_init(prime)
-    for _ in range(5, 61):
-        we = b_step(we)
-        wm = b_step(wm)
-        assert wm.newest() == we.newest().reduce_mod(prime)
+    exact = b_pairs(None, EXACT_INDEX_CAP)
+    for (n, f, g), (m, fe, ge) in zip(b_pairs(prime, EXACT_INDEX_CAP), exact, strict=True):
+        assert n == m
+        assert f.unpack() == fe.reduce_mod(prime), f"B_{n - 2} mod {p}"
+        assert g.unpack() == ge.reduce_mod(prime), f"B_{n - 5} mod {p}"
 
 
 # --------------------------------------------------------------------------
@@ -177,17 +172,9 @@ def test_leading_law_rejects_negative():
 
 
 def test_laws_match_exact_window_to_cap():
-    w = b_init()
-    ns = [4]
-    while w.index < EXACT_INDEX_CAP:
-        w = b_step(w)
-        ns.append(w.index)
-    # window only keeps 5 entries, so re-walk and check each newest()
-    w = b_init()
-    for n in range(4, EXACT_INDEX_CAP + 1):
-        if n > 4:
-            w = b_step(w)
-        poly = w.newest()
+    w = b_polys(None, EXACT_INDEX_CAP)
+    assert sorted(w) == list(range(EXACT_INDEX_CAP - 1))
+    for n, poly in w.items():
         law = b_leading(n)
         if law == ZERO_POLY_LAW:
             assert poly == IntPoly([])
@@ -215,16 +202,13 @@ def test_leading_law_total_on_nonneg(n):
             assert abs(lead) == deg
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
 def test_leading_law_vs_modp_window(p):
-    """For every n <= 2000, the mod-p leading/degree agree with the law
-    unless p kills the leading coefficient."""
+    """For every B_n the packed walk reaches by n = 2000, the mod-p
+    leading/degree agree with the law unless p kills the leading
+    coefficient."""
     prime = Prime(p)
-    w = b_init(prime)
-    for n in range(4, 2001):
-        if n > 4:
-            w = b_step(w)
-        poly = w.newest()
+    for n, poly in b_polys(prime, 2000).items():
         law = b_leading(n)
         if law == ZERO_POLY_LAW:
             assert poly.is_zero()
@@ -237,4 +221,4 @@ def test_leading_law_vs_modp_window(p):
             assert poly.degree() == deg
             assert poly.leading() == lead % p
         if not poly.is_zero():
-            assert int(poly.coeffs[0]) == b_constant(n) % p
+            assert poly.coeffs[0] == b_constant(n) % p

@@ -58,7 +58,7 @@ def test_modpoly_immutable():
     f = ModPoly(P5, [1, 2])
     with pytest.raises(AttributeError):
         f.coeffs = None
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # coeffs is a tuple
         f.coeffs[0] = 3
 
 
@@ -267,7 +267,7 @@ def test_rem_is_division_remainder(p, f, g):
 
 
 def test_large_prime_paths():
-    # exercise the row-by-row mul path and PRS adaptive reduction with a big p
+    # a prime near the 2^31 cap: products of two coefficients exceed 2^60
     p = Prime(2**31 - 1)
     f = ModPoly(p, [2**31 - 2, 123456789, 1])
     g = ModPoly(p, [7, 2**31 - 5])

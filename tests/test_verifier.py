@@ -1,10 +1,16 @@
 """Tests for the case-by-case verification driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newmandiv.bseq import ZERO_POLY_LAW, b_init, b_leading, b_step
+import newmandiv
+from newmandiv.bseq import ZERO_POLY_LAW, b_leading, b_pairs
 from newmandiv.modpoly import CapacityError, IntPoly, Prime, _gcd2, resultant_prs
 from newmandiv.verifier import (
     BASE_CASE_WITNESS,
@@ -164,16 +170,13 @@ def test_window_pass_agrees_with_single_case_path(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_band_near_2000_agrees_with_prs(p):
     """n in 1990..2010: the packed pass decides each admissible case as the
-    remainder-sequence resultant does, on pairs from one b_step walk."""
+    remainder-sequence resultant does, on the unpacked pairs of one walk."""
     prime = Prime(p)
     ns = [n for n in range(1990, 2011) if not skip_rule(n, p)]
     proved = set(_run_chunk(p, ns))
-    w = b_init(prime)
-    while w.index < ns[-1] - 1:
-        w = b_step(w)
-        n = w.index + 1  # window now holds B_{n-5} .. B_{n-1}
+    for n, f, g in b_pairs(prime, ns[-1]):
         if n in ns:
-            nonzero = resultant_prs(w.poly(n - 2), w.poly(n - 5)) != 0
+            nonzero = resultant_prs(f.unpack(), g.unpack()) != 0
             assert nonzero == (n in proved), n
 
 
@@ -260,9 +263,7 @@ def test_base_cases_pairs():
 
 def test_base_cases_no_root_checks_pass():
     for case in base_cases():
-        ok, margin = check_base_case(case)
-        assert ok, case.n
-        assert margin > 0.0, case.n
+        assert check_base_case(case) is True, case.n
         # the witness is never the zero polynomial
         assert not case.no_root_witness.is_zero()
 
@@ -271,8 +272,45 @@ def test_check_base_case_detects_interior_root():
     from newmandiv.verifier import BaseCase
 
     bad = BaseCase(9, (IntPoly([-1, 2]), IntPoly([1])), IntPoly([-1, 2]))  # root 1/2
-    ok, _ = check_base_case(bad)
-    assert not ok
+    assert check_base_case(bad) is False
+
+
+@pytest.mark.parametrize(
+    "coeffs, ok",
+    [
+        ([1, -4, 4], False),  # (1 - 2t)^2: a double root at 1/2
+        ([3, -10, 3], False),  # (1 - 3t)(3 - t): one root 1/3 in (0, 1)
+        ([-2, 1], True),  # root 2
+        ([1, 0, 1], True),  # no real root
+        ([0, 1], True),  # root 0, outside the open interval
+        ([1, -1], True),  # root 1, outside the open interval
+        ([-5], True),  # a nonzero constant
+        ([], False),  # the zero polynomial vanishes everywhere
+    ],
+)
+def test_check_base_case_exact_cases(coeffs, ok):
+    from newmandiv.verifier import BaseCase
+
+    poly = IntPoly(coeffs)
+    assert check_base_case(BaseCase(9, (poly, IntPoly([1])), poly)) is ok
+
+
+def test_certificate_chain_runs_without_numpy():
+    """modpoly, bseq and verifier stay in exact integer arithmetic: they
+    import, and verify a small range, with numpy made unimportable."""
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from newmandiv import modpoly, bseq, verifier\n"
+        "assert verifier.verify_range(60).all_proven()\n"
+        "assert verifier.verify_exact_small(11, 13) == {11: -5, 12: -1, 13: 41}\n"
+        "assert verifier.resultant_mod(13, modpoly.Prime(17)) == 41 % 17\n"
+    )
+    src = str(Path(newmandiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
 
 
 # --------------------------------------------------------------------------
