@@ -38,6 +38,7 @@ __all__ = [
     "EstimateGrids",
     "aberth_roots",
     "find_roots",
+    "root_table",
     "root_velocity",
     "root_acceleration",
     "residue_coeffs",
@@ -61,6 +62,21 @@ _FIFTH_ROOTS_OF_MINUS_ONE = tuple(
 # --------------------------------------------------------------------------
 
 
+def _planes(rev: np.ndarray, deg: int) -> List[np.ndarray]:
+    """Descending coefficients rev (one row per polynomial) as deg+1 planes of
+    shape (rows, deg): plane k holds each row's k-th coefficient at each of
+    its deg points, so Horner's rule adds arrays of one shape, not broadcasts."""
+    return list(np.repeat(rev.T[:, :, None], deg, axis=2))
+
+
+def _horner(planes: List[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """np.polyval row by row, with its operations in its order."""
+    y = np.zeros(x.shape, x.dtype)
+    for c in planes:
+        y = y * x + c
+    return y
+
+
 def aberth_roots(
     coeffs: Sequence[complex],
     seeds: Sequence[complex],
@@ -77,34 +93,55 @@ def aberth_roots(
     raises ArithmeticError otherwise.  (A plain absolute residual bound is
     unreachable for roots of modulus above 1 at larger degrees: evaluation
     noise alone scales with the coefficient-magnitude sum.)
+
+    Batched form: coeffs of shape (m, d+1) and seeds of shape (m, d) give
+    roots of shape (m, d).  Each row runs the arithmetic of its own 1-D
+    call and is frozen once it passes the test, so row i equals
+    aberth_roots(coeffs[i], seeds[i]) bit for bit; one row that does not
+    converge raises ArithmeticError for the whole batch.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if len(c) < 2 or c[-1] == 0:
-        raise ValueError("need a polynomial of degree >= 1 with nonzero leading term")
-    deg = len(c) - 1
-    z = np.asarray(seeds, dtype=complex).copy()
-    if len(z) != deg:
-        raise ValueError(f"need {deg} seeds, got {len(z)}")
-    dc = c[1:] * np.arange(1, deg + 1)
-    crev = c[::-1]
-    dcrev = dc[::-1]
-    cabs = np.abs(crev)
-    for _ in range(max_iter):
-        pv = np.polyval(crev, z)
-        if np.all(np.abs(pv) <= tol * np.polyval(cabs, np.abs(z))):
-            return z
-        dv = np.polyval(dcrev, z)
+    z = np.array(seeds, dtype=complex)
+    batched = c.ndim == 2
+    if not batched:
+        c, z = c[None], z[None]
+    if c.ndim != 2 or c.shape[1] < 2 or np.any(c[:, -1] == 0):
+        raise ValueError("need polynomials of degree >= 1 with nonzero leading terms")
+    deg = c.shape[1] - 1
+    if z.shape != (len(c), deg):
+        raise ValueError(f"need {deg} seeds per polynomial, got seeds of shape {np.shape(seeds)}")
+    dc = c[:, 1:] * np.arange(1, deg + 1)
+    # p, p' and the coefficient moduli of the backward-stable test
+    p, dp, ap = (_planes(r, deg) for r in (c[:, ::-1], dc[:, ::-1], np.abs(c[:, ::-1])))
+    out = np.empty_like(z)
+    live = np.arange(len(z))  # the rows of out that z still holds
+    for it in range(max_iter + 1):
+        pv = _horner(p, z)
+        ok = np.abs(pv) <= tol * _horner(ap, np.abs(z))
+        if ok.all():
+            out[live] = z
+            return out if batched else out[0]
+        done = ok.all(axis=1)
+        if done.any():  # freeze the converged rows and iterate on the rest
+            out[live[done]] = z[done]
+            keep = ~done
+            live, z, pv = live[keep], z[keep], pv[keep]
+            p, dp, ap = ([x[keep] for x in planes] for planes in (p, dp, ap))
+        if it == max_iter:
+            break
+        dv = _horner(dp, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / dv, 0.1 + 0.1j)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            s = np.sum(1.0 / diff, axis=1) - 1.0  # drop the 1/1 diagonal placeholder
+            # C order makes each row's sum the contiguous pairwise sum of a 1-D
+            # call; from seeds laid out batch axis innermost (a broadcast seed
+            # vector copies that way) numpy would lay diff out so too and add
+            # in another order
+            diff = np.subtract(z[:, :, None], z[:, None, :], order="C")
+            diff.reshape(len(z), -1)[:, :: deg + 1] = 1.0
+            s = np.add.reduce(1.0 / diff, axis=2) - 1.0  # drop the 1/1 diagonal placeholder
             denom = 1.0 - newton * s
             step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         z = z - step
-    pv = np.polyval(crev, z)
-    if np.all(np.abs(pv) <= tol * np.polyval(cabs, np.abs(z))):
-        return z
     raise ArithmeticError(
         f"root iteration did not reach residual {tol:g} in {max_iter} steps"
     )
@@ -145,23 +182,20 @@ def _quintic_coeffs(t: float) -> List[complex]:
     return [1.0, 0.0, 0.0, t, 0.0, 1.0]  # ascending: 1 + t x^3 + x^5
 
 
-def find_roots(t: float, precision: int = 53) -> QuinticRoots:
-    """Roots of x^5 + t x^3 + 1 for 0 <= t <= 1.
+def _polish(z: np.ndarray, t) -> np.ndarray:
+    """Two Newton sweeps on x^5 + t x^3 + 1; they tighten the residual floor.
 
-    Seeded at the exact t = 0 roots (fifth roots of -1) and polished with
-    Newton steps; for precision > 53 the double-precision roots are refined
-    with mpmath Newton iterations at the requested mantissa size, and the
-    dataclass carries mpmath numbers in its fields.
+    z is one root vector with a scalar t, or a table of rows with t a column.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    z = aberth_roots(_quintic_coeffs(t), _FIFTH_ROOTS_OF_MINUS_ONE)
-    # two Newton polish sweeps tighten the residual floor
     for _ in range(2):
         pv = z**5 + t * z**3 + 1
         dv = 5 * z**4 + 3 * t * z**2
         z = z - pv / dv
+    return z
 
+
+def _sectors(t: float, z: np.ndarray) -> QuinticRoots:
+    """Sort one row of polished double-precision roots into alpha, beta, gamma."""
     by_sector: Dict[str, complex] = {}
     for r in z:
         ang = cmath.phase(r)
@@ -177,14 +211,24 @@ def find_roots(t: float, precision: int = 53) -> QuinticRoots:
     if abs(alpha_c.imag) > 1e-12:
         raise ArithmeticError(f"real root drifted off the axis at t={t}: {alpha_c}")
     alpha = alpha_c.real
+    resid = max(abs(r**5 + t * r**3 + 1) for r in (complex(alpha), beta, gamma))
+    return QuinticRoots(t=t, alpha=alpha, beta=beta, gamma=gamma, residual=resid)
 
+
+def find_roots(t: float, precision: int = 53) -> QuinticRoots:
+    """Roots of x^5 + t x^3 + 1 for 0 <= t <= 1.
+
+    Seeded at the exact t = 0 roots (fifth roots of -1) and polished with
+    Newton steps; for precision > 53 the double-precision roots are refined
+    with mpmath Newton iterations at the requested mantissa size, and the
+    dataclass carries mpmath numbers in its fields.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    z = _polish(aberth_roots(_quintic_coeffs(t), _FIFTH_ROOTS_OF_MINUS_ONE), t)
+    roots = _sectors(t, z)
     if precision <= 53:
-        resid = max(
-            abs(r**5 + t * r**3 + 1)
-            for r in (complex(alpha), beta, gamma)
-        )
-        return QuinticRoots(t=t, alpha=alpha, beta=beta, gamma=gamma, residual=resid)
-
+        return roots
     with mpmath.workprec(precision + 10):
         tm = mpmath.mpf(t)
 
@@ -199,13 +243,27 @@ def find_roots(t: float, precision: int = 53) -> QuinticRoots:
                     break
             return r
 
-        am = polish(alpha).real
-        bm = polish(beta)
-        gm = polish(gamma)
+        am = polish(roots.alpha).real
+        bm = polish(roots.beta)
+        gm = polish(roots.gamma)
         resid = max(
             abs(r**5 + tm * r**3 + 1) for r in (mpmath.mpc(am), bm, gm)
         )
         return QuinticRoots(t=t, alpha=am, beta=bm, gamma=gm, residual=float(resid))
+
+
+def root_table(ts: Sequence[float]) -> List[QuinticRoots]:
+    """find_roots(t) for every t in ts (double precision), equal to it field
+    for field, from one batched Aberth solve and one pair of polish sweeps."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((0.0 <= ts) & (ts <= 1.0)):
+        raise ValueError(f"t must lie in [0, 1], got values in [{ts.min()}, {ts.max()}]")
+    coeffs = np.zeros((len(ts), 6), dtype=complex)
+    coeffs[:, 0] = coeffs[:, 5] = 1.0
+    coeffs[:, 3] = ts
+    seeds = np.broadcast_to(_FIFTH_ROOTS_OF_MINUS_ONE, (len(ts), 5))
+    z = _polish(aberth_roots(coeffs, seeds), ts[:, None])
+    return [_sectors(float(t), row) for t, row in zip(ts, z)]
 
 
 def root_velocity(rho: complex, t: float) -> complex:
@@ -237,6 +295,20 @@ def _residue(rho, a):
     return -a / (2 * rho**5 - 3) * rho**2 / (rho**2 - 1)
 
 
+def _residues(roots: QuinticRoots) -> ResidueCoeffs:
+    """Double-precision residues from the roots at a = roots.t."""
+    a = roots.t
+    c_alpha = _residue(complex(roots.alpha), a)
+    if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
+        raise ArithmeticError(f"real residue drifted complex at a={a}")
+    return ResidueCoeffs(
+        a=a,
+        c_alpha=c_alpha.real,
+        c_beta=_residue(roots.beta, a),
+        c_gamma=_residue(roots.gamma, a),
+    )
+
+
 def residue_coeffs(a: float, precision: int = 53) -> ResidueCoeffs:
     """Residues for the start values y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
 
@@ -247,15 +319,7 @@ def residue_coeffs(a: float, precision: int = 53) -> ResidueCoeffs:
         raise ValueError(f"residues need 0 < a <= 1, got {a}")
     roots = find_roots(a, precision=precision)
     if precision <= 53:
-        c_alpha = _residue(complex(roots.alpha), a)
-        if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
-            raise ArithmeticError(f"real residue drifted complex at a={a}")
-        return ResidueCoeffs(
-            a=a,
-            c_alpha=c_alpha.real,
-            c_beta=_residue(roots.beta, a),
-            c_gamma=_residue(roots.gamma, a),
-        )
+        return _residues(roots)
     with mpmath.workprec(precision + 10):
         am = mpmath.mpf(a)
         return ResidueCoeffs(
@@ -385,17 +449,29 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class EstimateGrids:
-    """Sample grids: (start, stop, step) for each regime."""
+    """Sample grids: (start, stop, step) for each regime.
+
+    unit and small lie inside [0, 1]; large lies inside (0, 1], because the
+    residues of check (c) degenerate at a = 0.
+    """
 
     unit: Tuple[float, float, float] = (0.0, 1.0, 1e-3)       # t over the whole interval
     large: Tuple[float, float, float] = (0.005, 0.999, 1e-3)  # a bounded away from 0
     small: Tuple[float, float, float] = (1e-5, 0.005, 1e-5)   # the small-a regime
 
+    def __post_init__(self):
+        for name in ("unit", "large", "small"):
+            start, stop, step = getattr(self, name)
+            if not (step > 0 and stop >= start):
+                raise ValueError(f"grid {name}={start}:{stop}:{step} needs step > 0 and stop >= start")
+            if name == "large" and not (0 < start and stop <= 1):
+                raise ValueError(f"grid large={start}:{stop}:{step} must lie inside (0, 1]")
+            if not (0 <= start and stop <= 1):
+                raise ValueError(f"grid {name}={start}:{stop}:{step} must lie inside [0, 1]")
+
 
 def _grid(spec: Tuple[float, float, float]) -> np.ndarray:
     start, stop, step = spec
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad grid {spec}")
     # never overshoot stop when step does not divide the range exactly
     n = int(math.floor((stop - start) / step + 1e-9))
     return start + step * np.arange(n + 1)
@@ -412,13 +488,45 @@ def _result(check_id, name, statement, grid_desc, margin) -> CheckResult:
     )
 
 
-def _roots_on(ts) -> List[QuinticRoots]:
-    return [find_roots(float(t)) for t in ts]
+#: step of the finite-difference cross-check in (l)
+_FD_STEP = 1e-6
+
+#: the root tables each check reads
+_TABLES = {
+    "a": ("unit",),
+    "b": ("large",),
+    "c": ("large",),
+    "e": ("large",),
+    "f": ("unit",),
+    "g": ("small",),
+    "h": ("small",),
+    "j": ("small",),
+    "k": ("unit",),
+    "l": ("small", "small±h"),
+    "m": ("unit",),
+}
 
 
-def _check_a(grids):
-    ts = _grid(grids.unit)
-    rr = _roots_on(ts)
+def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[QuinticRoots]]:
+    """One root table per grid that the checks ids read.
+
+    "small±h" holds the roots at t - h for every small-grid t of the
+    finite-difference check in (l), then those at t + h.
+    """
+    tables = {}
+    for name in sorted({g for cid in ids for g in _TABLES.get(cid, ())}):
+        if name == "small±h":
+            ts = _grid(grids.small)
+            ts = ts[(_FD_STEP <= ts) & (ts <= grids.small[1] - _FD_STEP)]
+            ts = np.concatenate([ts - _FD_STEP, ts + _FD_STEP])
+        else:
+            ts = _grid(getattr(grids, name))
+        tables[name] = root_table(ts)
+    return tables
+
+
+def _check_a(grids, tables):
+    rr = tables["unit"]
     aa = np.array([abs(r.alpha) for r in rr])
     bb = np.array([abs(r.beta) for r in rr])
     gg = np.array([abs(r.gamma) for r in rr])
@@ -436,9 +544,8 @@ def _check_a(grids):
     )
 
 
-def _check_b(grids):
-    ts = _grid(grids.large)
-    rr = _roots_on(ts)
+def _check_b(grids, tables):
+    rr = tables["large"]
     aa = np.array([abs(r.alpha) for r in rr])
     bb = np.array([abs(r.beta) for r in rr])
     gg = np.array([abs(r.gamma) for r in rr])
@@ -459,11 +566,10 @@ def _check_b(grids):
     )
 
 
-def _check_c(grids):
-    ts = _grid(grids.large)
+def _check_c(grids, tables):
     margin = math.inf
-    for t in ts:
-        res = residue_coeffs(float(t))
+    for r in tables["large"]:
+        res = _residues(r)
         margin = min(
             margin,
             2.0 - abs(res.c_alpha),
@@ -479,7 +585,7 @@ def _check_c(grids):
     )
 
 
-def _check_d(grids):
+def _check_d(grids, tables):
     rng = np.random.default_rng(20260817)
     n = 20000
     zr = rng.uniform(0.1, 2.0, n)
@@ -500,9 +606,8 @@ def _check_d(grids):
     )
 
 
-def _check_e(grids):
-    ts = _grid(grids.large)
-    ib = np.array([r.beta.imag for r in _roots_on(ts)])
+def _check_e(grids, tables):
+    ib = np.array([r.beta.imag for r in tables["large"]])
     margin = min(float(np.min(ib[1:] - ib[:-1])), float(np.min(ib - 0.95)))
     return _result(
         "e",
@@ -513,11 +618,10 @@ def _check_e(grids):
     )
 
 
-def _check_f(grids):
-    ts = _grid(grids.unit)
+def _check_f(grids, tables):
     fifth = np.exp(2j * math.pi * np.arange(5) / 5)
     margin = math.inf
-    for r in _roots_on(ts):
+    for r in tables["unit"]:
         roots = np.array(r.all_roots())
         d = np.min(np.abs(roots[:, None] - fifth[None, :]))
         margin = min(margin, d - 0.1, abs(r.gamma - 1) - 0.2)
@@ -530,9 +634,8 @@ def _check_f(grids):
     )
 
 
-def _track_from_zero(t: float) -> List[Tuple[complex, complex]]:
+def _track_from_zero(r: QuinticRoots) -> List[Tuple[complex, complex]]:
     """(rho(0), rho(t)) matched by angular sector."""
-    r = find_roots(t)
     pairs = []
     for r0 in _FIFTH_ROOTS_OF_MINUS_ONE:
         rt = min(r.all_roots(), key=lambda x: abs(x - r0))
@@ -540,12 +643,15 @@ def _track_from_zero(t: float) -> List[Tuple[complex, complex]]:
     return pairs
 
 
-def _check_g(grids):
-    ts = _grid(grids.small)
-    ts = ts[ts > 0]
+def _small_positive(grids, tables) -> List[Tuple[float, QuinticRoots]]:
+    """(t, roots) over the small grid without t = 0, where t-scaled margins exist."""
+    return [(t, r) for t, r in zip(_grid(grids.small), tables["small"]) if t > 0]
+
+
+def _check_g(grids, tables):
     margin = math.inf
-    for t in ts:
-        for r0, rt in _track_from_zero(float(t)):
+    for t, r in _small_positive(grids, tables):
+        for r0, rt in _track_from_zero(r):
             err2 = abs(rt - r0 + t / (5 * r0)) / t**2
             err1 = abs(rt - r0) / t
             margin = min(margin, 0.04065 - err2, 0.2009 - err1)
@@ -558,12 +664,10 @@ def _check_g(grids):
     )
 
 
-def _check_h(grids):
-    ts = _grid(grids.small)
-    ts = ts[ts > 0]
+def _check_h(grids, tables):
     margin = math.inf
-    for t in ts:
-        for r0, rt in _track_from_zero(float(t)):
+    for t, r in _small_positive(grids, tables):
+        for r0, rt in _track_from_zero(r):
             err = abs(abs(rt) ** 2 - 1 - (2 * t / 5) * (r0**3).real) / t**2
             margin = min(margin, 0.13 - err)
     return _result(
@@ -575,7 +679,7 @@ def _check_h(grids):
     )
 
 
-def _check_i(grids):
+def _check_i(grids, tables):
     xs = np.concatenate([-_grid((1e-5, 0.01, 1e-5)), _grid((1e-5, 0.01, 1e-5))])
     log_err = np.abs(np.log1p(xs) - xs) / xs**2
     inv_err = np.abs(1.0 / (1.0 + xs) - 1.0) / np.abs(xs)
@@ -589,12 +693,9 @@ def _check_i(grids):
     )
 
 
-def _check_j(grids):
-    ts = _grid(grids.small)
-    ts = ts[ts > 0]
+def _check_j(grids, tables):
     margin = math.inf
-    for t in ts:
-        r = find_roots(float(t))
+    for _, r in _small_positive(grids, tables):
         lb = math.log(abs(r.beta))
         ra = math.log(abs(r.alpha)) / lb
         rg = math.log(abs(r.gamma)) / lb
@@ -612,11 +713,9 @@ def _check_j(grids):
     )
 
 
-def _check_k(grids):
-    ts = _grid(grids.unit)
+def _check_k(grids, tables):
     margin = math.inf
-    for t in ts:
-        r = find_roots(float(t))
+    for t, r in zip(_grid(grids.unit), tables["unit"]):
         for rho in r.all_roots():
             lhs = rho**10 - 1
             rhs = 2 * t * rho**3 + t**2 * rho**6
@@ -630,14 +729,15 @@ def _check_k(grids):
     )
 
 
-def _check_l(grids):
-    ts = _grid(grids.small)
+def _check_l(grids, tables):
     margin = math.inf
-    h = 1e-6
+    h = _FD_STEP
     fd_tol = 1e-4
-    for t in ts:
+    shifted = tables["small±h"]
+    minus = iter(shifted[: len(shifted) // 2])
+    plus = iter(shifted[len(shifted) // 2:])
+    for t, r in zip(_grid(grids.small), tables["small"]):
         t = float(t)
-        r = find_roots(t)
         for rho in (complex(r.alpha), r.beta, r.gamma):
             margin = min(
                 margin,
@@ -648,7 +748,7 @@ def _check_l(grids):
             )
         # three-point finite-difference cross-check of both derivative formulas
         if h <= t <= grids.small[1] - h:
-            rm, r0, rp = find_roots(t - h), r, find_roots(t + h)
+            rm, r0, rp = next(minus), r, next(plus)
             for key in ("alpha", "beta", "gamma"):
                 a_, b_, c_ = (
                     complex(getattr(rm, key)),
@@ -672,11 +772,9 @@ def _check_l(grids):
     )
 
 
-def _check_m(grids):
-    ts = _grid(grids.unit)
+def _check_m(grids, tables):
     margin = math.inf
-    for t in ts:
-        r = find_roots(float(t))
+    for t, r in zip(_grid(grids.unit), tables["unit"]):
         margin = min(margin, (5 * r.gamma**2 + 3 * t).real)
     return _result(
         "m",
@@ -711,11 +809,13 @@ def check_estimates(
     """Run the inequality battery; every margin must come back positive.
 
     grids overrides the sample densities; only restricts to a subset of
-    check ids (letters a..m).
+    check ids (letters a..m).  Each grid the selected checks read is solved
+    once, by root_table, and the checks share its table.
     """
     grids = grids or EstimateGrids()
     ids = list(_CHECKS) if only is None else list(only)
     for cid in ids:
         if cid not in _CHECKS:
             raise ValueError(f"unknown check id {cid!r}; valid: {sorted(_CHECKS)}")
-    return [_CHECKS[cid](grids) for cid in ids]
+    tables = _root_tables(grids, ids)
+    return [_CHECKS[cid](grids, tables) for cid in ids]

@@ -40,6 +40,7 @@ from .search import scan
 from .simulate import (
     CounterfactualNegative,
     ExceedsOne,
+    Indeterminate,
     NegativeCoefficient,
     SimConfig,
     counterfactual_run,
@@ -178,6 +179,11 @@ def _describe(outcome) -> str:
         return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6f} < 0"
     if isinstance(outcome, ExceedsOne):
         return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6f} > 1"
+    if isinstance(outcome, Indeterminate):
+        return (
+            f"indeterminate: coefficient b_{outcome.n} = {outcome.value:.6e} leaves [0, 1] "
+            f"by no more than its error bound {outcome.error_bound:.3e}"
+        )
     if isinstance(outcome, CounterfactualNegative):
         return f"counterfactual window at N = {outcome.N}: b_{{N+8}} = {outcome.b[outcome.N + 8]:.6f} < 0"
     return f"no violation up to n = {outcome.max_n}"

@@ -15,8 +15,9 @@ pinned to the all-ones pattern:
   even granting the vanishing, the pattern collapses eight steps later.
 
 A float error bound e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|)
-rides along with the all-ones iteration (u = 2^-precision) so a reported
-violation can be checked against accumulated rounding.
+rides along with the all-ones iteration (u = 2^-precision): a coefficient
+that leaves [0, 1] by no more than its bound is reported as indeterminate,
+not as a violation, since accumulated rounding could explain it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "SimConfig",
     "NegativeCoefficient",
     "ExceedsOne",
+    "Indeterminate",
     "CounterfactualNegative",
     "NoViolationUpTo",
     "SimOutcome",
@@ -110,6 +112,17 @@ class ExceedsOne:
 
 
 @dataclass(frozen=True)
+class Indeterminate:
+    """b_n left [0, 1] by no more than its running error bound e_n."""
+
+    n: int
+    value: float
+    error_bound: float
+
+    kind = "indeterminate"
+
+
+@dataclass(frozen=True)
 class CounterfactualNegative:
     N: int
     b: Dict[int, float]  # absolute index -> value, N-6..N+8
@@ -124,13 +137,17 @@ class NoViolationUpTo:
     kind = "no-violation"
 
 
-SimOutcome = Union[NegativeCoefficient, ExceedsOne, CounterfactualNegative, NoViolationUpTo]
+SimOutcome = Union[
+    NegativeCoefficient, ExceedsOne, Indeterminate, CounterfactualNegative, NoViolationUpTo
+]
 
 
 def _outcome_dict(outcome: SimOutcome) -> dict:
     d = {"kind": outcome.kind}
     if isinstance(outcome, (NegativeCoefficient, ExceedsOne)):
         d.update(n=outcome.n, value=outcome.value)
+    elif isinstance(outcome, Indeterminate):
+        d.update(n=outcome.n, value=outcome.value, error_bound=outcome.error_bound)
     elif isinstance(outcome, CounterfactualNegative):
         d.update(N=outcome.N, b={str(k): v for k, v in sorted(outcome.b.items())})
     else:
@@ -164,7 +181,7 @@ class AllOnesResult:
     e: Optional[np.ndarray] = None  # matching per-index error bounds
 
     def violated(self) -> bool:
-        return not isinstance(self.outcome, NoViolationUpTo)
+        return isinstance(self.outcome, (NegativeCoefficient, ExceedsOne))
 
     def to_dict(self) -> dict:
         return {
@@ -192,7 +209,9 @@ def run_all_ones(
     """Iterate b_n = 1 - a b_{n-2} - b_{n-5} until it leaves [0, 1].
 
     Checks start at n = 6 (the six start values are in range for every
-    0 <= a < 1 by inspection).  precision > 53 runs the same loop in
+    0 <= a < 1 by inspection).  A b_n past 0 or 1 by more than the
+    violation tolerance is a violation when its overshoot exceeds the
+    running error bound e_n, and Indeterminate otherwise.  precision > 53 runs the same loop in
     mpmath arithmetic with the matching unit roundoff.
     """
     a = config.a
@@ -242,11 +261,13 @@ def run_all_ones(
                 trace.write(_trace_line(n, bf, 1, 0.0, ef) + "\n")
             if abs(bf) <= config.zero_threshold and len(near_zero) < 32:
                 near_zero.append(n)
-            if bf < -eps:
-                outcome = NegativeCoefficient(n, bf)
-                break
-            if bf > 1 + eps:
-                outcome = ExceedsOne(n, bf)
+            if bf < -eps or bf > 1 + eps:
+                if (-bf if bf < 0 else bf - 1) <= ef:
+                    outcome = Indeterminate(n, bf, ef)
+                elif bf < 0:
+                    outcome = NegativeCoefficient(n, bf)
+                else:
+                    outcome = ExceedsOne(n, bf)
                 break
         if outcome is None:
             outcome = NoViolationUpTo(config.max_n)

@@ -118,6 +118,22 @@ def test_criterion_07_estimate_battery():
     lines = [f"{c.check_id}: margin {c.worst_margin:.3e}" for c in results]
     assert all(c.passed for c in results), "\n".join(lines)
     assert all(c.worst_margin > 0 for c in results), "\n".join(lines)
+    # the margins of the per-t find_roots battery, to the last bit
+    assert {c.check_id: c.worst_margin for c in results} == {
+        "a": 6.181767273938377e-05,
+        "b": 4.991780475638308e-07,
+        "c": 2.6948802038480064e-05,
+        "d": 0.005395491389228978,
+        "e": 0.00019046993003524193,
+        "f": 0.3351449564058224,
+        "g": 0.0006478823006916407,
+        "h": 0.010000447492663947,
+        "i": 0.008641464985582936,
+        "j": 0.004606450127678847,
+        "k": 9.999373436707217e-11,
+        "l": 9.99980022120539e-08,
+        "m": 1.5450849718747373,
+    }
 
 
 def test_criterion_08_vandermonde_identity():

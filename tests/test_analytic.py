@@ -14,9 +14,12 @@ from newmandiv.analytic import (
     aberth_roots,
     check_estimates,
     estimate_N,
+    _grid,
+    _root_tables,
     find_roots,
     residue_coeffs,
     root_acceleration,
+    root_table,
     root_velocity,
     sample_node_set,
     vandermonde_inverse,
@@ -57,6 +60,130 @@ def test_aberth_recovers_integer_roots(int_roots):
     got_sorted = sorted(got, key=lambda z: z.real)
     for want, have in zip(sorted(int_roots), got_sorted):
         assert abs(have - want) < 1e-7
+
+
+def _aberth_polyval(coeffs, seeds, tol=1e-14, max_iter=200):
+    """The one-polynomial Aberth loop on np.polyval: the reference the
+    row-wise evaluation of aberth_roots must reproduce bit for bit."""
+    c = np.asarray(coeffs, dtype=complex)
+    deg = len(c) - 1
+    z = np.asarray(seeds, dtype=complex).copy()
+    dc = c[1:] * np.arange(1, deg + 1)
+    crev, dcrev = c[::-1], dc[::-1]
+    cabs = np.abs(crev)
+    for _ in range(max_iter):
+        pv = np.polyval(crev, z)
+        if np.all(np.abs(pv) <= tol * np.polyval(cabs, np.abs(z))):
+            return z
+        dv = np.polyval(dcrev, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(dv != 0, pv / dv, 0.1 + 0.1j)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            s = np.sum(1.0 / diff, axis=1) - 1.0
+            denom = 1.0 - newton * s
+            step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
+        z = z - step
+    pv = np.polyval(crev, z)
+    if np.all(np.abs(pv) <= tol * np.polyval(cabs, np.abs(z))):
+        return z
+    raise ArithmeticError("no convergence")
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+def test_aberth_matches_polyval_loop_on_zero_one_masks():
+    # every 0-1 polynomial of degree <= 10, seeded as the scan seeds them
+    for d in range(1, 11):
+        seeds = 1.2 * np.exp(2j * np.pi * (np.arange(d) + 0.37) / d)
+        for middle in range(2 ** (d - 1)):
+            bits = 1 | middle << 1 | 1 << d
+            c = [float(bits >> k & 1) for k in range(d + 1)]
+            assert _bits(aberth_roots(c, seeds)) == _bits(_aberth_polyval(c, seeds)), bits
+    # the budget runs out on the same polynomials, after the same last step
+    c, seeds = [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], 1.2 * np.exp(2j * np.pi * (np.arange(5) + 0.37) / 5)
+    for max_iter in range(0, 12):
+        try:
+            want = _bits(_aberth_polyval(c, seeds, max_iter=max_iter))
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                aberth_roots(c, seeds, max_iter=max_iter)
+        else:
+            assert _bits(aberth_roots(c, seeds, max_iter=max_iter)) == want
+
+
+@st.composite
+def _monic_batches(draw):
+    deg = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    part = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+    coeffs = np.array(
+        [
+            [complex(draw(part), draw(part)) for _ in range(deg)] + [1.0]
+            for _ in range(rows)
+        ]
+    )
+    radii = [draw(st.floats(min_value=0.5, max_value=3.0)) for _ in range(rows)]
+    ks = np.arange(deg)
+    seeds = np.array([r * np.exp(2j * np.pi * (ks + 0.37) / deg) for r in radii])
+    return coeffs, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_batches())
+def test_aberth_batch_rows_equal_single_calls(batch):
+    coeffs, seeds = batch
+    singles = []
+    for c, z in zip(coeffs, seeds):
+        try:
+            singles.append(_bits(aberth_roots(c, z)))
+        except ArithmeticError:
+            singles.append(None)
+    if None in singles:
+        with pytest.raises(ArithmeticError):
+            aberth_roots(coeffs, seeds)
+        return
+    # Fortran order is the layout a broadcast seed vector copies to: the
+    # batch axis innermost
+    for layout in (seeds, np.asfortranarray(seeds)):
+        got = aberth_roots(coeffs, layout)
+        assert got.shape == seeds.shape
+        assert [_bits(row) for row in got] == singles
+
+
+def test_aberth_batch_one_stuck_row_raises():
+    # x^2 + 1 from the real seeds +-1: the two approximations swap places
+    # forever and never leave the real axis
+    coeffs = [[2.0, -3.0, 1.0], [1.0, 0.0, 1.0], [6.0, -5.0, 1.0]]
+    seeds = [[0.5 + 0.5j, 3 - 0.5j], [1.0, -1.0], [0.5 + 0.5j, 3 - 0.5j]]
+    with pytest.raises(ArithmeticError):
+        aberth_roots(coeffs, seeds)
+    good = aberth_roots([coeffs[0], coeffs[2]], [seeds[0], seeds[2]])
+    assert _bits(good[1]) == _bits(aberth_roots(coeffs[2], seeds[2]))
+
+
+def test_aberth_batch_validates():
+    coeffs = np.array([[2.0, -3.0, 1.0], [6.0, -5.0, 1.0]])
+    seeds = np.array([[0.5 + 0.5j, 3 - 0.5j]] * 2)
+    bad = coeffs.copy()
+    bad[1, -1] = 0.0  # zero leading coefficient in one row
+    with pytest.raises(ValueError):
+        aberth_roots(bad, seeds)
+    with pytest.raises(ValueError):
+        aberth_roots(coeffs, seeds[:, :1])  # too few seeds per row
+    with pytest.raises(ValueError):
+        aberth_roots(coeffs, seeds[:1])  # fewer seed rows than polynomials
+    with pytest.raises(ValueError):
+        aberth_roots(coeffs, seeds[0])  # one seed vector for a batch
+    with pytest.raises(ValueError):
+        aberth_roots(coeffs[0], seeds)  # a batch of seeds for one polynomial
+    with pytest.raises(ValueError):
+        aberth_roots(coeffs[None], seeds[None])  # two batch axes
+    with pytest.raises(ValueError):
+        aberth_roots(np.ones((2, 1)), np.ones((2, 0)))  # constants
+    assert aberth_roots(np.ones((0, 3)), np.ones((0, 2))).shape == (0, 2)
 
 
 # --------------------------------------------------------------------------
@@ -110,6 +237,38 @@ def test_root_invariants(t):
     for i in range(5):
         for j in range(i + 1, 5):
             assert abs(roots[i] - roots[j]) > 1e-13 * 10
+
+
+def test_root_table_equals_find_roots():
+    ts = [0.0, 1e-5, 0.003, 0.5, 0.999, 1.0]
+    assert root_table(ts) == [find_roots(t) for t in ts]
+    assert root_table([]) == []
+    with pytest.raises(ValueError):
+        root_table([0.5, 1.1])
+    with pytest.raises(ValueError):
+        root_table([-1e-9])
+
+
+def test_battery_tables_equal_the_find_roots_loop():
+    """The tables the battery reads are the per-t find_roots loop, field for
+    field: the three default grids and the t -/+ h points of check (l)."""
+    grids = EstimateGrids()
+    tables = _root_tables(grids, list("abcdefghijklm"))
+    assert sorted(tables) == ["large", "small", "small±h", "unit"]
+    for name in ("unit", "large", "small"):
+        assert tables[name] == [find_roots(float(t)) for t in _grid(getattr(grids, name))], name
+    h, stop = 1e-6, grids.small[1]
+    inner = [float(t) for t in _grid(grids.small) if h <= float(t) <= stop - h]
+    assert len(inner) == 499
+    want = [find_roots(t - h) for t in inner] + [find_roots(t + h) for t in inner]
+    assert tables["small±h"] == want
+
+
+def test_battery_solves_only_the_grids_it_reads():
+    assert _root_tables(COARSE, ["d", "i"]) == {}
+    assert sorted(_root_tables(COARSE, ["c"])) == ["large"]
+    assert sorted(_root_tables(COARSE, ["a", "g"])) == ["small", "unit"]
+    assert sorted(_root_tables(COARSE, ["l"])) == ["small", "small±h"]
 
 
 def test_roots_high_precision():

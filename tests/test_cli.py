@@ -1,12 +1,15 @@
 """CLI tests: document shape, exit codes, determinism, flag parsing."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+import newmandiv.cli as cli
 from newmandiv.cli import _parse_grids, _parse_nodes, _parse_primes, _strip_durations, main
+from newmandiv.simulate import SimConfig, run_all_ones
 
 # coarse battery grids keep the estimates runs fast in tests
 COARSE = [
@@ -41,12 +44,37 @@ def test_parse_grids():
     g = _parse_grids(["unit=0:1:0.5"])
     assert g.unit == (0.0, 1.0, 0.5)
     assert g.large == (0.005, 0.999, 1e-3)  # untouched default
+    g = _parse_grids(["unit=0:0:1", "large=1:1:0.5", "small=0:1:0.5"])  # domain edges
+    assert (g.unit, g.large, g.small) == ((0.0, 0.0, 1.0), (1.0, 1.0, 0.5), (0.0, 1.0, 0.5))
     with pytest.raises(ValueError):
         _parse_grids(["tiny=0:1:0.5"])
     with pytest.raises(ValueError):
         _parse_grids(["unit=0:1"])
     with pytest.raises(ValueError):
         _parse_grids(["unit"])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("large=0:0.999:0.02", "grid large=0.0:0.999:0.02 must lie inside (0, 1]"),
+        ("large=0.5:1.5:0.1", "grid large=0.5:1.5:0.1 must lie inside (0, 1]"),
+        ("unit=-0.1:1:0.1", "grid unit=-0.1:1.0:0.1 must lie inside [0, 1]"),
+        ("small=0:1.01:0.1", "grid small=0.0:1.01:0.1 must lie inside [0, 1]"),
+        ("unit=0:1:0", "grid unit=0.0:1.0:0.0 needs step > 0"),
+        ("small=0.5:0.4:0.01", "grid small=0.5:0.4:0.01 needs step > 0 and stop >= start"),
+        ("unit=0:1:nan", "grid unit=0.0:1.0:nan needs step > 0"),
+    ],
+)
+def test_estimates_grid_domain_names_the_grid(capsys, spec, message):
+    # rejected up front: large = 0 used to run (a) and (b), then fail in (c)
+    # with an error about residues that named no grid
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _parse_grids([spec])
+    code, doc, err = run_cli(capsys, "estimates", "--grid", spec)
+    assert code == 2
+    assert doc is None
+    assert message in err
 
 
 def test_parse_nodes():
@@ -107,6 +135,17 @@ def test_simulate_no_violation_exit_one(capsys):
     code, doc, _ = run_cli(capsys, "simulate", "--a", "0.001", "--max-n", "50")
     assert code == 1
     assert doc["report"]["outcome"]["kind"] == "no-violation"
+
+
+def test_simulate_indeterminate_exit_one(capsys, monkeypatch):
+    # a b_n past [0, 1] by less than its error bound confirms nothing
+    result = run_all_ones(SimConfig(a=0.5 + 2.0**-53, violation_tolerance=1e-17))
+    monkeypatch.setattr(cli, "run_all_ones", lambda config, trace=None: result)
+    code, doc, err = run_cli(capsys, "simulate", "--a", "0.5")
+    assert code == 1
+    assert doc["report"]["outcome"]["kind"] == "indeterminate"
+    assert doc["report"]["outcome"]["n"] == 9
+    assert "indeterminate: coefficient b_9 = -1.110223e-16 leaves [0, 1]" in err
 
 
 def test_simulate_trace_file(tmp_path, capsys):

@@ -16,6 +16,7 @@ from newmandiv.simulate import (
     AllOnesResult,
     CounterfactualNegative,
     ExceedsOne,
+    Indeterminate,
     NegativeCoefficient,
     NoCandidateError,
     NoViolationUpTo,
@@ -98,6 +99,27 @@ def test_all_ones_violates_within_bound(a):
     r = run_all_ones(SimConfig(a=a))
     assert isinstance(r.outcome, (NegativeCoefficient, ExceedsOne))
     assert r.outcome.n <= 10000
+
+
+def test_all_ones_overshoot_within_error_bound_is_indeterminate():
+    # at a = 1/2 + 2^-53, b_9 = a (1 - 2a) rounds to -2^-53: past 0, but by
+    # less than its error bound, so rounding alone could put it there
+    a = math.nextafter(0.5, 1.0)
+    r = run_all_ones(SimConfig(a=a, violation_tolerance=1e-17))
+    assert r.outcome == Indeterminate(9, -(2.0**-53), r.error_bound_at_stop)
+    assert 2.0**-53 < r.outcome.error_bound < 1e-15
+    assert not r.violated()
+    assert r.to_dict()["outcome"] == {
+        "kind": "indeterminate",
+        "n": 9,
+        "value": -(2.0**-53),
+        "error_bound": r.outcome.error_bound,
+    }
+    # the default tolerance passes over b_9 and stops at a real violation
+    r = run_all_ones(SimConfig(a=a))
+    assert isinstance(r.outcome, NegativeCoefficient)
+    assert -r.outcome.value > r.error_bound_at_stop
+    assert r.violated()
 
 
 def test_all_ones_error_bound_is_sound():
