@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .modpoly import CapacityError
@@ -229,6 +228,8 @@ def find_roots(t: float, precision: int = 53) -> QuinticRoots:
     roots = _sectors(t, z)
     if precision <= 53:
         return roots
+    import mpmath
+
     with mpmath.workprec(precision + 10):
         tm = mpmath.mpf(t)
 
@@ -320,6 +321,8 @@ def residue_coeffs(a: float, precision: int = 53) -> ResidueCoeffs:
     roots = find_roots(a, precision=precision)
     if precision <= 53:
         return _residues(roots)
+    import mpmath
+
     with mpmath.workprec(precision + 10):
         am = mpmath.mpf(a)
         return ResidueCoeffs(
@@ -452,7 +455,8 @@ class EstimateGrids:
     """Sample grids: (start, stop, step) for each regime.
 
     unit and small lie inside [0, 1]; large lies inside (0, 1], because the
-    residues of check (c) degenerate at a = 0.
+    residues of check (c) degenerate at a = 0.  unit and large hold at least
+    two points, because checks (a) and (e) difference along them.
     """
 
     unit: Tuple[float, float, float] = (0.0, 1.0, 1e-3)       # t over the whole interval
@@ -468,13 +472,19 @@ class EstimateGrids:
                 raise ValueError(f"grid large={start}:{stop}:{step} must lie inside (0, 1]")
             if not (0 <= start and stop <= 1):
                 raise ValueError(f"grid {name}={start}:{stop}:{step} must lie inside [0, 1]")
+            # (a) and (e) take successive differences along unit and large
+            if name != "small" and _grid_size(start, stop, step) < 2:
+                raise ValueError(f"grid {name}={start}:{stop}:{step} needs at least two points")
+
+
+def _grid_size(start: float, stop: float, step: float) -> int:
+    # never overshoot stop when step does not divide the range exactly
+    return int(math.floor((stop - start) / step + 1e-9)) + 1
 
 
 def _grid(spec: Tuple[float, float, float]) -> np.ndarray:
     start, stop, step = spec
-    # never overshoot stop when step does not divide the range exactly
-    n = int(math.floor((stop - start) / step + 1e-9))
-    return start + step * np.arange(n + 1)
+    return start + step * np.arange(_grid_size(start, stop, step))
 
 
 def _result(check_id, name, statement, grid_desc, margin) -> CheckResult:

@@ -18,37 +18,53 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .analytic import (
-    EstimateGrids,
-    check_estimates,
-    estimate_N,
-    find_roots,
-    vandermonde_inverse,
-    vandermonde_matrix,
-)
 from .modpoly import _is_prime
-from .search import scan
-from .simulate import (
-    CounterfactualNegative,
-    ExceedsOne,
-    Indeterminate,
-    NegativeCoefficient,
-    SimConfig,
-    counterfactual_run,
-    run_all_ones,
-)
-from .verifier import DEFAULT_PRIMES, verify_range
 
 __all__ = ["main"]
+
+#: the layer module behind each subcommand -> the names its handler calls.
+#: A name is bound as an attribute of this module on first use (PEP 562), so
+#: ``import newmandiv.cli`` loads neither numpy nor mpmath, and ``main`` loads
+#: only the chosen subcommand's layer.
+_LAYERS = {
+    "analytic": (
+        "check_estimates",
+        "estimate_N",
+        "find_roots",
+        "vandermonde_inverse",
+        "vandermonde_matrix",
+    ),
+    "search": ("scan",),
+    "simulate": (
+        "CounterfactualNegative",
+        "ExceedsOne",
+        "Indeterminate",
+        "NegativeCoefficient",
+        "SimConfig",
+        "counterfactual_run",
+        "run_all_ones",
+    ),
+    "verifier": ("verify_range",),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{layer}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 VANDERMONDE_THRESHOLD = 1e-10
 
@@ -74,6 +90,8 @@ def _parse_primes(text: str) -> List[int]:
 
 def _parse_grids(specs: Optional[Sequence[str]]) -> EstimateGrids:
     """Override battery grids with name=start:stop:step entries."""
+    from .analytic import EstimateGrids
+
     grids = EstimateGrids()
     if not specs:
         return grids
@@ -261,6 +279,8 @@ def _cmd_estimates(args) -> int:
 
 
 def _cmd_vandermonde(args) -> int:
+    import numpy as np  # loaded with analytic
+
     t0 = time.perf_counter()
     nodes = _parse_nodes(args.nodes)
     v = vandermonde_matrix(nodes)
@@ -329,34 +349,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", default="2..17", help='comma list "2,3,5" or range "2..17"')
     p.add_argument("--checkpoint", default=None, help="resume/persist pass results at this path")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, layer="verifier")
 
     p = sub.add_parser("simulate", help="drive the forced-cofactor recurrence for a given a")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--max-n", type=int, default=10000, dest="max_n")
     p.add_argument("--mode", choices=["all-ones", "counterfactual"], default="all-ones")
     p.add_argument("--trace", default=None, help="write an 'n b c d err' table to this path")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, layer="simulate")
 
     p = sub.add_parser("roots", help="roots of x^5 + t x^3 + 1 with sector labels")
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=_cmd_roots)
+    p.set_defaults(func=_cmd_roots, layer="analytic")
 
     p = sub.add_parser("estimates", help="re-check the quantitative root/residue estimates on grids")
     p.add_argument("--grid", action="append", help="override: name=start:stop:step (unit|large|small)")
-    p.set_defaults(func=_cmd_estimates)
+    p.set_defaults(func=_cmd_estimates, layer="analytic")
 
     p = sub.add_parser("vandermonde-check", help="invert the node Vandermonde matrix and report the residual")
     p.add_argument("--nodes", required=True, help='comma-separated complex nodes, e.g. "1,-1" or "0.6+0.8j,0.6-0.8j"')
-    p.set_defaults(func=_cmd_vandermonde)
+    p.set_defaults(func=_cmd_vandermonde, layer="analytic")
 
     p = sub.add_parser("search", help="exhaustive unfair-factorization scan up to a degree")
     p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, layer="search")
 
     p = sub.add_parser("estimate-N", help="balance-index estimate for small a")
     p.add_argument("--a", type=float, required=True)
-    p.set_defaults(func=_cmd_estimate_n)
+    p.set_defaults(func=_cmd_estimate_n, layer="analytic")
 
     return parser
 
@@ -367,6 +387,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # bind the layer's names before the handler starts its clock, so that
+    # duration_seconds times the work and not the imports; a name already
+    # bound (wrapped or patched) is kept
+    module = sys.modules[__name__]
+    for name in _LAYERS[args.layer]:
+        getattr(module, name)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

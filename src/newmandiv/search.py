@@ -27,7 +27,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from .analytic import aberth_roots
@@ -175,6 +174,8 @@ def _roots_mp(coeffs: Sequence[int]) -> List:
     separate; the iteration stops when no approximation moved by more than
     2^(-prec/2), by which point the next error is far below 2^(-prec).
     """
+    import mpmath
+
     d = len(coeffs) - 1
     if d == 1:
         return [mpmath.mpf(-coeffs[0]) / coeffs[1]]
@@ -319,6 +320,8 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
         units = _units(roots, tol, float)
         zero = 0.0
     else:
+        import mpmath
+
         with mpmath.workprec(precision):
             roots = _roots_squarefree(r)
             units = _units(roots, tol, float)

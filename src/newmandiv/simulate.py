@@ -17,7 +17,11 @@ pinned to the all-ones pattern:
 A float error bound e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|)
 rides along with the all-ones iteration (u = 2^-precision): a coefficient
 that leaves [0, 1] by no more than its bound is reported as indeterminate,
-not as a violation, since accumulated rounding could explain it.
+not as a violation, since accumulated rounding could explain it.  The bound
+itself is computed in the iteration's own arithmetic, rounded to nearest and
+not rounded up, so it is rigorous only up to its own rounding: every term of
+e_n is nonnegative, so that rounding can shrink e_n by a relative amount of
+order n u at most.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, IO, List, Optional, Tuple, Union
 
-import mpmath
 import numpy as np
 
 from .analytic import estimate_N, find_roots, residue_coeffs, y_closed_sequence
@@ -212,12 +215,16 @@ def run_all_ones(
     0 <= a < 1 by inspection).  A b_n past 0 or 1 by more than the
     violation tolerance is a violation when its overshoot exceeds the
     running error bound e_n, and Indeterminate otherwise.  precision > 53 runs the same loop in
-    mpmath arithmetic with the matching unit roundoff.
+    mpmath arithmetic with the matching unit roundoff.  e_n is computed in
+    that same arithmetic, round-to-nearest rather than rounded up, so the
+    verdict is rigorous only up to the rounding of e_n itself.
     """
     a = config.a
     eps = config.violation_tolerance
     hp = config.precision > 53
 
+    if hp:
+        import mpmath
     ctx = mpmath.workprec(config.precision + 5) if hp else nullcontext()
     with ctx:
         if hp:
@@ -385,6 +392,8 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
     if hi < lo:
         raise NoCandidateError(f"empty candidate window [{lo}, {hi}]")
 
+    if hp:
+        import mpmath
     ctx = mpmath.workprec(config.precision + 10) if hp else nullcontext()
     with ctx:
         roots = find_roots(a, precision=config.precision)

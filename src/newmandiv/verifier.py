@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -262,6 +261,8 @@ def _compute_pass(p: int, ns: List[int], jobs: int) -> List[int]:
         return []
     if jobs <= 1 or len(ns) < 32:
         return _run_chunk(p, ns)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = _chunk_by_weight(ns, jobs)
     proved: List[int] = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:

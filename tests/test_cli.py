@@ -44,8 +44,9 @@ def test_parse_grids():
     g = _parse_grids(["unit=0:1:0.5"])
     assert g.unit == (0.0, 1.0, 0.5)
     assert g.large == (0.005, 0.999, 1e-3)  # untouched default
-    g = _parse_grids(["unit=0:0:1", "large=1:1:0.5", "small=0:1:0.5"])  # domain edges
-    assert (g.unit, g.large, g.small) == ((0.0, 0.0, 1.0), (1.0, 1.0, 0.5), (0.0, 1.0, 0.5))
+    g = _parse_grids(["unit=0:1:1", "large=0.5:1:0.5", "small=0:1:0.5"])  # domain edges
+    assert (g.unit, g.large, g.small) == ((0.0, 1.0, 1.0), (0.5, 1.0, 0.5), (0.0, 1.0, 0.5))
+    assert _parse_grids(["small=0.001:0.001:0.1"]).small == (0.001, 0.001, 0.1)  # one point
     with pytest.raises(ValueError):
         _parse_grids(["tiny=0:1:0.5"])
     with pytest.raises(ValueError):
@@ -64,6 +65,9 @@ def test_parse_grids():
         ("unit=0:1:0", "grid unit=0.0:1.0:0.0 needs step > 0"),
         ("small=0.5:0.4:0.01", "grid small=0.5:0.4:0.01 needs step > 0 and stop >= start"),
         ("unit=0:1:nan", "grid unit=0.0:1.0:nan needs step > 0"),
+        ("unit=0.5:0.5:0.1", "grid unit=0.5:0.5:0.1 needs at least two points"),
+        ("unit=0.5:0.55:0.1", "grid unit=0.5:0.55:0.1 needs at least two points"),
+        ("large=0.5:0.5:0.1", "grid large=0.5:0.5:0.1 needs at least two points"),
     ],
 )
 def test_estimates_grid_domain_names_the_grid(capsys, spec, message):
@@ -209,6 +213,14 @@ def test_estimates_coarse_pass(capsys):
     assert all(c["passed"] and c["worst_margin"] > 0 for c in checks)
     assert doc["report"]["all_passed"] is True
     assert err.count("ok") == 13
+
+
+def test_estimates_one_point_small_grid(capsys):
+    # (a) and (e) difference along unit and large only, so small may be one point
+    code, doc, _ = run_cli(capsys, "estimates", "--grid", COARSE[0], "--grid", COARSE[1],
+                           "--grid", "small=0.001:0.001:0.1")
+    assert code == 0
+    assert doc["report"]["grids"]["small"] == [0.001, 0.001, 0.1]
 
 
 def test_estimates_bad_grid(capsys):

@@ -1,0 +1,89 @@
+"""Import discipline: a process loads only the libraries its work needs.
+
+Each test runs a fresh interpreter, because the test process itself has
+numpy and mpmath loaded long before any test starts. A module set to None
+in sys.modules cannot be imported, so a run that would need it fails.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import newmandiv
+from newmandiv.cli import main
+
+
+def run_isolated(code, blocked=()):
+    """Run code in a fresh interpreter with the blocked modules unimportable."""
+    prelude = "import sys\n" + "".join(f"sys.modules[{m!r}] = None\n" for m in blocked)
+    src = str(Path(newmandiv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def run_cli_isolated(argv, blocked):
+    return run_isolated(
+        f"from newmandiv.cli import main\nsys.exit(main({list(argv)!r}))\n", blocked
+    )
+
+
+def test_importing_the_cli_loads_no_numpy_or_mpmath():
+    # nor any layer module: main loads the one its subcommand runs
+    unwanted = ["numpy", "mpmath"] + [
+        f"newmandiv.{m}" for m in ("analytic", "search", "simulate", "verifier")
+    ]
+    out = run_isolated(
+        "import newmandiv.cli\n"
+        f"loaded = [m for m in {unwanted!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_verify_resultants_runs_without_numpy_or_mpmath():
+    out = run_isolated(
+        "from newmandiv.cli import main\n"
+        "code = main(['verify-resultants', '--max-n', '60'])\n"
+        "assert 'concurrent.futures' not in sys.modules  # no pass needs a pool\n"
+        "sys.exit(code)\n",
+        blocked=("numpy", "mpmath"),
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["report"]["witnesses"]["40"] == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimates"],
+        ["roots", "--t", "0.5"],
+        ["simulate", "--a", "0.3"],
+        ["simulate", "--a", "0.003", "--mode", "counterfactual"],
+    ],
+)
+def test_double_precision_subcommands_run_without_mpmath(argv, capsys):
+    out = run_cli_isolated(argv, blocked=("mpmath",))
+    assert out.returncode == main(argv) == 0, out.stderr
+    expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
+    assert json.loads(out.stdout)["manifest"]["digest"] == expected
+
+
+def test_escalated_split_survey_loads_mpmath_on_demand():
+    # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2), one of the masks the scan escalates
+    out = run_isolated(
+        "from newmandiv.search import DEFAULT_TOL, _ESCALATION_PRECISION, Classification,"
+        " Newman01, split_survey\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "retry = split_survey(Newman01(4, 0b11011), tol=DEFAULT_TOL / 100,"
+        " precision=_ESCALATION_PRECISION)\n"
+        "assert len(retry) == 3, retry\n"
+        "assert all(c.classification is Classification.FAIR for c in retry)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    assert out.returncode == 0, out.stderr
