@@ -315,6 +315,9 @@ def _cmd_search(args) -> int:
         f"{sum(s.splits for s in rep.summaries)} splits",
         f"{rep.total_unfair} unfair, {rep.total_residual_indeterminate} residual indeterminate",
     ]
+    if rep.retry_failures:
+        summary.append(f"{len(rep.retry_failures)} of them from retries that failed: "
+                       + ", ".join(str(r) for r, _ in rep.retry_failures))
     _emit("search", {"max_degree": args.max_degree}, rep.to_dict(), t0, summary)
     return 0 if rep.conjecture_holds() else 1
 

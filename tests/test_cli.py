@@ -245,6 +245,22 @@ def test_search_small(capsys):
     assert "0 unfair, 0 residual indeterminate" in err
 
 
+def test_search_failed_retry_exits_1(capsys, monkeypatch):
+    # a 212-bit retry that fails leaves its mask open: exit 1 with a report
+    import newmandiv.search as search
+
+    def lost(coeffs):
+        raise search.NumericFailure("root finding failed at high precision")
+
+    monkeypatch.setattr(search, "_roots_mp", lost)
+    code, doc, err = run_cli(capsys, "search", "--max-degree", "6")
+    assert code == 1
+    assert doc["report"]["conjecture_holds"] is False
+    assert [f["bits"] for f in doc["report"]["retry_failures"]] == [27, 99]
+    assert "0 unfair, 2 residual indeterminate" in err
+    assert "2 of them from retries that failed: 1+x+x^3+x^4, 1+x+x^5+x^6" in err
+
+
 def test_estimate_n(capsys):
     code, doc, _ = run_cli(capsys, "estimate-N", "--a", "0.005")
     assert code == 0

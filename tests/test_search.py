@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import newmandiv.search as search
+from newmandiv.analytic import aberth_roots
 from newmandiv.modpoly import CapacityError, IntPoly, squarefree_decomposition
 from newmandiv.search import (
     Classification,
@@ -18,7 +20,16 @@ from newmandiv.search import (
     scan,
     split_survey,
 )
-from newmandiv.search import _ESCALATION_PRECISION, _products, _roots_double, _units
+from newmandiv.search import (
+    _BLOCK,
+    _ESCALATION_PRECISION,
+    _block_roots,
+    _classify_coeffs,
+    _products,
+    _roots_double,
+    _seeds,
+    _units,
+)
 
 # ----------------------------------------------------------------------
 # masks and enumeration
@@ -58,10 +69,15 @@ def test_mask_coeffs_and_str():
     assert str(r) == "1+x+x^4"
 
 
+def _reversed(r):
+    # x^deg R(1/x): the bitmask read backwards; every root maps to its inverse
+    return Newman01(r.degree, int(f"{r.bits:0{r.degree + 1}b}"[::-1], 2))
+
+
 def test_reciprocal_reverses_and_involutes():
     r = Newman01(3, 0b1011)  # 1+x+x^3
-    assert r.reciprocal().bits == 0b1101  # 1+x^2+x^3
-    assert r.reciprocal().reciprocal() == r
+    assert _reversed(r).bits == 0b1101  # 1+x^2+x^3
+    assert _reversed(_reversed(r)) == r
 
 
 # ----------------------------------------------------------------------
@@ -158,24 +174,126 @@ def _product_by_loop(units, picked, zero):
     return poly
 
 
-@pytest.mark.parametrize("bits", [0b111111111111, 0b100110110011, 0b110101100101, 0b101000101])
+#: masks with at least four units, then every other mask of degree <= 9
+LISTED_PRODUCT_MASKS = [0b111111111111, 0b100110110011, 0b110101100101, 0b101000101]
+SHARED_PRODUCT_MASKS = LISTED_PRODUCT_MASKS + [
+    r.bits for d in range(1, 10) for r in enumerate_01(d) if r.bits not in LISTED_PRODUCT_MASKS
+]
+
+
+@pytest.mark.parametrize("bits", SHARED_PRODUCT_MASKS)
 def test_shared_products_equal_the_ascending_loop(bits):
-    # the subset-product table must reproduce the per-subset loop bit for
-    # bit, since the first pass's verdicts are pinned by the scan digest
+    # the subset-product table and the survey's array expansion must both
+    # reproduce the per-subset loop bit for bit, since the first pass's
+    # verdicts are pinned by the scan digest
     r = Newman01(bits.bit_length() - 1, bits)
-    units = _units(_roots_double(r), DEFAULT_TOL, float)
-    assert len(units) >= 4
+    try:
+        units = _units(_roots_double(r), DEFAULT_TOL, float)
+    except NumericFailure:
+        with pytest.raises(NumericFailure):
+            split_survey(r)
+        return
+    if bits in LISTED_PRODUCT_MASKS:
+        assert len(units) >= 4
     products = _products(units, 0.0)
     assert len(products) == 1 << len(units)
     for picked, poly in enumerate(products):
         assert poly == _product_by_loop(units, picked, 0.0)
     # the survey visits each subset without the top unit once, in order
     full = len(products) - 1
+    expected = []
+    for picked in range(1, len(products) // 2):
+        p_poly = _product_by_loop(units, picked, 0.0)
+        q_poly = _product_by_loop(units, full ^ picked, 0.0)
+        worst_im = max(abs(float(x.imag)) for x in p_poly + q_poly)
+        p = [float(x.real) for x in p_poly]
+        q = [float(x.real) for x in q_poly]
+        cls, mc, dev = _classify_coeffs(p, q, DEFAULT_TOL)
+        if worst_im > DEFAULT_TOL:
+            cls = Classification.INDETERMINATE
+        expected.append((worst_im, tuple(p), tuple(q), cls, mc, dev))
+    if any(e[0] > search._REAL_AXIS_FACTOR * DEFAULT_TOL for e in expected):
+        with pytest.raises(NumericFailure):
+            split_survey(r)
+        return
     survey = split_survey(r)
-    assert len(survey) == len(products) // 2 - 1
-    for picked, c in enumerate(survey, start=1):
-        assert c.p_coeffs == tuple(float(x.real) for x in _product_by_loop(units, picked, 0.0))
-        assert c.q_coeffs == tuple(float(x.real) for x in _product_by_loop(units, full ^ picked, 0.0))
+    assert survey == search._survey_lists(units, DEFAULT_TOL, 0.0)
+    assert len(survey) == len(expected)
+    for c, (_, p, q, cls, mc, dev) in zip(survey, expected):
+        assert (c.p_coeffs, c.q_coeffs) == (p, q)
+        assert (c.classification, c.min_coefficient, c.deviation_01) == (cls, mc, dev)
+
+
+# ----------------------------------------------------------------------
+# blocked root finding
+# ----------------------------------------------------------------------
+
+
+def _solo_roots(r):
+    try:
+        return aberth_roots(r.coeffs(), _seeds(r.degree))
+    except ArithmeticError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=13),
+    st.integers(min_value=0),
+    st.sampled_from(["first", "last", "middle"]),
+)
+@example(1, 0, "middle")
+@example(2, 0, "last")  # two masks: one short block
+@example(7, 0, "last")  # 64 masks: exactly one full block
+@example(8, 1, "first")
+@example(12, 31, "last")  # the last mask of degree 12
+def test_block_rows_equal_their_own_solve(degree, block, where):
+    # a mask's row of its block's batched solve is its 1-D solve bit for bit,
+    # whichever row of which block it is
+    n = 1 << (degree - 1)
+    block %= -(-n // _BLOCK)
+    first, last = block * _BLOCK, min((block + 1) * _BLOCK, n) - 1
+    inner = {"first": first, "last": last, "middle": (first + last) // 2}[where]
+    r = Newman01(degree, 1 | (inner << 1) | (1 << degree))
+    want = _solo_roots(r)
+    if want is None:
+        with pytest.raises(NumericFailure):
+            _roots_double(r)
+    else:
+        assert _roots_double(r).tobytes() == want.tobytes()
+
+
+def _outcomes(degree):
+    out = {}
+    for r in enumerate_01(degree):
+        try:
+            out[r.bits] = split_survey(r)
+        except NumericFailure as exc:
+            out[r.bits] = str(exc)
+    return out
+
+
+def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
+    # a block whose batched solve raises hands each of its masks to its own
+    # 1-D solve, so every survey, failures included, comes out unchanged
+    want_scan, want_surveys = scan(8).to_dict(), _outcomes(8)
+    batched = []
+
+    def no_batches(coeffs, seeds, *args, **kwargs):
+        if np.ndim(coeffs) == 2:
+            batched.append(len(coeffs))
+            raise ArithmeticError("batched solve refused")
+        return aberth_roots(coeffs, seeds, *args, **kwargs)
+
+    _block_roots.cache_clear()
+    monkeypatch.setattr(search, "aberth_roots", no_batches)
+    try:
+        got_scan, got_surveys = scan(8).to_dict(), _outcomes(8)
+    finally:
+        _block_roots.cache_clear()
+    assert batched  # the batched solves were tried and refused
+    assert got_scan == want_scan
+    assert got_surveys == want_surveys
 
 
 def _verdict_counts(survey):
@@ -192,7 +310,7 @@ def test_reciprocal_metamorphic_full_degree_seven():
     # so it is its own reversal and both sides see the same survey
     for r in enumerate_01(7):
         a = _verdict_counts(split_survey(r))
-        b = _verdict_counts(split_survey(r.reciprocal()))
+        b = _verdict_counts(split_survey(_reversed(r)))
         assert a == b, str(r)
         assert a[Classification.UNFAIR] == 0
 
@@ -302,6 +420,30 @@ def test_scan_degree_ten_resolves_all_indeterminates():
         "offenders": [],
         "conjecture_holds": True,
     }
+
+
+def test_failed_retry_leaves_the_mask_open(monkeypatch):
+    # a retry that raises is a residual indeterminate recorded in the report,
+    # not a crash of the whole scan
+    def lost(coeffs):
+        raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
+
+    monkeypatch.setattr(search, "_roots_mp", lost)
+    rep = scan(6)
+    assert [(r.degree, r.bits) for r, _ in rep.retry_failures] == [(4, 27), (6, 99)]
+    assert [s.residual_indeterminate for s in rep.summaries] == [0, 0, 0, 1, 0, 1]
+    assert [s.escalated for s in rep.summaries] == [0, 0, 0, 1, 0, 1]
+    assert rep.offenders == ()
+    assert not rep.conjecture_holds()
+    doc = rep.to_dict()
+    assert doc["conjecture_holds"] is False
+    assert [(f["degree"], f["bits"], f["polynomial"]) for f in doc["retry_failures"]] == [
+        (4, 27, "1+x+x^3+x^4"),
+        (6, 99, "1+x+x^5+x^6"),
+    ]
+    assert all("at high precision" in f["error"] for f in doc["retry_failures"])
+    monkeypatch.undo()
+    assert "retry_failures" not in scan(6).to_dict()
 
 
 def test_scan_range_validation():
