@@ -510,6 +510,8 @@ class DegreeSummary:
     indeterminate: int          # first pass, before escalation
     escalated: int              # masks retried at high precision
     residual_unfair: int        # after escalation
+    #: splits still indeterminate after escalation, plus one per mask whose
+    #: escalation raised (that mask's splits are not counted one by one)
     residual_indeterminate: int
 
 

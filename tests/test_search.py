@@ -185,15 +185,20 @@ SHARED_PRODUCT_MASKS = LISTED_PRODUCT_MASKS + [
 def test_shared_products_equal_the_ascending_loop(bits):
     # the subset-product table and the survey's array expansion must both
     # reproduce the per-subset loop bit for bit, since the first pass's
-    # verdicts are pinned by the scan digest
+    # verdicts are pinned by the scan digest; the listed masks must survive
+    # the double pass, an added mask may be lost by it, and then the survey
+    # must be lost on the same grounds
+    listed = bits in LISTED_PRODUCT_MASKS
     r = Newman01(bits.bit_length() - 1, bits)
     try:
         units = _units(_roots_double(r), DEFAULT_TOL, float)
     except NumericFailure:
+        if listed:
+            raise
         with pytest.raises(NumericFailure):
             split_survey(r)
         return
-    if bits in LISTED_PRODUCT_MASKS:
+    if listed:
         assert len(units) >= 4
     products = _products(units, 0.0)
     assert len(products) == 1 << len(units)
@@ -212,7 +217,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
         if worst_im > DEFAULT_TOL:
             cls = Classification.INDETERMINATE
         expected.append((worst_im, tuple(p), tuple(q), cls, mc, dev))
-    if any(e[0] > search._REAL_AXIS_FACTOR * DEFAULT_TOL for e in expected):
+    if not listed and any(e[0] > search._REAL_AXIS_FACTOR * DEFAULT_TOL for e in expected):
         with pytest.raises(NumericFailure):
             split_survey(r)
         return
