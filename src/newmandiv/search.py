@@ -19,14 +19,17 @@ the ones with repeated roots, on which root finding would otherwise
 converge only linearly.  A retry that fails outright counts as a residual
 indeterminate, so the scan cannot then report that the conjecture holds.
 
-The double pass works in blocks and on arrays.  One batched Aberth solve
-covers 64 consecutive masks of a degree, and every split of a mask, with
-its complement, is expanded at once on float64 real and imaginary planes
-and classified by masked reductions.  Both run the float operations of
-the per-mask, per-split computation in the same order, so every verdict
-and coefficient is the same to the last bit.  The retry keeps the plain
-list expansion on mpmath numbers, which is also the reference the tests
-hold the array expansion to.
+The double pass works in blocks of 64 consecutive masks of a degree and
+on arrays.  One batched Aberth solve finds the roots of a block; its masks
+are then grouped by unit shape, and every split of every mask of a group,
+with its complement, is expanded at once on float64 real and imaginary
+planes and classified by masked reductions.  Both run the float operations
+of the per-mask, per-split computation in the same order, so every verdict
+and coefficient is the same to the last bit.  A block's survey is computed
+when split_survey first asks for one of its masks and kept until the next
+block; each mask's SplitCandidates are built from it on each call.  The
+retry keeps the plain list expansion on mpmath numbers, which is also the
+reference the tests hold the array expansion to.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,11 +74,14 @@ _ESCALATION_TOL_FACTOR = 100.0
 #: real roots sit far inside the band.
 _REAL_AXIS_FACTOR = 1e3
 
-#: masks per batched Aberth solve in the double pass.  A block of 64 keeps
-#: its arrays well under 1 MB at every degree and costs a one-mask caller a
-#: few ms; the 1024 solves of degree 11 take 0.053 s in blocks of 64, against
-#: 0.49 s mask by mask, 0.095 s in blocks of 16 and 0.041 s in one block
-#: (medians of 5 on one core of a 2-core Intel Xeon VM).
+#: masks per batched Aberth solve and per block survey in the double pass.
+#: A block of 64 keeps its root arrays well under 1 MB at every degree and
+#: costs a one-mask caller a few ms; the 1024 solves of degree 11 take
+#: 0.053 s in blocks of 64, against 0.49 s mask by mask, 0.095 s in blocks
+#: of 16 and 0.041 s in one block (medians of 5 on one core of a 2-core
+#: Intel Xeon VM).  Up to degree 12 no block has more than two unit
+#: shapes, so the block survey expands the 1024 masks of degree 11 in 36
+#: _survey_group calls, where the per-mask expansion made six per mask.
 _BLOCK = 64
 
 
@@ -87,6 +93,10 @@ class Classification(enum.Enum):
     FAIR = "fair"
     UNFAIR = "unfair"
     INDETERMINATE = "indeterminate"
+
+
+#: the block survey's verdict codes, in this order
+_VERDICTS = (Classification.FAIR, Classification.UNFAIR, Classification.INDETERMINATE)
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,11 @@ def _seeds(degree: int) -> np.ndarray:
     return 1.2 * np.exp(2j * np.pi * (ks + 0.37) / degree)
 
 
+def _block_row(r: Newman01) -> Tuple[int, int]:
+    """r's block of _BLOCK consecutive masks of enumerate_01(r.degree), and its row there."""
+    return divmod((r.bits >> 1) & ((1 << (r.degree - 1)) - 1), _BLOCK)
+
+
 @functools.lru_cache(maxsize=1)
 def _block_roots(degree: int, block: int) -> Optional[np.ndarray]:
     """Roots of masks block*_BLOCK, block*_BLOCK + 1, ... of enumerate_01(degree),
@@ -188,7 +203,7 @@ def _block_roots(degree: int, block: int) -> Optional[np.ndarray]:
 
 
 def _roots_double(r: Newman01) -> np.ndarray:
-    block, row = divmod((r.bits >> 1) & ((1 << (r.degree - 1)) - 1), _BLOCK)
+    block, row = _block_row(r)
     roots = _block_roots(r.degree, block)
     if roots is not None:
         return roots[row].copy()
@@ -349,7 +364,7 @@ def _survey_lists(units, tol: float, zero) -> List[SplitCandidate]:
     """Every split of units, expanded one at a time on lists of scalars.
 
     This is the retry's path on mpmath numbers, run inside the caller's
-    working precision, and the reference for _survey_arrays.
+    working precision, and the reference for the block survey.
     """
     im_limit = _REAL_AXIS_FACTOR * tol
     # the smaller mask of a subset/complement pair is the one without the
@@ -380,8 +395,9 @@ def _survey_lists(units, tol: float, zero) -> List[SplitCandidate]:
     return out
 
 
-def _expand(re: np.ndarray, im: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows re + i im times a unit's factor, on planes of the same width.
+def _expand_planes(re: np.ndarray, im: np.ndarray, factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Planes re + i im, (masks x rows x width), times one unit factor per
+    mask: row m of factors holds mask m's factor coefficients, ascending.
 
     _mul adds c_i f_j into out[i + j] for ascending i, then ascending j;
     taking j in descending order hands every column its terms in that same
@@ -390,64 +406,72 @@ def _expand(re: np.ndarray, im: np.ndarray, factor) -> Tuple[np.ndarray, np.ndar
     multiplies reals, the zero imaginary parts here add only signed zeros,
     which leave every column sum (it starts at +0.0) as it is.
     """
-    width = re.shape[1]
+    width = re.shape[2]
     out_re, out_im = np.zeros_like(re), np.zeros_like(im)
-    for j in range(len(factor) - 1, -1, -1):
-        f = complex(factor[j])
-        cr, ci = re[:, : width - j], im[:, : width - j]
-        out_re[:, j:] += cr * f.real - ci * f.imag
-        out_im[:, j:] += cr * f.imag + ci * f.real
+    for j in range(factors.shape[1] - 1, -1, -1):
+        fr, fi = factors[:, j, None, None].real, factors[:, j, None, None].imag
+        cr, ci = re[:, :, : width - j], im[:, :, : width - j]
+        out_re[:, :, j:] += cr * fr - ci * fi
+        out_im[:, :, j:] += cr * fi + ci * fr
     return out_re, out_im
 
 
-def _survey_arrays(units, tol: float) -> List[SplitCandidate]:
-    """Every split of units at double precision, all expanded and classified
-    at once; equal to _survey_lists(units, tol, 0.0) bit for bit.
+def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optional[str]]]:
+    """The double pass of masks whose units have equal factor lengths.
 
-    Rows of the product table are indexed by unit bitmask, as in _products,
-    and padded with zeros to the width of the whole polynomial; the checks of
-    _real_part and _classify_coeffs become reductions over each row's own
-    coefficients.
+    Returns the arrays that _candidates reads each mask's splits from, which
+    are those of _survey_lists(units, tol, 0.0) bit for bit, and per mask the
+    message of its NumericFailure, or None.  The product table is built on
+    planes (masks x rows x width), its rows indexed by unit bitmask as in
+    _products and padded with zeros to the width of the whole polynomial; the
+    checks of _real_part and _classify_coeffs become reductions over each
+    row's own coefficients.
     """
     im_limit = _REAL_AXIS_FACTOR * tol
-    lower, top = units[:-1], units[-1][1]
-    n = 1 << len(lower)
-    width = sum(len(factor) - 1 for _, factor in units) + 1
-    re, im = np.zeros((n, width)), np.zeros((n, width))
-    re[0, 0] = 1.0
+    lengths = [len(factor) for _, factor in group[0]]
+    m, n = len(group), 1 << (len(lengths) - 1)
+    width = sum(lengths) - len(lengths) + 1
+    factors = [np.array([units[k][1] for units in group], dtype=complex) for k in range(len(lengths))]
+    # each unit's roots as a bitmask, so that a split's subset is one lookup
+    unit_bits = np.array([[sum(1 << i for i in idx) for idx, _ in units] for units in group])
+    re, im = np.zeros((m, n, width)), np.zeros((m, n, width))
+    re[:, 0, 0] = 1.0
+    root_bits = np.zeros((m, n), dtype=unit_bits.dtype)
     degree = np.zeros(n, dtype=int)
-    for k, (_, factor) in enumerate(lower):
+    for k in range(len(lengths) - 1):
         half = 1 << k
-        re[half : 2 * half], im[half : 2 * half] = _expand(re[:half], im[:half], factor)
-        degree[half : 2 * half] = degree[:half] + len(factor) - 1
-    # row k of every array below is the split picked = k + 1
-    complement = (n - 1) ^ np.arange(1, n)
-    p_re, p_im = re[1:], im[1:]
-    q_re, q_im = _expand(re[complement], im[complement], top)
+        with_k = _expand_planes(re[:, :half], im[:, :half], factors[k])
+        re[:, half : 2 * half], im[:, half : 2 * half] = with_k
+        root_bits[:, half : 2 * half] = root_bits[:, :half] | unit_bits[:, k, None]
+        degree[half : 2 * half] = degree[:half] + lengths[k] - 1
+    # split k of every array below is the split picked = k + 1, whose
+    # complement (n - 1) ^ picked = n - 2 - k is row k of the reversed table
+    p_re, p_im = re[:, 1:], im[:, 1:]
+    q_re, q_im = _expand_planes(re[:, -2::-1], im[:, -2::-1], factors[-1])
     p_len = degree[1:] + 1
     q_len = width - degree[1:]
     in_p = np.arange(width) < p_len[:, None]
     in_q = np.arange(width) < q_len[:, None]
 
-    p_worst = np.where(in_p, np.abs(p_im), 0.0).max(axis=1)
-    q_worst = np.where(in_q, np.abs(q_im), 0.0).max(axis=1)
+    p_worst = np.where(in_p, np.abs(p_im), 0.0).max(axis=2)
+    q_worst = np.where(in_q, np.abs(q_im), 0.0).max(axis=2)
     over = (p_worst > im_limit) | (q_worst > im_limit)
-    if over.any():
-        k = int(np.argmax(over))  # the first split the list path would reject
-        worst = p_worst[k] if p_worst[k] > im_limit else q_worst[k]
-        raise NumericFailure(f"imaginary residue {worst:.3g} above {im_limit:.3g}")
+    failures: List[Optional[str]] = [None] * m
+    for i in np.flatnonzero(over.any(axis=1)).tolist():
+        k = int(np.argmax(over[i]))  # the first split the list path would reject
+        worst = p_worst[i, k] if p_worst[i, k] > im_limit else q_worst[i, k]
+        failures[i] = f"imaginary residue {worst:.3g} above {im_limit:.3g}"
 
     def dist01(x):
         return np.minimum(np.abs(x), np.abs(x - 1))
 
-    low = np.minimum(np.where(in_p, p_re, np.inf).min(axis=1), np.where(in_q, q_re, np.inf).min(axis=1))
+    low = np.minimum(np.where(in_p, p_re, np.inf).min(axis=2), np.where(in_q, q_re, np.inf).min(axis=2))
     dev = np.maximum(
-        np.where(in_p, dist01(p_re), -np.inf).max(axis=1),
-        np.where(in_q, dist01(q_re), -np.inf).max(axis=1),
+        np.where(in_p, dist01(p_re), -np.inf).max(axis=2),
+        np.where(in_q, dist01(q_re), -np.inf).max(axis=2),
     )
     # _classify_coeffs's cases in its order, then the imaginary-noise deferral
-    classes = (Classification.FAIR, Classification.UNFAIR, Classification.INDETERMINATE)
-    fair, unfair, indeterminate = range(len(classes))
+    fair, unfair, indeterminate = range(len(_VERDICTS))
     loose = _ESCALATION_TOL_FACTOR * tol
     verdict = np.select(
         [low < -loose, low < -tol, dev <= tol, dev > loose],
@@ -455,18 +479,80 @@ def _survey_arrays(units, tol: float) -> List[SplitCandidate]:
         indeterminate,
     )
     verdict[np.maximum(p_worst, q_worst) > tol] = indeterminate
+    return (p_re, q_re, p_len, q_len, verdict, low, dev, root_bits[:, 1:]), failures
 
-    rows = zip(*(a.tolist() for a in (p_re, q_re, p_len, q_len, verdict, low, dev)))
+
+#: float64 elements per plane of one _survey_group call (128 KB): a block's
+#: masks of one unit shape are surveyed in runs that fit.  Every degree is
+#: then held to a few such planes; in scan(11), whole groups of up to 64
+#: masks (1 << 16) raised peak RSS by 1.3 MB more, at no gain in speed.
+_PLANE_ELEMENTS = 1 << 14
+
+
+@functools.lru_cache(maxsize=1)
+def _block_survey(degree: int, block: int, tol: float) -> List[object]:
+    """The double pass of every mask of a _block_roots block, one entry per
+    mask: the message of its NumericFailure, None when it has fewer than two
+    units, or (arrays, i) when it is mask i of a _survey_group call.
+
+    Roots come from _roots_double and units from _units, mask by mask; the
+    masks are then grouped by unit shape, the tuple of factor lengths, and
+    each group is expanded and classified on shared planes.
+    """
+    first = block * _BLOCK
+    inners = range(first, min(first + _BLOCK, 1 << (degree - 1)))
+    entries: List[object] = [None] * len(inners)
+    shapes: Dict[Tuple[int, ...], List[Tuple[int, list]]] = {}
+    for row, inner in enumerate(inners):
+        try:
+            units = _units(_roots_double(Newman01(degree, 1 | (inner << 1) | (1 << degree))), tol, float)
+        except NumericFailure as exc:
+            entries[row] = str(exc)
+            continue
+        if len(units) >= 2:
+            shapes.setdefault(tuple(len(factor) for _, factor in units), []).append((row, units))
+    for shape, members in shapes.items():
+        size = (1 << (len(shape) - 1)) * (sum(shape) - len(shape) + 1)
+        step = max(1, _PLANE_ELEMENTS // size)
+        for at in range(0, len(members), step):
+            run = members[at : at + step]
+            arrays, failures = _survey_group([units for _, units in run], tol)
+            for i, ((row, _), failure) in enumerate(zip(run, failures)):
+                entries[row] = failure or (arrays, i)
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_positions(start: int, stop: int) -> Tuple[Tuple[int, ...], ...]:
+    """Entry b lists start + i for every set bit i of b, ascending, for each
+    b < 2^(stop - start); each doubling appends the next position to a copy
+    of every entry so far."""
+    table: List[Tuple[int, ...]] = [()]
+    for i in range(start, stop):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[SplitCandidate]:
+    """The SplitCandidates of mask i of a _survey_group call at this degree."""
+    p_re, q_re, p_len, q_len, verdict, low, dev, root_bits = arrays
+    # a subset is its root bitmask's low and high halves looked up apart, so
+    # the tables stay at 2^12 entries up to MAX_DEGREE
+    half = (degree + 1) // 2
+    lows, highs, cut = _bit_positions(0, half), _bit_positions(half, degree), (1 << half) - 1
+    rows = zip(
+        *(a[i].tolist() for a in (p_re, q_re, verdict, low, dev, root_bits)), p_len.tolist(), q_len.tolist()
+    )
     return [
         SplitCandidate(
-            subset=_subset(units, picked),
+            subset=lows[b & cut] + highs[b >> half],
             p_coeffs=tuple(p[:lp]),
             q_coeffs=tuple(q[:lq]),
-            classification=classes[v],
+            classification=_VERDICTS[v],
             min_coefficient=mc,
             deviation_01=d,
         )
-        for picked, (p, q, lp, lq, v, mc, d) in enumerate(rows, start=1)
+        for p, q, v, mc, d, b, lp, lq in rows
     ]
 
 
@@ -474,15 +560,18 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     """Classify every nontrivial conjugate-closed split of r.
 
     Subset/complement pairs are visited once (the lexicographically smaller
-    unit mask is kept).  precision 53 uses the blocked double-precision
-    iteration and the array expansion; higher values switch to an mpmath
-    root pass and the list expansion at that mantissa.
+    unit mask is kept).  precision 53 reads r's entry of its block's
+    double-precision survey and builds its candidates from it; higher values
+    switch to an mpmath root pass and the list expansion at that mantissa.
     """
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")
     if precision == 53:
-        units = _units(_roots_double(r), tol, float)
-        return _survey_arrays(units, tol) if len(units) >= 2 else []
+        block, row = _block_row(r)
+        entry = _block_survey(r.degree, block, tol)[row]
+        if isinstance(entry, str):
+            raise NumericFailure(entry)
+        return _candidates(r.degree, *entry) if entry is not None else []
     import mpmath
 
     with mpmath.workprec(precision):

@@ -30,11 +30,13 @@ import cmath
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, IO, List, Optional, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .analytic import estimate_N, find_roots, residue_coeffs, y_closed_sequence
+# numpy and the analytic layer are imported by the functions that use them,
+# so that an all-ones run without collect loads neither
 
 __all__ = [
     "COUNTERFACTUAL_WINDOW",
@@ -280,6 +282,11 @@ def run_all_ones(
             outcome = NoViolationUpTo(config.max_n)
         stop_err = float(ewin[-1])
 
+    b = e = None
+    if collect:
+        import numpy as np
+
+        b, e = np.array(series), np.array(eseries)
     return AllOnesResult(
         config=config,
         outcome=outcome,
@@ -287,8 +294,8 @@ def run_all_ones(
         near_zero=tuple(near_zero),
         error_bound_at_stop=stop_err,
         max_error_bound=max_err,
-        b=np.array(series) if collect else None,
-        e=np.array(eseries) if collect else None,
+        b=b,
+        e=e,
     )
 
 
@@ -384,6 +391,7 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
             f"counterfactual mode runs in the small-coefficient regime 0 < a <= 0.005, got {a}"
         )
     hp = config.precision > 53
+    from .analytic import estimate_N, find_roots, residue_coeffs
 
     est = estimate_N(a)
     center = max(est, 10000.0 + COUNTERFACTUAL_WINDOW)
@@ -523,6 +531,10 @@ def cross_check_closed_form(a: float, n_max: int, tolerance: float = 1e-9) -> Cr
     relative-to-scale is what remains checkable and it pins both paths to
     the same trajectory throughout.
     """
+    import numpy as np
+
+    from .analytic import y_closed_sequence
+
     closed = y_closed_sequence(a, n_max)
     s = 1.0 / (2.0 + a)
     y = np.empty(n_max + 1)

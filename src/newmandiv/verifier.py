@@ -256,18 +256,19 @@ def _chunk_by_weight(ns: Sequence[int], k: int) -> List[List[int]]:
     return chunks
 
 
-def _compute_pass(p: int, ns: List[int], jobs: int) -> List[int]:
-    if not ns:
-        return []
-    if jobs <= 1 or len(ns) < 32:
-        return _run_chunk(p, ns)
-    from concurrent.futures import ProcessPoolExecutor
+def _needs_pool(ns: List[int], jobs: int) -> bool:
+    return jobs > 1 and len(ns) >= 32
 
+
+def _compute_pass(p: int, ns: List[int], jobs: int, pool) -> List[int]:
+    """The cases of ns that p proves; pool is the run's ProcessPoolExecutor,
+    which must exist when _needs_pool(ns, jobs)."""
+    if not _needs_pool(ns, jobs):
+        return _run_chunk(p, ns)
     chunks = _chunk_by_weight(ns, jobs)
     proved: List[int] = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        for part in pool.map(_run_chunk, [p] * len(chunks), chunks):
-            proved.extend(part)
+    for part in pool.map(_run_chunk, [p] * len(chunks), chunks):
+        proved.extend(part)
     return sorted(proved)
 
 
@@ -330,7 +331,9 @@ class _Checkpoint:
         An unterminated last line is what a crash mid-append leaves: it is
         cut from the file and its case is recomputed.  Every witness is
         checked before it is trusted: a prime only for an admissible
-        n >= 11, the case analysis only for n <= 10.
+        n >= 11, the case analysis only for n <= 10.  The pass markers must
+        name the run's first primes in order, since passes finish in that
+        order and a skipped pass is never recomputed.
         """
         if not os.path.exists(self.path):
             tmp = self.path + ".tmp"
@@ -350,17 +353,24 @@ class _Checkpoint:
             )
         if whole < len(data):
             os.truncate(self.path, whole)
-        done: Set[int] = set()
+        done: List[int] = []
         for ln in lines[len(header) :]:
             if not ln.strip():
                 continue
-            if ln.startswith("# pass p="):
-                done.add(int(ln[len("# pass p=") : -len(" complete")]))
+            if ln.startswith("# pass"):
+                done.append(self._marker(ln, len(done)))
                 continue
             n, w = self._claim(ln)
             table.mark(n, w)
             self._persisted.add(n)
-        return done
+        return set(done)
+
+    def _marker(self, ln: str, k: int) -> int:
+        """The prime of pass marker ln, the k-th (from 0): the k-th prime."""
+        if k >= len(self.primes) or ln != f"# pass p={self.primes[k]} complete":
+            due = f"the marker of p={self.primes[k]}" if k < len(self.primes) else "no further marker"
+            raise CheckpointMismatch(f"pass marker {ln!r} where {due} was due")
+        return self.primes[k]
 
     def _claim(self, ln: str) -> Tuple[int, Witness]:
         parts = ln.split()
@@ -497,36 +507,45 @@ def verify_range(
         ckpt.persist(table)
 
     passes: List[PrimePass] = []
-    for p in plist:
-        if p in done_passes:
-            continue
-        t1 = time.perf_counter()
-        cands = [n for n in table.unproven() if n >= FIRST_RESULTANT_INDEX]
-        ns = [n for n in cands if not skip_rule(n, p)]
-        proved = _compute_pass(p, ns, jobs)
-        for n in proved:
-            table.mark(n, p)
-        rest = table.unproven()
-        ps = PrimePass(
-            prime=p,
-            candidates=len(cands),
-            skipped=len(cands) - len(ns),
-            computed=len(ns),
-            proved=len(proved),
-            first_unproven_after=rest[0] if rest else None,
-            proved_up_to_after=table.proved_up_to(),
-            duration_seconds=time.perf_counter() - t1,
-        )
-        passes.append(ps)
-        if ckpt is not None:
-            ckpt.persist(table, completed_prime=p)
-        if progress is not None:
-            first = "none" if ps.first_unproven_after is None else str(ps.first_unproven_after)
-            progress(
-                f"p={p}: proved {ps.proved}/{ps.computed} computed "
-                f"({ps.skipped} skipped) in {ps.duration_seconds:.1f}s; "
-                f"first unproven now {first}"
+    pool = None  # one worker pool per run, started by the first pass that needs one
+    try:
+        for p in plist:
+            if p in done_passes:
+                continue
+            t1 = time.perf_counter()
+            cands = [n for n in table.unproven() if n >= FIRST_RESULTANT_INDEX]
+            ns = [n for n in cands if not skip_rule(n, p)]
+            if pool is None and _needs_pool(ns, jobs):
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=jobs)
+            proved = _compute_pass(p, ns, jobs, pool)
+            for n in proved:
+                table.mark(n, p)
+            rest = table.unproven()
+            ps = PrimePass(
+                prime=p,
+                candidates=len(cands),
+                skipped=len(cands) - len(ns),
+                computed=len(ns),
+                proved=len(proved),
+                first_unproven_after=rest[0] if rest else None,
+                proved_up_to_after=table.proved_up_to(),
+                duration_seconds=time.perf_counter() - t1,
             )
+            passes.append(ps)
+            if ckpt is not None:
+                ckpt.persist(table, completed_prime=p)
+            if progress is not None:
+                first = "none" if ps.first_unproven_after is None else str(ps.first_unproven_after)
+                progress(
+                    f"p={p}: proved {ps.proved}/{ps.computed} computed "
+                    f"({ps.skipped} skipped) in {ps.duration_seconds:.1f}s; "
+                    f"first unproven now {first}"
+                )
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return VerifyReport(
         max_n=max_n,

@@ -74,6 +74,15 @@ def test_double_precision_subcommands_run_without_mpmath(argv, capsys):
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
 
 
+def test_all_ones_simulate_runs_without_numpy(capsys):
+    # the all-ones recurrence is plain float arithmetic: only collect needs numpy
+    argv = ["simulate", "--a", "0.3"]
+    out = run_cli_isolated(argv, blocked=("numpy", "mpmath"))
+    assert out.returncode == main(argv) == 0, out.stderr
+    expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
+    assert json.loads(out.stdout)["manifest"]["digest"] == expected
+
+
 def test_escalated_split_survey_loads_mpmath_on_demand():
     # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2), one of the masks the scan escalates
     out = run_isolated(

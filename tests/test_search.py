@@ -24,6 +24,7 @@ from newmandiv.search import (
     _BLOCK,
     _ESCALATION_PRECISION,
     _block_roots,
+    _block_survey,
     _classify_coeffs,
     _products,
     _roots_double,
@@ -290,15 +291,103 @@ def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
             raise ArithmeticError("batched solve refused")
         return aberth_roots(coeffs, seeds, *args, **kwargs)
 
+    # both caches, or the surveys of the last block surveyed before the patch
+    # would be read back without a solve
     _block_roots.cache_clear()
+    _block_survey.cache_clear()
     monkeypatch.setattr(search, "aberth_roots", no_batches)
     try:
         got_scan, got_surveys = scan(8).to_dict(), _outcomes(8)
     finally:
         _block_roots.cache_clear()
+        _block_survey.cache_clear()
     assert batched  # the batched solves were tried and refused
     assert got_scan == want_scan
     assert got_surveys == want_surveys
+
+
+# ----------------------------------------------------------------------
+# block survey
+# ----------------------------------------------------------------------
+
+
+def _list_outcome(r, tol):
+    # the reference: this mask's units, expanded split by split on lists
+    try:
+        units = _units(_roots_double(r), tol, float)
+        return search._survey_lists(units, tol, 0.0) if len(units) >= 2 else []
+    except NumericFailure as exc:
+        return str(exc)
+
+
+def _block_outcome(r, tol):
+    try:
+        return split_survey(r, tol)
+    except NumericFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=10, max_value=12),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=_BLOCK - 1),
+    st.sampled_from([DEFAULT_TOL, 1e-6, 1e-10]),
+)
+@example(9, 2, 61, DEFAULT_TOL)  # 1+x+x^3+x^4+x^5+x^6+x^8+x^9 fails on its residue
+@example(10, 0, 0, DEFAULT_TOL)
+@example(12, 31, _BLOCK - 1, DEFAULT_TOL)  # the last mask of degree 12
+def test_block_survey_equals_the_list_survey(degree, block, row, tol):
+    # every mask's entry of its block's survey, wherever it sits in the block,
+    # is its own list survey bit for bit, or fails with the same message
+    block %= (1 << (degree - 1)) // _BLOCK
+    inner = block * _BLOCK + row
+    r = Newman01(degree, 1 | (inner << 1) | (1 << degree))
+    assert _block_outcome(r, tol) == _list_outcome(r, tol)
+
+
+def test_failing_mask_raises_the_same_message_each_call(monkeypatch):
+    # a failure is cached as its message; each call raises a fresh exception
+    r = Newman01(9, 0b1101111011)  # the one degree <= 12 mask that fails at 53 bits
+    want = _list_outcome(r, DEFAULT_TOL)
+    assert want.startswith("imaginary residue")
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NumericFailure) as info:
+            split_survey(r)
+        raised.append(info.value)
+    assert [str(e) for e in raised] == [want, want]
+    assert raised[0] is not raised[1]
+
+    # a mask that no solve converges on fails alike, and keeps failing
+    def lost(coeffs, seeds, *args, **kwargs):
+        raise ArithmeticError("no convergence")
+
+    _block_roots.cache_clear()
+    _block_survey.cache_clear()
+    monkeypatch.setattr(search, "aberth_roots", lost)
+    try:
+        r = Newman01(5, 0b110101)
+        for _ in range(2):
+            with pytest.raises(NumericFailure, match=r"root finding failed for 1\+x\^2\+x\^4\+x\^5"):
+                split_survey(r)
+    finally:
+        _block_roots.cache_clear()
+        _block_survey.cache_clear()
+
+
+def test_block_survey_is_cached_per_tolerance():
+    # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2) has a double root at -1, whose two
+    # approximations count as real at tol 1e-6 and as a pair at 1e-8, so
+    # a survey cached for one tolerance would be wrong for the other
+    r = Newman01(4, 0b11011)
+    seen = {}
+    for tol in (1e-6, DEFAULT_TOL, 1e-6):
+        survey = split_survey(r, tol)
+        assert survey == _list_outcome(r, tol)
+        seen.setdefault(tol, survey)
+        assert survey == seen[tol]
+    assert seen[1e-6] != seen[DEFAULT_TOL]
 
 
 def _verdict_counts(survey):

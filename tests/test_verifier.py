@@ -381,6 +381,29 @@ def test_parallel_matches_sequential():
     assert seq.all_proven() and par.all_proven()
 
 
+def test_parallel_run_starts_one_pool(monkeypatch):
+    # every pass that needs workers shares the pool the first one started,
+    # and the run shuts it down before it returns
+    import concurrent.futures
+
+    started, stopped = [], []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            stopped.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    par = verify_range(600, jobs=2)
+    assert sum(1 for ps in par.passes if ps.computed >= 32) >= 2  # the pool is shared
+    assert len(started) == 1 and stopped == started
+    assert par.table.witness == verify_range(600, jobs=1).table.witness
+
+
 def test_chunk_by_weight_partitions():
     ns = list(range(11, 400))
     chunks = _chunk_by_weight(ns, 4)
@@ -463,6 +486,51 @@ def test_checkpoint_drops_torn_last_line(tmp_path):
     assert text.count(f"61 proven {full.table.witness[61]}\n") == 1
     again = verify_range(61, primes=[2, 3], checkpoint=path)  # file still loads
     assert again.table.witness == full.table.witness
+
+
+def _checkpoint_lines(path, max_n, primes):
+    verify_range(max_n, primes=primes, checkpoint=path)
+    with open(path) as fh:
+        return fh.readlines()
+
+
+def test_checkpoint_rejects_marker_that_skips_a_pass(tmp_path):
+    # p=3 complete with no p=2 marker: the p=2 pass never ran to its end
+    path = str(tmp_path / "ck.txt")
+    lines = _checkpoint_lines(path, 60, [2, 3, 5])
+    with open(path, "w") as fh:
+        fh.writelines(ln for ln in lines if ln != "# pass p=2 complete\n")
+    with pytest.raises(CheckpointMismatch, match="p=2"):
+        verify_range(60, primes=[2, 3, 5], checkpoint=path)
+
+
+def test_checkpoint_rejects_marker_for_a_prime_not_in_the_run(tmp_path):
+    path = str(tmp_path / "ck.txt")
+    primes = [2, 3, 5, 7]
+    header = _checkpoint_lines(path, 60, primes)[:4]
+    with open(path, "w") as fh:
+        fh.writelines(header + ["# pass p=23 complete\n"])
+    with pytest.raises(CheckpointMismatch, match="p=23"):
+        verify_range(60, primes=primes, checkpoint=path)
+
+
+def test_checkpoint_rejects_unreadable_marker(tmp_path):
+    path = str(tmp_path / "ck.txt")
+    header = _checkpoint_lines(path, 60, [2, 3])[:4]
+    with open(path, "w") as fh:
+        fh.writelines(header + ["# pass p=x complete\n"])
+    with pytest.raises(CheckpointMismatch, match="p=x"):
+        verify_range(60, primes=[2, 3], checkpoint=path)
+
+
+def test_checkpoint_rejects_repeated_or_extra_markers(tmp_path):
+    path = str(tmp_path / "ck.txt")
+    lines = _checkpoint_lines(path, 60, [2, 3])
+    for extra in ("# pass p=3 complete\n", "# pass p=2 complete\n"):
+        with open(path, "w") as fh:
+            fh.writelines(lines + [extra])
+        with pytest.raises(CheckpointMismatch):
+            verify_range(60, primes=[2, 3], checkpoint=path)
 
 
 @pytest.mark.parametrize(
