@@ -75,13 +75,15 @@ _ESCALATION_TOL_FACTOR = 100.0
 _REAL_AXIS_FACTOR = 1e3
 
 #: masks per batched Aberth solve and per block survey in the double pass.
-#: A block of 64 keeps its root arrays well under 1 MB at every degree and
-#: costs a one-mask caller a few ms; the 1024 solves of degree 11 take
-#: 0.053 s in blocks of 64, against 0.49 s mask by mask, 0.095 s in blocks
-#: of 16 and 0.041 s in one block (medians of 5 on one core of a 2-core
-#: Intel Xeon VM).  Up to degree 12 no block has more than two unit
-#: shapes, so the block survey expands the 1024 masks of degree 11 in 36
-#: _survey_group calls, where the per-mask expansion made six per mask.
+#: A block of 64 keeps its root arrays well under 1 MB at every degree; the
+#: 1024 solves of degree 11 take 0.053 s in blocks of 64, against 0.49 s
+#: mask by mask, 0.095 s in blocks of 16 and 0.041 s in one block (medians
+#: of 5 on one core of a 2-core Intel Xeon VM).  Up to degree 12 no block
+#: has more than two unit shapes, so the block survey expands the 1024
+#: masks of degree 11 in 36 _survey_group calls, where the per-mask
+#: expansion made six per mask.  A one-mask caller pays for the survey of
+#: its whole block: 12 ms at degree 12 and 0.46 s at degree 24, against
+#: 4 ms and 33 ms when only the roots were solved in blocks.
 _BLOCK = 64
 
 
@@ -483,9 +485,10 @@ def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optio
 
 
 #: float64 elements per plane of one _survey_group call (128 KB): a block's
-#: masks of one unit shape are surveyed in runs that fit.  Every degree is
-#: then held to a few such planes; in scan(11), whole groups of up to 64
-#: masks (1 << 16) raised peak RSS by 1.3 MB more, at no gain in speed.
+#: masks of one unit shape are surveyed in runs that fit, so every degree
+#: works on a few such planes.  In scan(11) this raises peak RSS by 0.9 MB
+#: over the per-mask survey; whole groups of up to 64 masks raised it by
+#: 1.7 MB, at the same speed.
 _PLANE_ELEMENTS = 1 << 14
 
 

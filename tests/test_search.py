@@ -378,8 +378,9 @@ def test_failing_mask_raises_the_same_message_each_call(monkeypatch):
 
 def test_block_survey_is_cached_per_tolerance():
     # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2) has a double root at -1, whose two
-    # approximations count as real at tol 1e-6 and as a pair at 1e-8, so
-    # a survey cached for one tolerance would be wrong for the other
+    # approximations leave factors 2.5e-8 away from 0-1: fair at tol 1e-6,
+    # indeterminate at 1e-8, so a survey cached for one tolerance would be
+    # wrong for the other
     r = Newman01(4, 0b11011)
     seen = {}
     for tol in (1e-6, DEFAULT_TOL, 1e-6):
