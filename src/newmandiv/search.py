@@ -16,7 +16,11 @@ escalation are reported.  The retry first splits the mask exactly into its
 squarefree factors over Z, finds the simple roots of each factor, and
 lists every root as often as its multiplicity: the masks that escalate are
 the ones with repeated roots, on which root finding would otherwise
-converge only linearly.  A retry that fails outright counts as a residual
+converge only linearly.  Each factor's roots are first found in double
+precision by the double pass's Aberth solver, and the 212-bit iteration
+starts from them, so it only adds the missing digits; when that solve
+fails, or returns two equal roots, it starts from the double pass's circle
+seeds as before.  A retry that fails outright counts as a residual
 indeterminate, so the scan cannot then report that the conjecture holds.
 
 The double pass works in blocks of 64 consecutive masks of a degree and
@@ -38,7 +42,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,8 +141,7 @@ def enumerate_01(degree: int) -> Iterator[Newman01]:
         yield Newman01(degree, 1 | (inner << 1) | top)
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
+class SplitCandidate(NamedTuple):
     """One conjugate-closed root split of a mask, with its verdict.
 
     subset holds indices into the mask's root array (closed under
@@ -221,9 +224,17 @@ def _roots_mp(coeffs: Sequence[int]) -> List:
     """Roots of a squarefree integer polynomial (ascending coefficients) by
     Aberth iteration in the ambient mpmath precision.
 
-    Every root is simple, so convergence is cubic once the approximations
-    separate; the iteration stops when no approximation moved by more than
-    2^(-prec/2), by which point the next error is far below 2^(-prec).
+    The iteration starts from the polynomial's roots found by aberth_roots
+    in double precision, as MPSolve refines low-precision approximations
+    (Bini & Fiorentino 2000), so it only has to add the digits past the
+    53rd: two iterations on every factor of the masks of degree <= 12 that
+    escalate, where the circle seeds took 5 to 11.  It starts from the
+    circle seeds of the double pass instead when that solve raises, or when
+    two of its roots are equal, because the Aberth sum divides by their
+    differences.  Every root is simple, so convergence is cubic once the
+    approximations separate; the iteration stops when no approximation
+    moved by more than 2^(-prec/2), by which point the next error is far
+    below 2^(-prec).
     """
     import mpmath
 
@@ -239,11 +250,18 @@ def _roots_mp(coeffs: Sequence[int]) -> List:
             acc = acc * x + c
         return acc
 
-    two_pi = 2 * mpmath.pi
-    z = [
-        mpmath.mpf("1.2") * mpmath.exp(mpmath.mpc(0, two_pi * (k + mpmath.mpf("0.37")) / d))
-        for k in range(d)
-    ]
+    try:
+        z = aberth_roots(np.array(coeffs, dtype=float), _seeds(d)).tolist()
+    except ArithmeticError:
+        z = []
+    if len(set(z)) == d:
+        z = [mpmath.mpc(s) for s in z]
+    else:
+        two_pi = 2 * mpmath.pi
+        z = [
+            mpmath.mpf("1.2") * mpmath.exp(mpmath.mpc(0, two_pi * (k + mpmath.mpf("0.37")) / d))
+            for k in range(d)
+        ]
     stop = mpmath.mpf(2) ** -(mpmath.mp.prec // 2)
     for _ in range(400):
         max_step = mpmath.mpf(0)
@@ -508,7 +526,10 @@ def _block_survey(degree: int, block: int, tol: float) -> List[object]:
     shapes: Dict[Tuple[int, ...], List[Tuple[int, list]]] = {}
     for row, inner in enumerate(inners):
         try:
-            units = _units(_roots_double(Newman01(degree, 1 | (inner << 1) | (1 << degree))), tol, float)
+            # as Python complex numbers: their scalar arithmetic gives numpy's
+            # results to the bit, in well under half of _units's time
+            roots = _roots_double(Newman01(degree, 1 | (inner << 1) | (1 << degree))).tolist()
+            units = _units(roots, tol, float)
         except NumericFailure as exc:
             entries[row] = str(exc)
             continue
@@ -566,9 +587,12 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     unit mask is kept).  precision 53 reads r's entry of its block's
     double-precision survey and builds its candidates from it; higher values
     switch to an mpmath root pass and the list expansion at that mantissa.
+    tol must lie in [1e-10, 1e-4] and precision be at least 53 bits.
     """
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")
+    if precision < 53:
+        raise ValueError(f"precision must be at least 53 bits, got {precision}")
     if precision == 53:
         block, row = _block_row(r)
         entry = _block_survey(r.degree, block, tol)[row]
@@ -682,10 +706,17 @@ def scan(
     these degrees only ever comes from a root-finder artifact) are retried
     at _ESCALATION_PRECISION bits with tol/100; whatever survives is listed
     as an offender.  A retry that raises NumericFailure is listed in
-    retry_failures and counts as one residual indeterminate.
+    retry_failures and counts as one residual indeterminate.  tol must lie
+    in [1e-8, 1e-4], so that the retry's tolerance is one split_survey takes.
     """
     if not 1 <= max_degree <= MAX_DEGREE:
         raise CapacityError(f"max_degree must be in 1..{MAX_DEGREE}, got {max_degree}")
+    retry_tol = tol / _ESCALATION_TOL_FACTOR
+    if not (1e-10 <= retry_tol and tol <= 1e-4):
+        raise ValueError(
+            f"tol must be in [1e-8, 1e-4], so that the retry tolerance tol/{_ESCALATION_TOL_FACTOR:g}"
+            f" is in [1e-10, 1e-6]; got tol={tol}, retry tolerance {retry_tol:g}"
+        )
     t0 = time.monotonic()
     summaries: List[DegreeSummary] = []
     offenders: List[Tuple[Newman01, SplitCandidate]] = []
@@ -715,7 +746,7 @@ def scan(
             if flagged:
                 n_esc += 1
                 try:
-                    retry = split_survey(r, tol / _ESCALATION_TOL_FACTOR, precision=_ESCALATION_PRECISION)
+                    retry = split_survey(r, retry_tol, precision=_ESCALATION_PRECISION)
                 except NumericFailure as exc:
                     # the retry lost the mask as well: its splits stay
                     # undecided, so the scan cannot report that the conjecture holds

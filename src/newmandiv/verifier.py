@@ -484,6 +484,8 @@ def verify_range(
     t0 = time.perf_counter()
     if max_n < 5:
         raise ValueError("max_n must be at least 5")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     plist = [int(p) for p in primes]
     for q in plist:
         Prime(q)  # validates primality and range

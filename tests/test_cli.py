@@ -175,6 +175,16 @@ def test_verify_rejects_nonprime(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_job_count_below_one(capsys, tmp_path, jobs):
+    path = tmp_path / "ck.txt"
+    code, doc, err = run_cli(capsys, "verify-resultants", "--max-n", "60", "--jobs", jobs, "--checkpoint", str(path))
+    assert code == 2
+    assert doc is None  # no document, so no manifest records the bad count
+    assert "jobs must be at least 1" in err
+    assert not path.exists()
+
+
 def test_verify_parameters_materialize_prime_range(capsys):
     code, doc, _ = run_cli(capsys, "verify-resultants", "--max-n", "60", "--primes", "2..13", "--jobs", "1")
     assert code == 0

@@ -74,6 +74,17 @@ def test_double_precision_subcommands_run_without_mpmath(argv, capsys):
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
 
 
+def test_search_without_escalation_runs_without_mpmath(capsys):
+    # below degree 4 no mask escalates, so the double pass alone decides the
+    # scan, and seeding the 212-bit retry must not pull mpmath into it
+    argv = ["search", "--max-degree", "3"]
+    out = run_cli_isolated(argv, blocked=("mpmath",))
+    assert out.returncode == main(argv) == 0, out.stderr
+    doc = json.loads(capsys.readouterr().out)
+    assert all(d["escalated"] == 0 for d in doc["report"]["degrees"])
+    assert json.loads(out.stdout)["manifest"]["digest"] == doc["manifest"]["digest"]
+
+
 def test_all_ones_simulate_runs_without_numpy(capsys):
     # the all-ones recurrence is plain float arithmetic: only collect needs numpy
     argv = ["simulate", "--a", "0.3"]

@@ -109,6 +109,14 @@ def test_classify_tolerance_domain():
             classify(r, tol=bad)
 
 
+@pytest.mark.parametrize("precision", [0, -5, 52])
+def test_split_survey_rejects_precision_below_double(precision):
+    # below 53 bits the mpmath survey would run at that working precision:
+    # at 0 and -5 it called the splits of 1+x+x^3+x^4 fair
+    with pytest.raises(ValueError, match="precision must be at least 53"):
+        split_survey(Newman01(4, 0b11011), precision=precision)
+
+
 def test_repeated_real_root_mask():
     # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2): the double root at -1 splits into
     # near-coincident approximations; every split must come out fair or
@@ -454,14 +462,21 @@ def test_scan_small_degrees_hold():
     assert rep.offenders == ()
 
 
-#: every mask of degree <= 10 the double-precision pass flags, as
+#: every mask of degree <= 12 the double-precision pass flags, as
 #: (degree, bits) -> split count of its 212-bit survey; each count is
 #: 2^(m-1) - 1 for m real roots plus conjugate pairs, with multiplicity
-ESCALATED_TO_DEGREE_10 = {
+ESCALATED_TO_DEGREE_12 = {
     (4, 27): 3, (6, 99): 7, (7, 189): 7, (8, 297): 15, (8, 325): 7,
     (8, 495): 15, (9, 891): 31, (9, 975): 15, (10, 1161): 31,
     (10, 1215): 31, (10, 1539): 31, (10, 1647): 31, (10, 1755): 31,
     (10, 1911): 15, (10, 1935): 31, (10, 1971): 31, (10, 2025): 31,
+    (11, 2457): 31, (11, 2925): 31, (11, 3195): 63, (11, 3555): 63,
+    (12, 4617): 63, (12, 4671): 63, (12, 4851): 63, (12, 5031): 63,
+    (12, 5049): 63, (12, 5125): 31, (12, 5439): 31, (12, 5775): 63,
+    (12, 5805): 63, (12, 6147): 63, (12, 6363): 63, (12, 6543): 63,
+    (12, 6579): 63, (12, 6633): 63, (12, 7011): 63, (12, 7353): 63,
+    (12, 7399): 31, (12, 7695): 63, (12, 7725): 63, (12, 7731): 63,
+    (12, 7875): 63, (12, 8073): 63, (12, 8085): 31, (12, 8127): 63,
 }
 
 
@@ -474,15 +489,132 @@ def _flagged(r):
 
 
 def test_escalated_masks_have_repeated_factors_and_fair_retries():
-    flagged = {(r.degree, r.bits) for d in range(1, 11) for r in enumerate_01(d) if _flagged(r)}
-    assert flagged == set(ESCALATED_TO_DEGREE_10)
-    for (degree, bits), n_splits in ESCALATED_TO_DEGREE_10.items():
+    flagged = {(r.degree, r.bits) for d in range(1, 13) for r in enumerate_01(d) if _flagged(r)}
+    assert flagged == set(ESCALATED_TO_DEGREE_12)
+    for (degree, bits), n_splits in ESCALATED_TO_DEGREE_12.items():
         r = Newman01(degree, bits)
         _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
         assert max(k for _, k in factors) >= 2, str(r)
         retry = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
         assert len(retry) == n_splits, str(r)
         assert all(c.classification is Classification.FAIR for c in retry), str(r)
+
+
+def _squarefree_factors(degree, bits):
+    _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
+    return [factor.coeffs for factor, _ in factors if len(factor.coeffs) > 2]
+
+
+def _circle_seeded_roots(coeffs):
+    # the reference: _roots_mp's loop started from the circle seeds alone
+    import mpmath
+
+    d = len(coeffs) - 1
+    cs = [mpmath.mpf(c) for c in coeffs]
+    dcs = [k * cs[k] for k in range(1, d + 1)]
+
+    def horner(cs, x):
+        acc = mpmath.mpf(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    two_pi = 2 * mpmath.pi
+    z = [
+        mpmath.mpf("1.2") * mpmath.exp(mpmath.mpc(0, two_pi * (k + mpmath.mpf("0.37")) / d))
+        for k in range(d)
+    ]
+    stop = mpmath.mpf(2) ** -(mpmath.mp.prec // 2)
+    for _ in range(400):
+        max_step = mpmath.mpf(0)
+        for i in range(d):
+            fz = horner(cs, z[i])
+            if fz == 0:
+                continue
+            fpz = horner(dcs, z[i])
+            if fpz == 0:
+                z[i] += stop
+                continue
+            newton = fz / fpz
+            rep = mpmath.mpf(0)
+            for j in range(d):
+                if j != i:
+                    rep += 1 / (z[i] - z[j])
+            w = newton / (1 - newton * rep)
+            z[i] -= w
+            step = abs(w)
+            if step > max_step:
+                max_step = step
+        if max_step < stop:
+            return z
+    raise AssertionError(f"the circle-seeded loop did not converge on {coeffs}")
+
+
+def test_seeded_retry_roots_equal_the_circle_seeded_roots():
+    # every factor of every escalated mask: the roots the 212-bit loop finds
+    # from the double-precision seeds are those it finds from the circle,
+    # each within 2^-100, one for one
+    import mpmath
+
+    with mpmath.workprec(_ESCALATION_PRECISION):
+        for degree, bits in ESCALATED_TO_DEGREE_12:
+            for coeffs in _squarefree_factors(degree, bits):
+                seeded, circle = search._roots_mp(coeffs), _circle_seeded_roots(coeffs)
+                assert len(seeded) == len(circle)
+                nearest = []
+                for z in seeded:
+                    dist = [abs(z - w) for w in circle]
+                    k = min(range(len(circle)), key=dist.__getitem__)
+                    assert dist[k] < mpmath.mpf(2) ** -100, (degree, bits, coeffs)
+                    nearest.append(k)
+                assert sorted(nearest) == list(range(len(circle))), (degree, bits, coeffs)
+
+
+def test_retry_solves_each_factor_once_in_double_precision(monkeypatch):
+    # through the module's aberth_roots, one 1-D solve per squarefree factor
+    # of degree >= 2, so a wrapper of search.aberth_roots sees each one
+    solved = []
+
+    def recording(coeffs, seeds, *args, **kwargs):
+        solved.append(np.asarray(coeffs).tolist())
+        return aberth_roots(coeffs, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(search, "aberth_roots", recording)
+    for degree, bits in [(4, 27), (12, 8127)]:
+        solved.clear()
+        split_survey(Newman01(degree, bits), DEFAULT_TOL / 100, _ESCALATION_PRECISION)
+        assert solved == [[float(c) for c in f] for f in _squarefree_factors(degree, bits)]
+
+
+def _no_double_solve(coeffs, seeds, *args, **kwargs):
+    raise ArithmeticError("root iteration did not converge")
+
+
+def _coinciding_double_roots(coeffs, seeds, *args, **kwargs):
+    z = aberth_roots(coeffs, seeds, *args, **kwargs)
+    z[1] = z[0]
+    return z
+
+
+@pytest.mark.parametrize("double_solve", [_no_double_solve, _coinciding_double_roots])
+def test_retry_falls_back_to_the_circle_seeds(monkeypatch, double_solve):
+    # a double solve that raises, or whose roots coincide, leaves the 212-bit
+    # loop on the circle seeds: the roots are the reference loop's to the bit,
+    # and the retry's verdicts are the seeded retry's
+    import mpmath
+
+    masks = [(4, 27), (8, 325), (11, 3195), (12, 8127)]
+    retry_tol = DEFAULT_TOL / 100
+    seeded = {m: split_survey(Newman01(*m), retry_tol, _ESCALATION_PRECISION) for m in masks}
+    monkeypatch.setattr(search, "aberth_roots", double_solve)
+    for m in masks:
+        with mpmath.workprec(_ESCALATION_PRECISION):
+            for coeffs in _squarefree_factors(*m):
+                assert search._roots_mp(coeffs) == _circle_seeded_roots(coeffs)
+        retry = split_survey(Newman01(*m), retry_tol, _ESCALATION_PRECISION)
+        assert len(retry) == len(seeded[m]) == ESCALATED_TO_DEGREE_12[m]
+        assert [c.classification for c in retry] == [c.classification for c in seeded[m]]
+        assert all(c.classification is Classification.FAIR for c in retry)
 
 
 def _degree_row(degree, polynomials, splits, fair, indeterminate, escalated):
@@ -546,6 +678,21 @@ def test_scan_range_validation():
         scan(0)
     with pytest.raises(CapacityError):
         scan(25)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 9.9e-9, 2e-4])
+def test_scan_rejects_a_tolerance_its_retry_cannot_take(tol):
+    # the retry runs at tol/100, which split_survey takes only down to 1e-10:
+    # such a tol is refused before the first mask, not at the first retry
+    seen = []
+    with pytest.raises(ValueError, match="retry tolerance"):
+        scan(7, tol=tol, progress=seen.append)
+    assert seen == []
+
+
+def test_scan_takes_the_ends_of_its_tolerance_range():
+    for tol in (1e-8, 1e-4):
+        assert scan(6, tol=tol).conjecture_holds()
 
 
 def test_scan_report_serializes():

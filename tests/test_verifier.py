@@ -356,6 +356,9 @@ def test_verify_range_validates_inputs():
         verify_range(60, primes=[2, 2, 3])
     with pytest.raises(ValueError):
         verify_range(60, primes=[2, 9])
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            verify_range(60, jobs=jobs)
 
 
 def test_verify_range_pass_accounting():
