@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -254,18 +255,8 @@ def _cmd_estimates(args) -> int:
     grids = _parse_grids(args.grid)
     checks = check_estimates(grids)
     report = {
-        "grids": {"unit": list(grids.unit), "large": list(grids.large), "small": list(grids.small)},
-        "checks": [
-            {
-                "check_id": c.check_id,
-                "name": c.name,
-                "statement": c.statement,
-                "grid": c.grid,
-                "worst_margin": c.worst_margin,
-                "passed": c.passed,
-            }
-            for c in checks
-        ],
+        "grids": asdict(grids),
+        "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
     summary = [

@@ -29,11 +29,12 @@ are then grouped by unit shape, and every split of every mask of a group,
 with its complement, is expanded at once on float64 real and imaginary
 planes and classified by masked reductions.  Both run the float operations
 of the per-mask, per-split computation in the same order, so every verdict
-and coefficient is the same to the last bit.  A block's survey is computed
-when split_survey first asks for one of its masks and kept until the next
-block; each mask's SplitCandidates are built from it on each call.  The
-retry keeps the plain list expansion on mpmath numbers, which is also the
-reference the tests hold the array expansion to.
+and coefficient is the same to the last bit.  When split_survey first asks
+for a mask of a block, the block is solved and surveyed; the survey, not
+the roots, is the one thing kept, until the next block, and each mask's
+SplitCandidates are built from it on each call.  The retry keeps the plain
+list expansion on mpmath numbers, which is also the reference the tests
+hold the array expansion to.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import enum
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,9 +86,7 @@ _REAL_AXIS_FACTOR = 1e3
 #: of 5 on one core of a 2-core Intel Xeon VM).  Up to degree 12 no block
 #: has more than two unit shapes, so the block survey expands the 1024
 #: masks of degree 11 in 36 _survey_group calls, where the per-mask
-#: expansion made six per mask.  A one-mask caller pays for the survey of
-#: its whole block: 12 ms at degree 12 and 0.46 s at degree 24, against
-#: 4 ms and 33 ms when only the roots were solved in blocks.
+#: expansion made six per mask.
 _BLOCK = 64
 
 
@@ -190,34 +189,32 @@ def _block_row(r: Newman01) -> Tuple[int, int]:
     return divmod((r.bits >> 1) & ((1 << (r.degree - 1)) - 1), _BLOCK)
 
 
-@functools.lru_cache(maxsize=1)
-def _block_roots(degree: int, block: int) -> Optional[np.ndarray]:
+def _block_roots(degree: int, block: int) -> List[object]:
     """Roots of masks block*_BLOCK, block*_BLOCK + 1, ... of enumerate_01(degree),
-    one row per mask, from one batched solve; None if that solve raised.
+    one entry per mask: its roots as Python complex numbers (their scalar
+    arithmetic in _units gives numpy's results to the bit, in well under half
+    the time), or the message of its NumericFailure.
 
-    aberth_roots gives each row the bits of its own 1-D call, so a row is
-    the mask's roots whatever block it is solved in.
+    One batched solve finds them all; aberth_roots gives each row the bits
+    of its own 1-D call, so a row is the mask's roots whatever block it is
+    solved in.  If some mask of the block does not converge, each mask is
+    solved alone, so that a failure lands on the masks that fail on their own.
     """
     inner = np.arange(block * _BLOCK, min((block + 1) * _BLOCK, 1 << (degree - 1)))
     bits = 1 | (inner << 1) | (1 << degree)
     coeffs = ((bits[:, None] >> np.arange(degree + 1)) & 1).astype(float)
+    seeds = _seeds(degree)
     try:
-        return aberth_roots(coeffs, np.broadcast_to(_seeds(degree), (len(bits), degree)))
+        return aberth_roots(coeffs, np.broadcast_to(seeds, (len(bits), degree))).tolist()
     except ArithmeticError:
-        return None
-
-
-def _roots_double(r: Newman01) -> np.ndarray:
-    block, row = _block_row(r)
-    roots = _block_roots(r.degree, block)
-    if roots is not None:
-        return roots[row].copy()
-    # some mask of the block did not converge: solve this one alone, so that
-    # a failure lands on the masks that fail on their own
-    try:
-        return aberth_roots(r.coeffs(), _seeds(r.degree))
-    except (ArithmeticError, ValueError) as exc:
-        raise NumericFailure(f"root finding failed for {r}") from exc
+        pass
+    rows: List[object] = []
+    for b, c in zip(bits.tolist(), coeffs):
+        try:
+            rows.append(aberth_roots(c, seeds).tolist())
+        except (ArithmeticError, ValueError):
+            rows.append(f"root finding failed for {Newman01(degree, b)}")
+    return rows
 
 
 def _roots_mp(coeffs: Sequence[int]) -> List:
@@ -304,7 +301,7 @@ def _roots_squarefree(r: Newman01) -> List:
     return roots
 
 
-def _units(roots, tol: float, to_float: Callable[[object], float]):
+def _units(roots, tol: float):
     """Group roots into real singletons and conjugate pairs.
 
     Returns a list of (index-tuple, factor-coefficient-list) units, where
@@ -316,7 +313,7 @@ def _units(roots, tol: float, to_float: Callable[[object], float]):
     uppers: List[Tuple[int, object]] = []
     lowers: List[Tuple[int, object]] = []
     for i, z in enumerate(roots):
-        im = to_float(z.imag)
+        im = float(z.imag)
         if abs(im) <= axis:
             reals.append((i, z))
         elif im > 0:
@@ -330,10 +327,10 @@ def _units(roots, tol: float, to_float: Callable[[object], float]):
     for i, u in uppers:
         best_j, best_d = -1, None
         for j, (_, l) in enumerate(remaining):
-            dist = to_float(abs(u.conjugate() - l))
+            dist = float(abs(u.conjugate() - l))
             if best_d is None or dist < best_d:
                 best_j, best_d = j, dist
-        size = 1.0 + to_float(abs(u))
+        size = 1.0 + float(abs(u))
         if best_d > axis * size:
             raise NumericFailure("conjugate pairing failed: no matching lower root")
         li, l = remaining.pop(best_j)
@@ -342,37 +339,37 @@ def _units(roots, tol: float, to_float: Callable[[object], float]):
     return units
 
 
-def _mul(poly, factor, zero):
-    out = [zero] * (len(poly) + len(factor) - 1)
+def _mul(poly, factor):
+    out = [0] * (len(poly) + len(factor) - 1)
     for i, c in enumerate(poly):
         for j, f in enumerate(factor):
             out[i + j] = out[i + j] + c * f
     return out
 
 
-def _products(units, zero) -> List[List]:
+def _products(units) -> List[List]:
     """Product of the factors of every unit subset, indexed by unit bitmask.
 
     products[mask] is products[mask without its top unit] times that unit's
     factor, so each subset costs one multiplication and performs the same
     float operations, in the same order, as multiplying its units ascending.
     """
-    products = [[zero + 1]]
+    products = [[1]]
     for _, factor in units:
-        products += [_mul(poly, factor, zero) for poly in products]
+        products += [_mul(poly, factor) for poly in products]
     return products
 
 
-def _real_part(poly, im_limit: float, to_float: Callable[[object], float]):
+def _real_part(poly, im_limit: float):
     """Real coefficients of an expanded product and its worst imaginary residue.
 
     Residue beyond im_limit means the conjugate pairing itself went wrong,
     not just root noise, and is raised as a failure.
     """
-    worst_im = max(abs(to_float(c.imag)) for c in poly)
+    worst_im = max(abs(float(c.imag)) for c in poly)
     if worst_im > im_limit:
         raise NumericFailure(f"imaginary residue {worst_im:.3g} above {im_limit:.3g}")
-    return [to_float(c.real) for c in poly], worst_im
+    return [float(c.real) for c in poly], worst_im
 
 
 def _subset(units, picked: int) -> Tuple[int, ...]:
@@ -380,7 +377,7 @@ def _subset(units, picked: int) -> Tuple[int, ...]:
     return tuple(sorted(i for k, (idx, _) in enumerate(units) if (picked >> k) & 1 for i in idx))
 
 
-def _survey_lists(units, tol: float, zero) -> List[SplitCandidate]:
+def _survey_lists(units, tol: float) -> List[SplitCandidate]:
     """Every split of units, expanded one at a time on lists of scalars.
 
     This is the retry's path on mpmath numbers, run inside the caller's
@@ -391,12 +388,12 @@ def _survey_lists(units, tol: float, zero) -> List[SplitCandidate]:
     # top unit, so only subsets of the lower units are tabulated; each
     # complement is its lower part times the top unit's factor
     top = units[-1][1]
-    products = _products(units[:-1], zero)
+    products = _products(units[:-1])
     rest = len(products) - 1
     out: List[SplitCandidate] = []
     for picked in range(1, len(products)):
-        p, p_im = _real_part(products[picked], im_limit, float)
-        q, q_im = _real_part(_mul(products[rest ^ picked], top, zero), im_limit, float)
+        p, p_im = _real_part(products[picked], im_limit)
+        q, q_im = _real_part(_mul(products[rest ^ picked], top), im_limit)
         cls, mc, dev = _classify_coeffs(p, q, tol)
         if max(p_im, q_im) > tol:
             # coefficients carry more imaginary noise than the verdict
@@ -440,7 +437,7 @@ def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optio
     """The double pass of masks whose units have equal factor lengths.
 
     Returns the arrays that _candidates reads each mask's splits from, which
-    are those of _survey_lists(units, tol, 0.0) bit for bit, and per mask the
+    are those of _survey_lists(units, tol) bit for bit, and per mask the
     message of its NumericFailure, or None.  The product table is built on
     planes (masks x rows x width), its rows indexed by unit bitmask as in
     _products and padded with zeros to the width of the whole polynomial; the
@@ -516,20 +513,20 @@ def _block_survey(degree: int, block: int, tol: float) -> List[object]:
     mask: the message of its NumericFailure, None when it has fewer than two
     units, or (arrays, i) when it is mask i of a _survey_group call.
 
-    Roots come from _roots_double and units from _units, mask by mask; the
-    masks are then grouped by unit shape, the tuple of factor lengths, and
-    each group is expanded and classified on shared planes.
+    This is the double pass's one cache: each block is solved once, by one
+    _block_roots call, and units come from _units mask by mask; the masks
+    are then grouped by unit shape, the tuple of factor lengths, and each
+    group is expanded and classified on shared planes.
     """
-    first = block * _BLOCK
-    inners = range(first, min(first + _BLOCK, 1 << (degree - 1)))
-    entries: List[object] = [None] * len(inners)
+    rows = _block_roots(degree, block)
+    entries: List[object] = [None] * len(rows)
     shapes: Dict[Tuple[int, ...], List[Tuple[int, list]]] = {}
-    for row, inner in enumerate(inners):
+    for row, roots in enumerate(rows):
+        if isinstance(roots, str):
+            entries[row] = roots
+            continue
         try:
-            # as Python complex numbers: their scalar arithmetic gives numpy's
-            # results to the bit, in well under half of _units's time
-            roots = _roots_double(Newman01(degree, 1 | (inner << 1) | (1 << degree))).tolist()
-            units = _units(roots, tol, float)
+            units = _units(roots, tol)
         except NumericFailure as exc:
             entries[row] = str(exc)
             continue
@@ -588,6 +585,13 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     double-precision survey and builds its candidates from it; higher values
     switch to an mpmath root pass and the list expansion at that mantissa.
     tol must lie in [1e-10, 1e-4] and precision be at least 53 bits.
+
+    At 53 bits one mask costs its whole block: the first call for a block
+    solves and surveys all of its masks and keeps the arrays.  One mask took
+    12 ms at degree 12, and 0.46 s with 114 MB peak RSS at degree 24,
+    against 0.033 s and 39 MB when only the roots were solved in blocks and
+    each mask was surveyed alone.  Callers that walk the masks in
+    enumerate_01 order pay for each block once.
     """
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")
@@ -602,8 +606,8 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     import mpmath
 
     with mpmath.workprec(precision):
-        units = _units(_roots_squarefree(r), tol, float)
-        return _survey_lists(units, tol, mpmath.mpf(0)) if len(units) >= 2 else []
+        units = _units(_roots_squarefree(r), tol)
+        return _survey_lists(units, tol) if len(units) >= 2 else []
 
 
 def classify(r: Newman01, tol: float = DEFAULT_TOL) -> List[SplitCandidate]:
@@ -657,20 +661,7 @@ class ScanReport:
         doc = {
             "max_degree": self.max_degree,
             "tol": self.tol,
-            "degrees": [
-                {
-                    "degree": s.degree,
-                    "polynomials": s.polynomials,
-                    "splits": s.splits,
-                    "fair": s.fair,
-                    "unfair": s.unfair,
-                    "indeterminate": s.indeterminate,
-                    "escalated": s.escalated,
-                    "residual_unfair": s.residual_unfair,
-                    "residual_indeterminate": s.residual_indeterminate,
-                }
-                for s in self.summaries
-            ],
+            "degrees": [asdict(s) for s in self.summaries],
             "offenders": [
                 {
                     "degree": r.degree,
@@ -700,7 +691,7 @@ def scan(
     tol: float = DEFAULT_TOL,
     progress: Optional[Callable[[DegreeSummary], None]] = None,
 ) -> ScanReport:
-    """Run classify over every mask of degree 1..max_degree.
+    """Run split_survey over every mask of degree 1..max_degree.
 
     First-pass indeterminates (and any first-pass unfair verdict, which at
     these degrees only ever comes from a root-finder artifact) are retried

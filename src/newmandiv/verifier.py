@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .bseq import b_leading, b_pairs
@@ -449,19 +449,7 @@ class VerifyReport:
             "all_proven": self.all_proven(),
             "unproven": self.unproven(),
             "witnesses": {str(n): self.table.witness[n] for n in sorted(self.table.witness)},
-            "passes": [
-                {
-                    "prime": ps.prime,
-                    "candidates": ps.candidates,
-                    "skipped": ps.skipped,
-                    "computed": ps.computed,
-                    "proved": ps.proved,
-                    "first_unproven_after": ps.first_unproven_after,
-                    "proved_up_to_after": ps.proved_up_to_after,
-                    "duration_seconds": ps.duration_seconds,
-                }
-                for ps in self.passes
-            ],
+            "passes": [asdict(ps) for ps in self.passes],
             "duration_seconds": self.duration_seconds,
         }
 

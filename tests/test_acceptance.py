@@ -215,6 +215,7 @@ def test_criterion_10_invariant_suites():
         )
 
 
+@pytest.mark.slow
 def test_criterion_01_resultant_verification_at_scale():
     """verify-resultants to n=10000, primes 2..17: all proven in budget."""
     t0 = time.perf_counter()

@@ -24,10 +24,10 @@ from newmandiv.search import (
     _BLOCK,
     _ESCALATION_PRECISION,
     _block_roots,
+    _block_row,
     _block_survey,
     _classify_coeffs,
     _products,
-    _roots_double,
     _seeds,
     _units,
 )
@@ -170,6 +170,15 @@ def test_reconstruction_bound(degree, rng):
         assert np.max(np.abs(got - want)) <= budget
 
 
+def _double_roots(r):
+    # r's row of its block's batched solve, or the NumericFailure of its own
+    block, row = _block_row(r)
+    roots = _block_roots(r.degree, block)[row]
+    if isinstance(roots, str):
+        raise NumericFailure(roots)
+    return roots
+
+
 def _product_by_loop(units, picked, zero):
     # the reference: multiply the picked units' factors in ascending order
     poly = [zero + 1]
@@ -200,7 +209,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
     listed = bits in LISTED_PRODUCT_MASKS
     r = Newman01(bits.bit_length() - 1, bits)
     try:
-        units = _units(_roots_double(r), DEFAULT_TOL, float)
+        units = _units(_double_roots(r), DEFAULT_TOL)
     except NumericFailure:
         if listed:
             raise
@@ -209,7 +218,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
         return
     if listed:
         assert len(units) >= 4
-    products = _products(units, 0.0)
+    products = _products(units)
     assert len(products) == 1 << len(units)
     for picked, poly in enumerate(products):
         assert poly == _product_by_loop(units, picked, 0.0)
@@ -231,7 +240,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
             split_survey(r)
         return
     survey = split_survey(r)
-    assert survey == search._survey_lists(units, DEFAULT_TOL, 0.0)
+    assert survey == search._survey_lists(units, DEFAULT_TOL)
     assert len(survey) == len(expected)
     for c, (_, p, q, cls, mc, dev) in zip(survey, expected):
         assert (c.p_coeffs, c.q_coeffs) == (p, q)
@@ -270,11 +279,11 @@ def test_block_rows_equal_their_own_solve(degree, block, where):
     inner = {"first": first, "last": last, "middle": (first + last) // 2}[where]
     r = Newman01(degree, 1 | (inner << 1) | (1 << degree))
     want = _solo_roots(r)
+    got = _block_roots(degree, block)[inner - first]
     if want is None:
-        with pytest.raises(NumericFailure):
-            _roots_double(r)
+        assert got == f"root finding failed for {r}"
     else:
-        assert _roots_double(r).tobytes() == want.tobytes()
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def _outcomes(degree):
@@ -299,15 +308,13 @@ def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
             raise ArithmeticError("batched solve refused")
         return aberth_roots(coeffs, seeds, *args, **kwargs)
 
-    # both caches, or the surveys of the last block surveyed before the patch
-    # would be read back without a solve
-    _block_roots.cache_clear()
+    # clear the cache, or the surveys of the last block surveyed before the
+    # patch would be read back without a solve
     _block_survey.cache_clear()
     monkeypatch.setattr(search, "aberth_roots", no_batches)
     try:
         got_scan, got_surveys = scan(8).to_dict(), _outcomes(8)
     finally:
-        _block_roots.cache_clear()
         _block_survey.cache_clear()
     assert batched  # the batched solves were tried and refused
     assert got_scan == want_scan
@@ -322,8 +329,8 @@ def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
 def _list_outcome(r, tol):
     # the reference: this mask's units, expanded split by split on lists
     try:
-        units = _units(_roots_double(r), tol, float)
-        return search._survey_lists(units, tol, 0.0) if len(units) >= 2 else []
+        units = _units(_double_roots(r), tol)
+        return search._survey_lists(units, tol) if len(units) >= 2 else []
     except NumericFailure as exc:
         return str(exc)
 
@@ -371,7 +378,6 @@ def test_failing_mask_raises_the_same_message_each_call(monkeypatch):
     def lost(coeffs, seeds, *args, **kwargs):
         raise ArithmeticError("no convergence")
 
-    _block_roots.cache_clear()
     _block_survey.cache_clear()
     monkeypatch.setattr(search, "aberth_roots", lost)
     try:
@@ -380,8 +386,88 @@ def test_failing_mask_raises_the_same_message_each_call(monkeypatch):
             with pytest.raises(NumericFailure, match=r"root finding failed for 1\+x\^2\+x\^4\+x\^5"):
                 split_survey(r)
     finally:
-        _block_roots.cache_clear()
         _block_survey.cache_clear()
+
+
+def _solve_counts(monkeypatch, refuse_batches):
+    # aberth_roots calls by rank (1: one mask, 2: a batch) while split_survey
+    # is asked twice for every mask of degree 1..9, in enumerate_01 order
+    calls = {1: 0, 2: 0}
+
+    def counting(coeffs, seeds, *args, **kwargs):
+        calls[np.ndim(coeffs)] += 1
+        if refuse_batches and np.ndim(coeffs) == 2:
+            raise ArithmeticError("batched solve refused")
+        return aberth_roots(coeffs, seeds, *args, **kwargs)
+
+    _block_survey.cache_clear()
+    monkeypatch.setattr(search, "aberth_roots", counting)
+    try:
+        for r in (r for d in range(1, 10) for r in enumerate_01(d)):
+            for _ in range(2):
+                try:
+                    split_survey(r)
+                except NumericFailure:
+                    pass
+    finally:
+        monkeypatch.undo()
+        _block_survey.cache_clear()
+    return calls
+
+
+def test_block_survey_solves_each_block_once(monkeypatch):
+    # _block_survey is the double pass's one cache: 13 blocks of 64 masks
+    # (one per degree up to 7, then 2 and 4) take one batched solve each,
+    # and with batches refused each of the 511 masks takes one solve alone
+    assert _solve_counts(monkeypatch, refuse_batches=False) == {1: 0, 2: 13}
+    assert _solve_counts(monkeypatch, refuse_batches=True) == {1: 511, 2: 13}
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [([1j], "unbalanced half-planes"), ([1 + 1j, 3 - 1j], "no matching lower root")],
+)
+def test_units_refuses_roots_it_cannot_pair(roots, message):
+    with pytest.raises(NumericFailure, match=f"conjugate pairing failed: {message}"):
+        _units(roots, DEFAULT_TOL)
+
+
+#: how each pairing failure is made from the lower root of -i of 1+x+x^2+x^3
+UNPAIRED_LOWER_ROOT = {
+    "unbalanced half-planes": lambda z: z.conjugate(),
+    "no matching lower root": lambda z: z + 1,
+}
+
+
+@pytest.mark.parametrize("message", sorted(UNPAIRED_LOWER_ROOT))
+def test_unpaired_roots_fail_the_mask_and_the_scan_escalates_it(monkeypatch, message):
+    # a block solve that hands one mask roots _units cannot pair fails that
+    # mask's survey with the pairing's message; the scan escalates the mask,
+    # whose retry solves its factors alone and records the same splits
+    r = Newman01(3, 0b1111)  # (1+x)(1+x^2): roots -1 and +-i
+    block, row = _block_row(r)
+    want = scan(3).to_dict()
+
+    def unpaired(coeffs, seeds, *args, **kwargs):
+        z = aberth_roots(coeffs, seeds, *args, **kwargs)
+        if np.ndim(coeffs) == 2 and np.shape(coeffs)[1] == r.degree + 1:
+            z = z.copy()
+            lower = int(np.argmin(z[row].imag))
+            z[row, lower] = UNPAIRED_LOWER_ROOT[message](z[row, lower])
+        return z
+
+    _block_survey.cache_clear()
+    monkeypatch.setattr(search, "aberth_roots", unpaired)
+    try:
+        with pytest.raises(NumericFailure, match=f"conjugate pairing failed: {message}"):
+            split_survey(r)
+        got = scan(3).to_dict()
+    finally:
+        monkeypatch.undo()
+        _block_survey.cache_clear()
+    assert block == 0 and want["degrees"][2]["escalated"] == 0
+    want["degrees"][2]["escalated"] = 1
+    assert got == want
 
 
 def test_block_survey_is_cached_per_tolerance():
