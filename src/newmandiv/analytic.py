@@ -177,14 +177,10 @@ class QuinticRoots:
         )
 
 
-def _quintic_coeffs(t: float) -> List[complex]:
-    return [1.0, 0.0, 0.0, t, 0.0, 1.0]  # ascending: 1 + t x^3 + x^5
-
-
 def _polish(z: np.ndarray, t) -> np.ndarray:
     """Two Newton sweeps on x^5 + t x^3 + 1; they tighten the residual floor.
 
-    z is one root vector with a scalar t, or a table of rows with t a column.
+    z is a table of root rows and t the column of their parameters.
     """
     for _ in range(2):
         pv = z**5 + t * z**3 + 1
@@ -214,48 +210,19 @@ def _sectors(t: float, z: np.ndarray) -> QuinticRoots:
     return QuinticRoots(t=t, alpha=alpha, beta=beta, gamma=gamma, residual=resid)
 
 
-def find_roots(t: float, precision: int = 53) -> QuinticRoots:
-    """Roots of x^5 + t x^3 + 1 for 0 <= t <= 1.
-
-    Seeded at the exact t = 0 roots (fifth roots of -1) and polished with
-    Newton steps; for precision > 53 the double-precision roots are refined
-    with mpmath Newton iterations at the requested mantissa size, and the
-    dataclass carries mpmath numbers in its fields.
-    """
+def find_roots(t: float) -> QuinticRoots:
+    """Roots of x^5 + t x^3 + 1 for 0 <= t <= 1: root_table at one point."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    z = _polish(aberth_roots(_quintic_coeffs(t), _FIFTH_ROOTS_OF_MINUS_ONE), t)
-    roots = _sectors(t, z)
-    if precision <= 53:
-        return roots
-    import mpmath
-
-    with mpmath.workprec(precision + 10):
-        tm = mpmath.mpf(t)
-
-        def polish(r0):
-            r = mpmath.mpc(r0)
-            for _ in range(60):
-                f = r**5 + tm * r**3 + 1
-                df = 5 * r**4 + 3 * tm * r**2
-                step = f / df
-                r = r - step
-                if abs(step) < mpmath.mpf(2) ** (-precision) * (1 + abs(r)):
-                    break
-            return r
-
-        am = polish(roots.alpha).real
-        bm = polish(roots.beta)
-        gm = polish(roots.gamma)
-        resid = max(
-            abs(r**5 + tm * r**3 + 1) for r in (mpmath.mpc(am), bm, gm)
-        )
-        return QuinticRoots(t=t, alpha=am, beta=bm, gamma=gm, residual=float(resid))
+    return root_table([t])[0]
 
 
 def root_table(ts: Sequence[float]) -> List[QuinticRoots]:
-    """find_roots(t) for every t in ts (double precision), equal to it field
-    for field, from one batched Aberth solve and one pair of polish sweeps."""
+    """Roots of x^5 + t x^3 + 1 for every t in ts, in double precision.
+
+    One batched Aberth solve, seeded at the exact t = 0 roots (fifth roots of
+    -1), then two Newton sweeps over the whole table.
+    """
     ts = np.asarray(ts, dtype=float)
     if not np.all((0.0 <= ts) & (ts <= 1.0)):
         raise ValueError(f"t must lie in [0, 1], got values in [{ts.min()}, {ts.max()}]")
@@ -297,8 +264,15 @@ def _residue(rho, a):
 
 
 def _residues(roots: QuinticRoots) -> ResidueCoeffs:
-    """Double-precision residues from the roots at a = roots.t."""
+    """Residues from the roots at a = roots.t, for the start values
+    y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
+
+    Requires a > 0: at a = 0 all roots sit on the unit circle and alpha = -1
+    makes rho^2 - 1 vanish — the expansion degenerates.
+    """
     a = roots.t
+    if not a > 0.0:
+        raise ValueError(f"residues need 0 < a <= 1, got {a}")
     c_alpha = _residue(complex(roots.alpha), a)
     if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
         raise ArithmeticError(f"real residue drifted complex at a={a}")
@@ -310,33 +284,15 @@ def _residues(roots: QuinticRoots) -> ResidueCoeffs:
     )
 
 
-def residue_coeffs(a: float, precision: int = 53) -> ResidueCoeffs:
-    """Residues for the start values y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
-
-    Requires a > 0: at a = 0 all roots sit on the unit circle and alpha = -1
-    makes rho^2 - 1 vanish — the expansion degenerates.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"residues need 0 < a <= 1, got {a}")
-    roots = find_roots(a, precision=precision)
-    if precision <= 53:
-        return _residues(roots)
-    import mpmath
-
-    with mpmath.workprec(precision + 10):
-        am = mpmath.mpf(a)
-        return ResidueCoeffs(
-            a=a,
-            c_alpha=_residue(mpmath.mpc(roots.alpha), am).real,
-            c_beta=_residue(roots.beta, am),
-            c_gamma=_residue(roots.gamma, am),
-        )
+def residue_coeffs(a: float) -> ResidueCoeffs:
+    """Residues of the closed form at 0 < a <= 1, in double precision."""
+    return _residues(find_roots(a))
 
 
 def y_closed_sequence(a: float, n_max: int) -> np.ndarray:
     """y_0..y_{n_max} evaluated from the closed form (double precision)."""
     roots = find_roots(a)
-    res = residue_coeffs(a)
+    res = _residues(roots)
     ns = np.arange(n_max + 1)
     return (
         res.c_alpha * roots.alpha**ns

@@ -14,11 +14,12 @@ pinned to the all-ones pattern:
   coefficient c_N dropping from 1 to 0.  The punchline is b_{N+8} < 0:
   even granting the vanishing, the pattern collapses eight steps later.
 
-A float error bound e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|)
-rides along with the all-ones iteration (u = 2^-precision): a coefficient
-that leaves [0, 1] by no more than its bound is reported as indeterminate,
-not as a violation, since accumulated rounding could explain it.  The bound
-itself is computed in the iteration's own arithmetic, rounded to nearest and
+Both modes run in double precision.  A float error bound
+e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|) rides along with
+the all-ones iteration (u = 2^-53, the unit roundoff of double precision): a
+coefficient that leaves [0, 1] by no more than its bound is reported as
+indeterminate, not as a violation, since accumulated rounding could explain
+it.  The bound itself is computed in double precision, rounded to nearest and
 not rounded up, so it is rigorous only up to its own rounding: every term of
 e_n is nonnegative, so that rounding can shrink e_n by a relative amount of
 order n u at most.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, IO, List, Optional, Tuple, Union
 
@@ -80,7 +80,6 @@ class SimConfig:
 
     a: float
     max_n: int = 10000
-    precision: int = 53
     zero_threshold: float = 1e-6
     violation_tolerance: float = 1e-12
 
@@ -89,8 +88,6 @@ class SimConfig:
             raise ValueError(f"a must satisfy 0 <= a < 1, got {self.a}")
         if self.max_n < 6:
             raise ValueError("max_n must be at least 6")
-        if self.precision < 53:
-            raise ValueError("precision is a mantissa bit count >= 53")
         if self.zero_threshold <= 0 or self.violation_tolerance <= 0:
             raise ValueError("thresholds must be positive")
 
@@ -193,17 +190,13 @@ class AllOnesResult:
             "mode": "all-ones",
             "a": self.config.a,
             "max_n": self.config.max_n,
-            "precision": self.config.precision,
+            "precision": 53,
             "outcome": _outcome_dict(self.outcome),
             "steps": self.steps,
             "near_zero": list(self.near_zero),
             "error_bound_at_stop": self.error_bound_at_stop,
             "max_error_bound": self.max_error_bound,
         }
-
-
-def _init_b(a):
-    return [1.0 - 0.0 * a, 0.0, 1.0 - a, 0.0, 1.0 - a + a * a, 0.0]
 
 
 def run_all_ones(
@@ -216,71 +209,56 @@ def run_all_ones(
     Checks start at n = 6 (the six start values are in range for every
     0 <= a < 1 by inspection).  A b_n past 0 or 1 by more than the
     violation tolerance is a violation when its overshoot exceeds the
-    running error bound e_n, and Indeterminate otherwise.  precision > 53 runs the same loop in
-    mpmath arithmetic with the matching unit roundoff.  e_n is computed in
-    that same arithmetic, round-to-nearest rather than rounded up, so the
+    running error bound e_n, and Indeterminate otherwise.  e_n is computed
+    in double precision, round-to-nearest rather than rounded up, so the
     verdict is rigorous only up to the rounding of e_n itself.
     """
     a = config.a
     eps = config.violation_tolerance
-    hp = config.precision > 53
+    u = 2.0**-53
+    bs = [1.0, 0.0, 1.0 - a, 0.0, 1.0 - a + a * a, 0.0]
+    errs = [0.0, 0.0, u, 0.0, 2 * u, 0.0]
 
-    if hp:
-        import mpmath
-    ctx = mpmath.workprec(config.precision + 5) if hp else nullcontext()
-    with ctx:
-        if hp:
-            am = mpmath.mpf(a)
-            bs = [mpmath.mpf(1), mpmath.mpf(0), 1 - am, mpmath.mpf(0), 1 - am + am * am, mpmath.mpf(0)]
-            u = mpmath.mpf(2) ** (-config.precision)
-        else:
-            am = a
-            bs = _init_b(a)
-            u = 2.0**-53
-        errs = [0 * u, 0 * u, u, 0 * u, 2 * u, 0 * u]
+    series: List[float] = list(bs) if collect else []
+    eseries: List[float] = list(errs) if collect else []
+    near_zero: List[int] = []
+    max_err = max(errs)
 
-        series: List[float] = [float(x) for x in bs] if collect else []
-        eseries: List[float] = [float(x) for x in errs] if collect else []
-        near_zero: List[int] = []
-        max_err = max(float(e) for e in errs)
+    if trace is not None:
+        trace.write(_TRACE_HEADER + "\n")
+        for i in range(6):
+            trace.write(_trace_line(i, bs[i], _INIT_C[i], 0.0, errs[i]) + "\n")
 
+    window = bs[1:]   # b_{n-5}..b_{n-1} entering n = 6
+    ewin = errs[1:]
+    outcome: Optional[SimOutcome] = None
+    n = 5
+    while n < config.max_n:
+        n += 1
+        b2, b5 = window[3], window[0]
+        e2, e5 = ewin[3], ewin[0]
+        bn = 1 - a * b2 - b5
+        en = a * e2 + e5 + u * (2 + a * abs(b2) + abs(b5))
+        window = window[1:] + [bn]
+        ewin = ewin[1:] + [en]
+        max_err = max(max_err, en)
+        if collect:
+            series.append(bn)
+            eseries.append(en)
         if trace is not None:
-            trace.write(_TRACE_HEADER + "\n")
-            for i in range(6):
-                trace.write(_trace_line(i, float(bs[i]), _INIT_C[i], 0.0, float(errs[i])) + "\n")
-
-        window = bs[1:]   # b_{n-5}..b_{n-1} entering n = 6
-        ewin = errs[1:]
-        outcome: Optional[SimOutcome] = None
-        n = 5
-        while n < config.max_n:
-            n += 1
-            b2, b5 = window[3], window[0]
-            e2, e5 = ewin[3], ewin[0]
-            bn = 1 - am * b2 - b5
-            en = am * e2 + e5 + u * (2 + am * abs(b2) + abs(b5))
-            window = window[1:] + [bn]
-            ewin = ewin[1:] + [en]
-            bf, ef = float(bn), float(en)
-            max_err = max(max_err, ef)
-            if collect:
-                series.append(bf)
-                eseries.append(ef)
-            if trace is not None:
-                trace.write(_trace_line(n, bf, 1, 0.0, ef) + "\n")
-            if abs(bf) <= config.zero_threshold and len(near_zero) < 32:
-                near_zero.append(n)
-            if bf < -eps or bf > 1 + eps:
-                if (-bf if bf < 0 else bf - 1) <= ef:
-                    outcome = Indeterminate(n, bf, ef)
-                elif bf < 0:
-                    outcome = NegativeCoefficient(n, bf)
-                else:
-                    outcome = ExceedsOne(n, bf)
-                break
-        if outcome is None:
-            outcome = NoViolationUpTo(config.max_n)
-        stop_err = float(ewin[-1])
+            trace.write(_trace_line(n, bn, 1, 0.0, en) + "\n")
+        if abs(bn) <= config.zero_threshold and len(near_zero) < 32:
+            near_zero.append(n)
+        if bn < -eps or bn > 1 + eps:
+            if (-bn if bn < 0 else bn - 1) <= en:
+                outcome = Indeterminate(n, bn, en)
+            elif bn < 0:
+                outcome = NegativeCoefficient(n, bn)
+            else:
+                outcome = ExceedsOne(n, bn)
+            break
+    if outcome is None:
+        outcome = NoViolationUpTo(config.max_n)
 
     b = e = None
     if collect:
@@ -292,7 +270,7 @@ def run_all_ones(
         outcome=outcome,
         steps=n,
         near_zero=tuple(near_zero),
-        error_bound_at_stop=stop_err,
+        error_bound_at_stop=ewin[-1],
         max_error_bound=max_err,
         b=b,
         e=e,
@@ -352,7 +330,7 @@ class CounterfactualResult:
         return {
             "mode": "counterfactual",
             "a": self.config.a,
-            "precision": self.config.precision,
+            "precision": 53,
             "N": self.N,
             "estimate": self.estimate,
             "s": self.s,
@@ -390,8 +368,7 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
         raise ValueError(
             f"counterfactual mode runs in the small-coefficient regime 0 < a <= 0.005, got {a}"
         )
-    hp = config.precision > 53
-    from .analytic import estimate_N, find_roots, residue_coeffs
+    from .analytic import _residues, estimate_N, find_roots
 
     est = estimate_N(a)
     center = max(est, 10000.0 + COUNTERFACTUAL_WINDOW)
@@ -400,58 +377,43 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
     if hi < lo:
         raise NoCandidateError(f"empty candidate window [{lo}, {hi}]")
 
-    if hp:
-        import mpmath
-    ctx = mpmath.workprec(config.precision + 10) if hp else nullcontext()
-    with ctx:
-        roots = find_roots(a, precision=config.precision)
-        res = residue_coeffs(a, precision=config.precision)
-        alpha, beta, gamma = roots.alpha, roots.beta, roots.gamma
-        ca, cb, cg = res.c_alpha, res.c_beta, res.c_gamma
-        if hp:
-            s = 1 / (2 + mpmath.mpf(a))
-            phase = lambda z: float(mpmath.arg(z))
-            re = lambda z: z.real
-            mk = mpmath.mpc
-        else:
-            s = 1.0 / (2.0 + a)
-            phase = cmath.phase
-            re = lambda z: z.real
-            mk = complex
-        b3 = beta**3
+    roots = find_roots(a)
+    res = _residues(roots)
+    alpha, beta, gamma = roots.alpha, roots.beta, roots.gamma
+    ca, cb, cg = res.c_alpha, res.c_beta, res.c_gamma
+    s = 1.0 / (2.0 + a)
+    b3 = beta**3
 
-        best = None
-        for n in range(lo, hi + 1):
-            A = ca * alpha ** (n - 2)
-            C = 2 * cg * gamma ** (n - 2)
-            ReB = -(A + re(C) + s)
-            ImB = (ReB * re(b3) + (A * alpha**3 + re(C * gamma**3) + s)) / b3.imag
-            B = mk(ReB, ImB)
-            direct = 2 * cb * beta ** (n - 2)
-            score = abs(phase(direct / B)) + 1e-3 * abs(n - center)
-            if best is None or score < best[0]:
-                best = (score, n, B, direct)
-        score, N, B, direct = best
+    best = None
+    for n in range(lo, hi + 1):
+        A = ca * alpha ** (n - 2)
+        C = 2 * cg * gamma ** (n - 2)
+        ReB = -(A + C.real + s)
+        ImB = (ReB * b3.real + (A * alpha**3 + (C * gamma**3).real + s)) / b3.imag
+        B = complex(ReB, ImB)
+        direct = 2 * cb * beta ** (n - 2)
+        score = abs(cmath.phase(direct / B)) + 1e-3 * abs(n - center)
+        if best is None or score < best[0]:
+            best = (score, n, B, direct)
+    score, N, B, direct = best
 
-        A = ca * alpha ** (N - 2)
-        C = 2 * cg * gamma ** (N - 2)
-        y_prime: Dict[int, float] = {}
-        for m in range(-1, 14):
-            y_prime[N - 2 + m] = float(A * alpha**m + re(B * beta**m) + re(C * gamma**m))
+    A = ca * alpha ** (N - 2)
+    C = 2 * cg * gamma ** (N - 2)
+    y_prime: Dict[int, float] = {}
+    for m in range(-1, 14):
+        y_prime[N - 2 + m] = float(A * alpha**m + (B * beta**m).real + (C * gamma**m).real)
 
-        d = deviation_stream(float(a))
-        sf = float(s)
-        b: Dict[int, float] = {}
-        for k in range(-6, 9):
-            dk = d[k] if k >= 0 else 0.0
-            b[N + k] = y_prime[N + k + 3] + sf + dk
+    d = deviation_stream(a)
+    b: Dict[int, float] = {}
+    for k in range(-6, 9):
+        dk = d[k] if k >= 0 else 0.0
+        b[N + k] = y_prime[N + k + 3] + s + dk
 
-        # what the unforced sequence leaves at the two pins
-        y_nat = lambda m: float(
-            ca * alpha**m + 2 * re(cb * beta**m) + 2 * re(cg * gamma**m)
-        )
-        raw_residual = abs(y_nat(N - 2) + sf) + abs(y_nat(N + 1) + sf)
-        ratio = float(abs(direct / B))
+    # what the unforced sequence leaves at the two pins
+    y_nat = lambda m: float(
+        ca * alpha**m + 2 * (cb * beta**m).real + 2 * (cg * gamma**m).real
+    )
+    raw_residual = abs(y_nat(N - 2) + s) + abs(y_nat(N + 1) + s)
 
     forced = max(abs(b[N - 5]), abs(b[N - 2]), abs(b[N]))
     if forced > _FORCED_RESIDUAL_LIMIT:
@@ -476,13 +438,13 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
     return CounterfactualResult(
         config=config,
         N=N,
-        estimate=float(est),
-        s=float(s),
+        estimate=est,
+        s=s,
         b=b,
         y_prime=y_prime,
-        phase_score=float(score),
-        amplitude_ratio=ratio,
-        raw_residual_at_N=float(raw_residual),
+        phase_score=score,
+        amplitude_ratio=float(abs(direct / B)),
+        raw_residual_at_N=raw_residual,
         outcome=outcome,
     )
 

@@ -1,9 +1,11 @@
 """CLI tests: document shape, exit codes, determinism, flag parsing."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,10 +314,14 @@ def test_verify_parallel_matches_sequential(capsys):
 
 
 def test_console_module_entry():
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-m", "newmandiv.cli", "roots", "--t", "0.005"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=120,
     )
     assert out.returncode == 0

@@ -6,7 +6,6 @@ import json
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +46,6 @@ def test_config_boundary_a_zero_allowed():
     "kwargs",
     [
         dict(max_n=5),
-        dict(precision=52),
         dict(zero_threshold=0.0),
         dict(violation_tolerance=-1e-12),
     ],
@@ -122,27 +120,37 @@ def test_all_ones_overshoot_within_error_bound_is_indeterminate():
     assert r.violated()
 
 
+def _exact_all_ones(a, max_n):
+    """b_0, b_1, ... of the all-ones recurrence in exact rationals at the
+    double a, up to index max_n or to the first value outside [0, 1]."""
+    a = Fraction(a)
+    b = [Fraction(1), Fraction(0), 1 - a, Fraction(0), 1 - a + a * a, Fraction(0)]
+    while len(b) <= max_n and 0 <= b[-1] <= 1:
+        n = len(b)
+        b.append(1 - a * b[n - 2] - b[n - 5])
+    return b
+
+
 def test_all_ones_error_bound_is_sound():
-    # drive the same run in 200-bit arithmetic; the double-precision values
-    # must sit inside their claimed error bounds at every index
-    cfg = SimConfig(a=0.005, max_n=400)
-    rf = run_all_ones(cfg, collect=True)
-    rm = run_all_ones(SimConfig(a=0.005, max_n=400, precision=200), collect=True)
+    # every double-precision value lies within its claimed error bound of
+    # the exact rational value, with no slack for any further rounding
+    rf = run_all_ones(SimConfig(a=0.005, max_n=400), collect=True)
+    exact = _exact_all_ones(0.005, 400)
     assert isinstance(rf.outcome, NoViolationUpTo)
-    assert len(rf.b) == len(rm.b) == 401
-    gap = np.abs(rf.b - rm.b)
-    # allow one rounding for the float() cast of the reference values
-    assert np.all(gap <= rf.e + 2.0**-52)
+    assert len(rf.b) == len(exact) == 401
+    for n, (b, e, want) in enumerate(zip(rf.b, rf.e, exact)):
+        assert abs(Fraction(float(b)) - want) <= Fraction(float(e)), n
     assert rf.e[-1] < 1e-12
 
 
 def test_all_ones_high_precision_matches_double():
-    r53 = run_all_ones(SimConfig(a=0.3))
-    r160 = run_all_ones(SimConfig(a=0.3, precision=160))
-    assert isinstance(r160.outcome, NegativeCoefficient)
-    assert r160.outcome.n == r53.outcome.n
-    assert r160.outcome.value == pytest.approx(r53.outcome.value, abs=1e-12)
-    assert r160.error_bound_at_stop < 1e-40
+    # the exact rational run leaves [0, 1] at the index the double run
+    # reports, with the same value to within a few units in the last place
+    r = run_all_ones(SimConfig(a=0.3))
+    exact = _exact_all_ones(0.3, 10000)
+    assert isinstance(r.outcome, NegativeCoefficient)
+    assert r.outcome.n == len(exact) - 1 == 39
+    assert abs(r.outcome.value - float(exact[-1])) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,10 +329,20 @@ def test_counterfactual_grid_closing_bounds():
         assert b8_consistency(c)["holds"]
 
 
-def test_counterfactual_high_precision_agrees(counterfactual_003):
-    c = counterfactual_run(SimConfig(a=0.003, precision=160))
-    assert c.N == counterfactual_003.N
-    assert c.b8 == pytest.approx(counterfactual_003.b8, abs=1e-12)
+def test_counterfactual_solves_the_quintic_once(monkeypatch):
+    # the residues come from the roots the run already found
+    from newmandiv import analytic
+
+    calls = []
+    solve = analytic.aberth_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "aberth_roots", counted)
+    counterfactual_run(SimConfig(a=0.003))
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
