@@ -412,7 +412,10 @@ class EstimateGrids:
 
     unit and small lie inside [0, 1]; large lies inside (0, 1], because the
     residues of check (c) degenerate at a = 0.  unit and large hold at least
-    two points, because checks (a) and (e) difference along them.
+    two points, because checks (a) and (e) difference along them.  No grid
+    holds more than _MAX_GRID_POINTS (10^5) points, so that a mistyped step
+    is a CapacityError, not an allocation of gigabytes; the defaults hold at
+    most 1,001.
     """
 
     unit: Tuple[float, float, float] = (0.0, 1.0, 1e-3)       # t over the whole interval
@@ -428,9 +431,17 @@ class EstimateGrids:
                 raise ValueError(f"grid large={start}:{stop}:{step} must lie inside (0, 1]")
             if not (0 <= start and stop <= 1):
                 raise ValueError(f"grid {name}={start}:{stop}:{step} must lie inside [0, 1]")
+            # _grid_size > cap, tested on the unrounded quotient, which a
+            # step near the smallest float makes inf
+            if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
+                raise CapacityError(f"grid {name}={start}:{stop}:{step} has more than {_MAX_GRID_POINTS} points")
             # (a) and (e) take successive differences along unit and large
             if name != "small" and _grid_size(start, stop, step) < 2:
                 raise ValueError(f"grid {name}={start}:{stop}:{step} needs at least two points")
+
+
+#: points per estimate grid
+_MAX_GRID_POINTS = 10**5
 
 
 def _grid_size(start: float, stop: float, step: float) -> int:

@@ -27,14 +27,15 @@ The double pass works in blocks of 64 consecutive masks of a degree and
 on arrays.  One batched Aberth solve finds the roots of a block; its masks
 are then grouped by unit shape, and every split of every mask of a group,
 with its complement, is expanded at once on float64 real and imaginary
-planes and classified by masked reductions.  Both run the float operations
-of the per-mask, per-split computation in the same order, so every verdict
-and coefficient is the same to the last bit.  When split_survey first asks
-for a mask of a block, the block is solved and surveyed; the survey, not
-the roots, is the one thing kept, until the next block, and each mask's
-SplitCandidates are built from it on each call.  The retry keeps the plain
-list expansion on mpmath numbers, which is also the reference the tests
-hold the array expansion to.
+planes, in the float operations of the per-split product loop and in
+their order, so every coefficient is that loop's to the last bit.  When
+split_survey first asks for a mask of a block, the block is solved and
+surveyed; the survey, not the roots, is the one thing kept, until the next
+block, and each mask's SplitCandidates are built from it on each call.
+The retry expands its splits on lists of mpmath numbers at its precision
+and rounds them to planes of one mask.  Both passes then reach their
+verdicts, and their imaginary-residue failures, by the same masked
+reductions, in _classify.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ _REAL_AXIS_FACTOR = 1e3
 #: mask by mask, 0.095 s in blocks of 16 and 0.041 s in one block (medians
 #: of 5 on one core of a 2-core Intel Xeon VM).  Up to degree 12 no block
 #: has more than two unit shapes, so the block survey expands the 1024
-#: masks of degree 11 in 36 _survey_group calls, where the per-mask
+#: masks of degree 11 in 36 _expand_group calls, where the per-mask
 #: expansion made six per mask.
 _BLOCK = 64
 
@@ -153,23 +154,6 @@ class SplitCandidate(NamedTuple):
     classification: Classification
     min_coefficient: float   # most negative coefficient over both factors
     deviation_01: float      # largest distance of any coefficient from {0,1}
-
-
-def _classify_coeffs(p: Sequence[float], q: Sequence[float], tol: float) -> Tuple[Classification, float, float]:
-    both = list(p) + list(q)
-    m = min(both)
-    dev = max(min(abs(c), abs(c - 1)) for c in both)
-    if m < -_ESCALATION_TOL_FACTOR * tol:
-        # a decisively negative coefficient: this split is fair by default
-        return Classification.FAIR, m, dev
-    if m < -tol:
-        return Classification.INDETERMINATE, m, dev
-    # nonnegative within tolerance; fair iff both factors are 0-1
-    if dev <= tol:
-        return Classification.FAIR, m, dev
-    if dev > _ESCALATION_TOL_FACTOR * tol:
-        return Classification.UNFAIR, m, dev
-    return Classification.INDETERMINATE, m, dev
 
 
 # --------------------------------------------------------------------------
@@ -360,58 +344,6 @@ def _products(units) -> List[List]:
     return products
 
 
-def _real_part(poly, im_limit: float):
-    """Real coefficients of an expanded product and its worst imaginary residue.
-
-    Residue beyond im_limit means the conjugate pairing itself went wrong,
-    not just root noise, and is raised as a failure.
-    """
-    worst_im = max(abs(float(c.imag)) for c in poly)
-    if worst_im > im_limit:
-        raise NumericFailure(f"imaginary residue {worst_im:.3g} above {im_limit:.3g}")
-    return [float(c.real) for c in poly], worst_im
-
-
-def _subset(units, picked: int) -> Tuple[int, ...]:
-    """Root indices of the units in the bitmask picked, ascending."""
-    return tuple(sorted(i for k, (idx, _) in enumerate(units) if (picked >> k) & 1 for i in idx))
-
-
-def _survey_lists(units, tol: float) -> List[SplitCandidate]:
-    """Every split of units, expanded one at a time on lists of scalars.
-
-    This is the retry's path on mpmath numbers, run inside the caller's
-    working precision, and the reference for the block survey.
-    """
-    im_limit = _REAL_AXIS_FACTOR * tol
-    # the smaller mask of a subset/complement pair is the one without the
-    # top unit, so only subsets of the lower units are tabulated; each
-    # complement is its lower part times the top unit's factor
-    top = units[-1][1]
-    products = _products(units[:-1])
-    rest = len(products) - 1
-    out: List[SplitCandidate] = []
-    for picked in range(1, len(products)):
-        p, p_im = _real_part(products[picked], im_limit)
-        q, q_im = _real_part(_mul(products[rest ^ picked], top), im_limit)
-        cls, mc, dev = _classify_coeffs(p, q, tol)
-        if max(p_im, q_im) > tol:
-            # coefficients carry more imaginary noise than the verdict
-            # thresholds tolerate: defer to the escalation pass
-            cls = Classification.INDETERMINATE
-        out.append(
-            SplitCandidate(
-                subset=_subset(units, picked),
-                p_coeffs=tuple(p),
-                q_coeffs=tuple(q),
-                classification=cls,
-                min_coefficient=mc,
-                deviation_01=dev,
-            )
-        )
-    return out
-
-
 def _expand_planes(re: np.ndarray, im: np.ndarray, factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Planes re + i im, (masks x rows x width), times one unit factor per
     mask: row m of factors holds mask m's factor coefficients, ascending.
@@ -433,18 +365,14 @@ def _expand_planes(re: np.ndarray, im: np.ndarray, factors: np.ndarray) -> Tuple
     return out_re, out_im
 
 
-def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optional[str]]]:
-    """The double pass of masks whose units have equal factor lengths.
+def _expand_group(group) -> Tuple[np.ndarray, ...]:
+    """Every split of masks whose units have equal factor lengths, expanded
+    at once on float64 planes (masks x splits x width), as _classify takes them.
 
-    Returns the arrays that _candidates reads each mask's splits from, which
-    are those of _survey_lists(units, tol) bit for bit, and per mask the
-    message of its NumericFailure, or None.  The product table is built on
-    planes (masks x rows x width), its rows indexed by unit bitmask as in
-    _products and padded with zeros to the width of the whole polynomial; the
-    checks of _real_part and _classify_coeffs become reductions over each
-    row's own coefficients.
+    The product table is built on planes, its rows indexed by unit bitmask as
+    in _products and padded with zeros to the width of the whole polynomial;
+    each split's P and Q come out bit for bit as _products makes them.
     """
-    im_limit = _REAL_AXIS_FACTOR * tol
     lengths = [len(factor) for _, factor in group[0]]
     m, n = len(group), 1 << (len(lengths) - 1)
     width = sum(lengths) - len(lengths) + 1
@@ -463,31 +391,44 @@ def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optio
         degree[half : 2 * half] = degree[:half] + lengths[k] - 1
     # split k of every array below is the split picked = k + 1, whose
     # complement (n - 1) ^ picked = n - 2 - k is row k of the reversed table
-    p_re, p_im = re[:, 1:], im[:, 1:]
     q_re, q_im = _expand_planes(re[:, -2::-1], im[:, -2::-1], factors[-1])
-    p_len = degree[1:] + 1
-    q_len = width - degree[1:]
+    return re[:, 1:], im[:, 1:], q_re, q_im, degree[1:] + 1, root_bits[:, 1:]
+
+
+def _classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol: float):
+    """The verdict rule, for every split of masks laid out on planes.
+
+    p_re + i p_im and q_re + i q_im (masks x splits x width) hold each split's
+    factors P and Q, ascending and zero past their lengths; p_len (splits)
+    is the length of P, and root_bits (masks x splits) the split's roots as
+    a bitmask.  Returns the arrays _candidates reads each mask's splits
+    from, and per mask the message of its NumericFailure, or None.
+    """
+    im_limit = _REAL_AXIS_FACTOR * tol
+    width = p_re.shape[2]
+    q_len = width + 1 - p_len
     in_p = np.arange(width) < p_len[:, None]
     in_q = np.arange(width) < q_len[:, None]
 
+    # imaginary residue beyond im_limit means the conjugate pairing itself
+    # went wrong, not just root noise: the mask fails at its first such
+    # split, P before Q
     p_worst = np.where(in_p, np.abs(p_im), 0.0).max(axis=2)
     q_worst = np.where(in_q, np.abs(q_im), 0.0).max(axis=2)
     over = (p_worst > im_limit) | (q_worst > im_limit)
-    failures: List[Optional[str]] = [None] * m
+    failures: List[Optional[str]] = [None] * len(p_re)
     for i in np.flatnonzero(over.any(axis=1)).tolist():
-        k = int(np.argmax(over[i]))  # the first split the list path would reject
+        k = int(np.argmax(over[i]))
         worst = p_worst[i, k] if p_worst[i, k] > im_limit else q_worst[i, k]
         failures[i] = f"imaginary residue {worst:.3g} above {im_limit:.3g}"
 
-    def dist01(x):
-        return np.minimum(np.abs(x), np.abs(x - 1))
-
     low = np.minimum(np.where(in_p, p_re, np.inf).min(axis=2), np.where(in_q, q_re, np.inf).min(axis=2))
-    dev = np.maximum(
-        np.where(in_p, dist01(p_re), -np.inf).max(axis=2),
-        np.where(in_q, dist01(q_re), -np.inf).max(axis=2),
+    dev = np.maximum(  # each coefficient's distance from {0, 1}, at its worst
+        np.where(in_p, np.minimum(np.abs(p_re), np.abs(p_re - 1)), -np.inf).max(axis=2),
+        np.where(in_q, np.minimum(np.abs(q_re), np.abs(q_re - 1)), -np.inf).max(axis=2),
     )
-    # _classify_coeffs's cases in its order, then the imaginary-noise deferral
+    # a decisively negative coefficient makes a split fair by default; one
+    # nonnegative within tol is fair iff both factors are 0-1
     fair, unfair, indeterminate = range(len(_VERDICTS))
     loose = _ESCALATION_TOL_FACTOR * tol
     verdict = np.select(
@@ -495,11 +436,12 @@ def _survey_group(group, tol: float) -> Tuple[Tuple[np.ndarray, ...], List[Optio
         [fair, indeterminate, fair, unfair],
         indeterminate,
     )
+    # imaginary noise above tol defers a split to the escalation pass
     verdict[np.maximum(p_worst, q_worst) > tol] = indeterminate
-    return (p_re, q_re, p_len, q_len, verdict, low, dev, root_bits[:, 1:]), failures
+    return (p_re, q_re, p_len, q_len, verdict, low, dev, root_bits), failures
 
 
-#: float64 elements per plane of one _survey_group call (128 KB): a block's
+#: float64 elements per plane of one _expand_group call (128 KB): a block's
 #: masks of one unit shape are surveyed in runs that fit, so every degree
 #: works on a few such planes.  In scan(11) this raises peak RSS by 0.9 MB
 #: over the per-mask survey; whole groups of up to 64 masks raised it by
@@ -511,7 +453,7 @@ _PLANE_ELEMENTS = 1 << 14
 def _block_survey(degree: int, block: int, tol: float) -> List[object]:
     """The double pass of every mask of a _block_roots block, one entry per
     mask: the message of its NumericFailure, None when it has fewer than two
-    units, or (arrays, i) when it is mask i of a _survey_group call.
+    units, or (arrays, i) when it is mask i of a _classify call.
 
     This is the double pass's one cache: each block is solved once, by one
     _block_roots call, and units come from _units mask by mask; the masks
@@ -537,7 +479,7 @@ def _block_survey(degree: int, block: int, tol: float) -> List[object]:
         step = max(1, _PLANE_ELEMENTS // size)
         for at in range(0, len(members), step):
             run = members[at : at + step]
-            arrays, failures = _survey_group([units for _, units in run], tol)
+            arrays, failures = _classify(*_expand_group([units for _, units in run]), tol)
             for i, ((row, _), failure) in enumerate(zip(run, failures)):
                 entries[row] = failure or (arrays, i)
     return entries
@@ -555,7 +497,7 @@ def _bit_positions(start: int, stop: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[SplitCandidate]:
-    """The SplitCandidates of mask i of a _survey_group call at this degree."""
+    """The SplitCandidates of mask i of a _classify call at this degree."""
     p_re, q_re, p_len, q_len, verdict, low, dev, root_bits = arrays
     # a subset is its root bitmask's low and high halves looked up apart, so
     # the tables stay at 2^12 entries up to MAX_DEGREE
@@ -583,8 +525,9 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     Subset/complement pairs are visited once (the lexicographically smaller
     unit mask is kept).  precision 53 reads r's entry of its block's
     double-precision survey and builds its candidates from it; higher values
-    switch to an mpmath root pass and the list expansion at that mantissa.
-    tol must lie in [1e-10, 1e-4] and precision be at least 53 bits.
+    find r's roots and expand its splits with mpmath at that mantissa, and
+    classify them as the double pass does.  tol must lie in [1e-10, 1e-4]
+    and precision be at least 53 bits.
 
     At 53 bits one mask costs its whole block: the first call for a block
     solves and surveys all of its masks and keeps the arrays.  One mask took
@@ -607,7 +550,24 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
 
     with mpmath.workprec(precision):
         units = _units(_roots_squarefree(r), tol)
-        return _survey_lists(units, tol) if len(units) >= 2 else []
+        # split k: subset k of the lower units, and the rest times the top unit
+        products = _products(units[:-1])
+        n = len(products)
+        if n < 2:
+            return []
+        planes = np.zeros((2, 2, 1, n - 1, r.degree + 1))  # P and Q, each real and imaginary
+        for k in range(1, n):
+            for plane, poly in zip(planes, (products[k], _mul(products[n - 1 - k], units[-1][1]))):
+                plane[:, 0, k - 1, : len(poly)] = [[float(c.real) for c in poly], [float(c.imag) for c in poly]]
+    root_bits = [0]
+    for idx, _ in units[:-1]:
+        root_bits += [b | sum(1 << i for i in idx) for b in root_bits]
+    (p_re, p_im), (q_re, q_im) = planes
+    p_len = np.array([len(poly) for poly in products[1:]])
+    arrays, (failure,) = _classify(p_re, p_im, q_re, q_im, p_len, np.array([root_bits[1:]]), tol)
+    if failure is not None:
+        raise NumericFailure(failure)
+    return _candidates(r.degree, arrays, 0)
 
 
 def classify(r: Newman01, tol: float = DEFAULT_TOL) -> List[SplitCandidate]:

@@ -461,7 +461,8 @@ def verify_range(
     checkpoint: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> VerifyReport:
-    """Settle every case 5 <= n <= max_n with the given ascending primes.
+    """Settle every case 5 <= n <= max_n with the given ascending primes
+    (at least one).
 
     One pass per prime: resultants are computed only for cases no earlier
     prime settled and the skip rule admits, so later (more expensive) primes
@@ -475,6 +476,8 @@ def verify_range(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     plist = [int(p) for p in primes]
+    if not plist:
+        raise ValueError("no primes given")
     for q in plist:
         Prime(q)  # validates primality and range
     if plist != sorted(set(plist)):

@@ -462,6 +462,20 @@ COARSE = EstimateGrids(
 )
 
 
+@pytest.mark.parametrize(
+    "name, spec",
+    [("small", (0.0, 0.005, 1e-12)), ("unit", (0.0, 1.0, 5e-324)), ("large", (0.5, 1.0, 1e-9))],
+    ids=["small-5e9-points", "unit-quotient-overflows", "large-5e8-points"],
+)
+def test_grids_above_the_point_cap_are_refused(name, spec):
+    # billions of points, and a step too small to divide by: refused by name
+    # before any array is built
+    with pytest.raises(CapacityError, match=f"grid {name}=.* has more than 100000 points"):
+        EstimateGrids(**{name: spec})
+    at_cap = EstimateGrids(unit=(0.0, 1.0, 1e-5 + 1e-15))
+    assert len(_grid(at_cap.unit)) == 100_000
+
+
 def test_battery_all_pass_coarse():
     results = check_estimates(COARSE)
     assert [c.check_id for c in results] == list("abcdefghijklm")

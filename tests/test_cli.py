@@ -187,6 +187,17 @@ def test_verify_rejects_job_count_below_one(capsys, tmp_path, jobs):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("primes", ["0..1", ""], ids=["no-prime-in-range", "empty"])
+def test_verify_rejects_an_empty_prime_list(capsys, tmp_path, primes):
+    # a usage error, not a run whose cases all stay unproven
+    path = tmp_path / "ck.txt"
+    code, doc, err = run_cli(capsys, "verify-resultants", "--max-n", "60", "--primes", primes, "--checkpoint", str(path))
+    assert code == 2
+    assert doc is None
+    assert "no primes given" in err
+    assert not path.exists()
+
+
 def test_verify_parameters_materialize_prime_range(capsys):
     code, doc, _ = run_cli(capsys, "verify-resultants", "--max-n", "60", "--primes", "2..13", "--jobs", "1")
     assert code == 0
@@ -232,6 +243,14 @@ def test_estimates_one_point_small_grid(capsys):
                            "--grid", "small=0.001:0.001:0.1")
     assert code == 0
     assert doc["report"]["grids"]["small"] == [0.001, 0.001, 0.1]
+
+
+def test_estimates_grid_above_the_point_cap_exits_2(capsys):
+    # about 5e9 points: refused before any array is built
+    code, doc, err = run_cli(capsys, "estimates", "--grid", "small=0:0.005:1e-12")
+    assert code == 2
+    assert doc is None
+    assert "grid small=0.0:0.005:1e-12 has more than 100000 points" in err
 
 
 def test_estimates_bad_grid(capsys):

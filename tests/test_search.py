@@ -15,6 +15,7 @@ from newmandiv.search import (
     DEFAULT_TOL,
     Newman01,
     NumericFailure,
+    SplitCandidate,
     classify,
     enumerate_01,
     scan,
@@ -26,7 +27,6 @@ from newmandiv.search import (
     _block_roots,
     _block_row,
     _block_survey,
-    _classify_coeffs,
     _products,
     _seeds,
     _units,
@@ -192,6 +192,49 @@ def _product_by_loop(units, picked, zero):
     return poly
 
 
+def _verdict(p, q, tol):
+    # the reference verdict rule on lists of floats: a decisively negative
+    # coefficient makes a split fair; one nonnegative within tol is fair iff
+    # both factors are 0-1
+    both = list(p) + list(q)
+    m = min(both)
+    dev = max(min(abs(c), abs(c - 1)) for c in both)
+    loose = search._ESCALATION_TOL_FACTOR * tol
+    if m < -loose:
+        return Classification.FAIR, m, dev
+    if m < -tol:
+        return Classification.INDETERMINATE, m, dev
+    if dev <= tol:
+        return Classification.FAIR, m, dev
+    if dev > loose:
+        return Classification.UNFAIR, m, dev
+    return Classification.INDETERMINATE, m, dev
+
+
+def _survey_by_loop(units, tol):
+    # the reference survey: each split's factors multiplied by the loop and
+    # classified one split at a time, on scalars of whatever type the units
+    # hold; the SplitCandidates, or the message the mask fails with at its
+    # first split whose P, then Q, carries imaginary residue above the limit
+    im_limit = search._REAL_AXIS_FACTOR * tol
+    full = (1 << len(units)) - 1
+    out = []
+    for picked in range(1, 1 << (len(units) - 1)):
+        p_poly, q_poly = _product_by_loop(units, picked, 0.0), _product_by_loop(units, full ^ picked, 0.0)
+        worst = [max(abs(float(c.imag)) for c in poly) for poly in (p_poly, q_poly)]
+        for w in worst:
+            if w > im_limit:
+                return f"imaginary residue {w:.3g} above {im_limit:.3g}"
+        p, q = [float(c.real) for c in p_poly], [float(c.real) for c in q_poly]
+        cls, mc, dev = _verdict(p, q, tol)
+        if max(worst) > tol:
+            # more imaginary noise than the thresholds tolerate: defer
+            cls = Classification.INDETERMINATE
+        subset = tuple(sorted(i for k, (idx, _) in enumerate(units) if (picked >> k) & 1 for i in idx))
+        out.append(SplitCandidate(subset, tuple(p), tuple(q), cls, mc, dev))
+    return out
+
+
 #: masks with at least four units, then every other mask of degree <= 9
 LISTED_PRODUCT_MASKS = [0b111111111111, 0b100110110011, 0b110101100101, 0b101000101]
 SHARED_PRODUCT_MASKS = LISTED_PRODUCT_MASKS + [
@@ -222,29 +265,18 @@ def test_shared_products_equal_the_ascending_loop(bits):
     assert len(products) == 1 << len(units)
     for picked, poly in enumerate(products):
         assert poly == _product_by_loop(units, picked, 0.0)
-    # the survey visits each subset without the top unit once, in order
-    full = len(products) - 1
-    expected = []
-    for picked in range(1, len(products) // 2):
-        p_poly = _product_by_loop(units, picked, 0.0)
-        q_poly = _product_by_loop(units, full ^ picked, 0.0)
-        worst_im = max(abs(float(x.imag)) for x in p_poly + q_poly)
-        p = [float(x.real) for x in p_poly]
-        q = [float(x.real) for x in q_poly]
-        cls, mc, dev = _classify_coeffs(p, q, DEFAULT_TOL)
-        if worst_im > DEFAULT_TOL:
-            cls = Classification.INDETERMINATE
-        expected.append((worst_im, tuple(p), tuple(q), cls, mc, dev))
-    if not listed and any(e[0] > search._REAL_AXIS_FACTOR * DEFAULT_TOL for e in expected):
-        with pytest.raises(NumericFailure):
+    # the survey visits each subset without the top unit once, in order,
+    # and fails at the first split the loop survey fails at
+    want = _survey_by_loop(units, DEFAULT_TOL)
+    if isinstance(want, str):
+        assert not listed
+        with pytest.raises(NumericFailure) as info:
             split_survey(r)
+        assert str(info.value) == want
         return
     survey = split_survey(r)
-    assert survey == search._survey_lists(units, DEFAULT_TOL)
-    assert len(survey) == len(expected)
-    for c, (_, p, q, cls, mc, dev) in zip(survey, expected):
-        assert (c.p_coeffs, c.q_coeffs) == (p, q)
-        assert (c.classification, c.min_coefficient, c.deviation_01) == (cls, mc, dev)
+    assert len(survey) == len(products) // 2 - 1
+    assert repr(survey) == repr(want)
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +362,9 @@ def _list_outcome(r, tol):
     # the reference: this mask's units, expanded split by split on lists
     try:
         units = _units(_double_roots(r), tol)
-        return search._survey_lists(units, tol) if len(units) >= 2 else []
     except NumericFailure as exc:
         return str(exc)
+    return _survey_by_loop(units, tol)
 
 
 def _block_outcome(r, tol):
@@ -701,6 +733,50 @@ def test_retry_falls_back_to_the_circle_seeds(monkeypatch, double_solve):
         assert len(retry) == len(seeded[m]) == ESCALATED_TO_DEGREE_12[m]
         assert [c.classification for c in retry] == [c.classification for c in seeded[m]]
         assert all(c.classification is Classification.FAIR for c in retry)
+
+
+def test_retry_equals_the_loop_survey_at_212_bits():
+    # the retry classifies through the double pass's planes; on every mask
+    # the scan escalates to degree 12 it is the loop survey of its units, run
+    # at the retry's precision, to the bit
+    import mpmath
+
+    retry_tol = DEFAULT_TOL / 100
+    for degree, bits in ESCALATED_TO_DEGREE_12:
+        r = Newman01(degree, bits)
+        with mpmath.workprec(_ESCALATION_PRECISION):
+            want = _survey_by_loop(_units(search._roots_squarefree(r), retry_tol), retry_tol)
+        assert repr(split_survey(r, retry_tol, _ESCALATION_PRECISION)) == repr(want), str(r)
+
+
+#: a mask whose first split fails on Q, with real roots in the units before
+#: the moved pair, and one with no real roots, whose first split fails on P
+@pytest.mark.parametrize("mask", [(4, 27), (8, 325)], ids=["fails-on-q", "fails-on-p"])
+def test_retry_residue_failure_is_the_loop_surveys(monkeypatch, mask):
+    # the first upper root moved up by 1.5 im_limit still pairs with its
+    # lower root, which allows im_limit (1 + |u|), but leaves that much
+    # imaginary residue in their factor: the retry fails with the loop
+    # survey's message
+    import mpmath
+
+    retry_tol = DEFAULT_TOL / 100
+    im_limit = search._REAL_AXIS_FACTOR * retry_tol
+    roots_squarefree = search._roots_squarefree
+
+    def moved(r):
+        z = roots_squarefree(r)
+        first = next(i for i, w in enumerate(z) if w.imag > im_limit)
+        z[first] += mpmath.mpc(0, 1.5 * im_limit)
+        return z
+
+    monkeypatch.setattr(search, "_roots_squarefree", moved)
+    r = Newman01(*mask)
+    with mpmath.workprec(_ESCALATION_PRECISION):
+        want = _survey_by_loop(_units(moved(r), retry_tol), retry_tol)
+    assert want.startswith("imaginary residue")
+    with pytest.raises(NumericFailure) as info:
+        split_survey(r, retry_tol, _ESCALATION_PRECISION)
+    assert str(info.value) == want
 
 
 def _degree_row(degree, polynomials, splits, fair, indeterminate, escalated):

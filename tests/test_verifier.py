@@ -324,6 +324,12 @@ def test_verify_range_base_only():
     assert all(w == BASE_CASE_WITNESS for w in rep.table.witness.values())
 
 
+@pytest.mark.parametrize("max_n", [10, 60])
+def test_verify_range_needs_a_prime(max_n):
+    with pytest.raises(ValueError, match="no primes given"):
+        verify_range(max_n, primes=[])
+
+
 def test_verify_range_n11_needs_odd_prime():
     rep = verify_range(11, primes=[2])
     assert not rep.all_proven()
