@@ -314,7 +314,10 @@ def estimate_N(a: float) -> float:
     """
     if not 0.0 < a <= 0.005:
         raise ValueError(f"estimate is calibrated for 0 < a <= 0.005, got {a}")
-    return N_ESTIMATE_CONSTANT * math.log(2.5 / a) / a
+    est = N_ESTIMATE_CONSTANT * math.log(2.5 / a) / a
+    if not math.isfinite(est):
+        raise ValueError(f"estimate N(a) is not a finite double at a = {a}")
+    return est
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +415,9 @@ class EstimateGrids:
 
     unit and small lie inside [0, 1]; large lies inside (0, 1], because the
     residues of check (c) degenerate at a = 0.  unit and large hold at least
-    two points, because checks (a) and (e) difference along them.  No grid
+    two points, because checks (a) and (e) difference along them.  small
+    holds a point above 0, because checks (g), (h) and (j) skip t = 0 and
+    would otherwise pass without a sample.  No grid
     holds more than _MAX_GRID_POINTS (10^5) points, so that a mistyped step
     is a CapacityError, not an allocation of gigabytes; the defaults hold at
     most 1,001.
@@ -438,6 +443,9 @@ class EstimateGrids:
             # (a) and (e) take successive differences along unit and large
             if name != "small" and _grid_size(start, stop, step) < 2:
                 raise ValueError(f"grid {name}={start}:{stop}:{step} needs at least two points")
+            # (g), (h) and (j) sample small without t = 0
+            if name == "small" and start == 0 and _grid_size(start, stop, step) < 2:
+                raise ValueError(f"grid small={start}:{stop}:{step} needs a point above 0")
 
 
 #: points per estimate grid

@@ -17,6 +17,7 @@ and therefore stable across reruns.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import importlib
 import json
@@ -123,9 +124,12 @@ def _parse_nodes(text: str) -> List[complex]:
         if not tok:
             continue
         try:
-            nodes.append(complex(tok))
+            z = complex(tok)
         except ValueError:
             raise ValueError(f"cannot parse node {tok!r} as a complex number") from None
+        if not cmath.isfinite(z):
+            raise ValueError(f"node {tok!r} is not finite")
+        nodes.append(z)
     if not nodes:
         raise ValueError("empty node list")
     return nodes
@@ -147,7 +151,7 @@ def _strip_durations(obj):
 def _emit(subcommand: str, parameters: dict, report: dict, started: float, summary: List[str]) -> None:
     stable = {"subcommand": subcommand, "parameters": parameters, "report": _strip_durations(report)}
     digest = hashlib.sha256(
-        json.dumps(stable, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(stable, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
     ).hexdigest()
     doc = {
         "manifest": {
@@ -159,7 +163,7 @@ def _emit(subcommand: str, parameters: dict, report: dict, started: float, summa
         },
         "report": report,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     for line in summary:
         sys.stderr.write(line + "\n")
 

@@ -614,6 +614,10 @@ class _Lanes:
     bounds; before a sum could carry into the next lane the lanes are
     folded with 2^h = r (mod p):  x -> (x & LO) + r * ((x >> h) & HI),
     which maps any W-bit lane back to <= rest.
+
+    Euclid divides in passes of one Kronecker product: each subtracts the
+    quotient's top two terms (its last once the degrees are equal) times g
+    from f's top, so a lane gains at most two products per pass.
     """
 
     def __init__(self, p: int):
@@ -682,64 +686,38 @@ class _Lanes:
         self._masks(f.bit_length())
         bf = bg = rest
         while dg > 0:
-            # f -= (f div g) * g as one product: Kronecker substitution adds
-            # the negated quotient's lanes times g with no carry between lanes
-            if df == dg + 1:  # the normal case, one step of degree
-                t = f >> (dg * w)
-                u = g >> ((dg - 1) * w)
-                ig = pow(u >> w, -1, p)
-                q1 = (t >> w) * ig % p
-                qneg = ((p - q1) << w) | ((q1 * (u & lane) - (t & lane)) * ig % p)
-                terms = 2
-            else:
-                qneg = self._neg_quotient(f, g, df, dg)
-                terms = min(df - dg + 1, dg + 1)  # products summed into one lane
-            step = terms * (p - 1) * bg
-            if bf + step >= cap:
-                if bg > rest:
-                    g, bg = self._fold(g), self._fold_bound(bg)
-                    step = terms * (p - 1) * bg
+            u = g >> ((dg - 1) * w)  # g's top two lanes
+            ig = pow(u >> w, -1, p)
+            while df >= dg:
+                # f -= q * g, shifted to f's top, as one product: q is the
+                # quotient's top two terms (k = 2), or its last term (k = 1)
+                # once the degrees are equal, and its lanes hold -q mod p, so
+                # Kronecker substitution adds them times g with no carry
+                if df > dg:
+                    k, t = 2, f >> ((df - 1) * w)
+                    q1 = (t >> w) * ig % p
+                    qneg = ((p - q1) << w) | ((q1 * (u & lane) - (t & lane)) * ig % p)
+                else:
+                    k, qneg = 1, -(f >> (df * w)) * ig % p
+                step = k * (p - 1) * bg  # k products summed into one lane
                 if bf + step >= cap:
-                    f, bf = self._fold(f), self._fold_bound(bf)
-            if bf + step < cap:
-                f += qneg * g
-                bf += step
-            else:  # too many quotient lanes for one product: k at a time
-                k = (cap - 1 - rest) // ((p - 1) * bg)
-                step = k * (p - 1) * bg
-                for i in range(0, df - dg + 1, k):
+                    if bg > rest:
+                        g, bg = self._fold(g), self._fold_bound(bg)
+                        step = k * (p - 1) * bg
                     if bf + step >= cap:
                         f, bf = self._fold(f), self._fold_bound(bf)
-                    f += (((qneg >> (i * w)) & ((1 << (k * w)) - 1)) * g) << (i * w)
-                    bf += step
-            # lanes dg.. of f now hold multiples of p: cut them, then any
-            # further top lanes that vanish mod p
-            f &= (1 << (dg * w)) - 1
-            df = dg - 1
-            while df >= 0 and (f >> (df * w)) % p == 0:
-                f &= (1 << (df * w)) - 1
-                df -= 1
+                s = (df - dg + 1 - k) * w
+                f += qneg * g << s if s else qneg * g  # a shift by 0 still copies
+                bf += step
+                # f's top k lanes now hold multiples of p: cut them and any
+                # further top lanes that vanish mod p
+                while df >= 0 and (x := f >> (df * w)) % p == 0:
+                    f ^= x << (df * w)
+                    df -= 1
             if df < 0:
                 return False
             f, g, df, dg, bf, bg = g, f, dg, df, bg, bf
         return True
-
-    def _neg_quotient(self, f: int, g: int, df: int, dg: int) -> int:
-        """-(f div g) packed, by long division on the top lanes."""
-        p, w, lane = self.p, self.w, self.lane
-        delta = df - dg
-        lo = max(dg - delta, 0)
-        fl = [(f >> (i * w)) & lane for i in range(dg, df + 1)]  # fl[k]: t^(dg+k)
-        gl = [(g >> (i * w)) & lane for i in range(dg, lo - 1, -1)]  # gl[j]: t^(dg-j)
-        ig = pow(gl[0], -1, p)
-        qneg = 0
-        for k in range(delta, -1, -1):
-            c = fl[k] * ig % p
-            qneg = (qneg << w) | (-c % p)
-            if c:
-                for j in range(1, min(k, dg) + 1):
-                    fl[k - j] -= c * gl[j]
-        return qneg
 
 
 def _lane_shape(p: int):

@@ -13,6 +13,8 @@ grows like |beta|^n (reaching ~1e143 by n = 2000 at a = 0.9), so an
 unnormalized absolute bound is not meaningful past the bounded prefix.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -215,13 +217,30 @@ def test_criterion_10_invariant_suites():
         )
 
 
+#: the n <= 10^4 witness table, as the sha256 of its sorted (n, witness)
+#: pairs in compact JSON, and each pass's (prime, computed, proved)
+WITNESS_TABLE_SHA256 = "7e0a911705f53bcb443817f7dcbcf37003b5afbd2b0105883d0466448bb69897"
+PASS_COUNTS = [
+    (2, 4995, 3259), (3, 4467, 3512), (5, 2452, 2046), (7, 1003, 927),
+    (11, 225, 211), (13, 35, 29), (17, 6, 6),
+]
+
+
+def _assert_pinned(rep):
+    assert rep.all_proven(), f"unproven: {rep.unproven()[:10]}"
+    table = json.dumps(sorted(rep.table.witness.items()), separators=(",", ":"))
+    assert hashlib.sha256(table.encode()).hexdigest() == WITNESS_TABLE_SHA256
+    assert [(ps.prime, ps.computed, ps.proved) for ps in rep.passes] == PASS_COUNTS
+
+
 @pytest.mark.slow
 def test_criterion_01_resultant_verification_at_scale():
-    """verify-resultants to n=10000, primes 2..17: all proven in budget."""
+    """verify-resultants to n=10000, primes 2..17: all proven in budget,
+    the same witness table and pass counts at jobs 1 and 4."""
     t0 = time.perf_counter()
     rep = verify_range(10000, jobs=1)
     single = time.perf_counter() - t0
-    assert rep.all_proven(), f"unproven: {rep.unproven()[:10]}"
+    _assert_pinned(rep)
     assert rep.table.witness[11] == 3
     assert rep.table.witness[40] == 13
     assert rep.table.witness[1855] == 17
@@ -230,6 +249,5 @@ def test_criterion_01_resultant_verification_at_scale():
     t0 = time.perf_counter()
     rep4 = verify_range(10000, jobs=4)
     parallel = time.perf_counter() - t0
-    assert rep4.all_proven()
-    assert rep4.table.witness == rep.table.witness
+    _assert_pinned(rep4)
     assert parallel <= PARALLEL_BUDGET, f"jobs=4 run took {parallel:.1f}s"

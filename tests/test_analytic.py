@@ -386,6 +386,12 @@ def test_estimate_domain():
             estimate_N(bad)
 
 
+def test_estimate_not_finite_is_refused():
+    # a subnormal a is inside the domain, but its estimate overflows
+    with pytest.raises(ValueError, match="not a finite double"):
+        estimate_N(1e-320)
+
+
 def test_estimate_monotone_in_a():
     vals = [estimate_N(a) for a in np.linspace(0.0005, 0.005, 50)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
@@ -474,6 +480,15 @@ def test_grids_above_the_point_cap_are_refused(name, spec):
         EstimateGrids(**{name: spec})
     at_cap = EstimateGrids(unit=(0.0, 1.0, 1e-5 + 1e-15))
     assert len(_grid(at_cap.unit)) == 100_000
+
+
+@pytest.mark.parametrize("spec", [(0.0, 0.0, 1e-5), (0.0, 1e-6, 1e-5)])
+def test_small_grid_without_a_point_above_zero_is_refused(spec):
+    # (g), (h) and (j) skip t = 0, so they would pass without a sample
+    with pytest.raises(ValueError, match="grid small=.* needs a point above 0"):
+        EstimateGrids(small=spec)
+    assert _grid(EstimateGrids(small=(0.0, 1e-5, 1e-5)).small).tolist() == [0.0, 1e-5]
+    assert _grid(EstimateGrids(small=(1e-5, 1e-5, 1e-5)).small).tolist() == [1e-5]
 
 
 def test_battery_all_pass_coarse():

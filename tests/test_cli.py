@@ -1,6 +1,7 @@
 """CLI tests: document shape, exit codes, determinism, flag parsing."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -69,6 +70,10 @@ def test_parse_grids():
         ("unit=0.5:0.5:0.1", "grid unit=0.5:0.5:0.1 needs at least two points"),
         ("unit=0.5:0.55:0.1", "grid unit=0.5:0.55:0.1 needs at least two points"),
         ("large=0.5:0.5:0.1", "grid large=0.5:0.5:0.1 needs at least two points"),
+        # (g), (h) and (j) skip t = 0: a small grid of 0 alone used to pass
+        # them with a worst margin of inf
+        ("small=0:0:1e-5", "grid small=0.0:0.0:1e-05 needs a point above 0"),
+        ("small=0:1e-6:1e-5", "grid small=0.0:1e-06:1e-05 needs a point above 0"),
     ],
 )
 def test_estimates_grid_domain_names_the_grid(capsys, spec, message):
@@ -89,6 +94,9 @@ def test_parse_nodes():
         _parse_nodes("zebra")
     with pytest.raises(ValueError):
         _parse_nodes("")
+    for text in ("nan", "inf,1", "1,nanj", "-inf+1j"):
+        with pytest.raises(ValueError, match="is not finite"):
+            _parse_nodes(text)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +276,15 @@ def test_vandermonde_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("nodes", ["nan", "inf,1"])
+def test_vandermonde_check_rejects_non_finite_nodes(capsys, nodes):
+    # these used to exit 0 or 1 with NaN and Infinity in the document
+    code, doc, err = run_cli(capsys, "vandermonde-check", "--nodes", nodes)
+    assert code == 2
+    assert doc is None
+    assert "is not finite" in err
+
+
 def test_search_small(capsys):
     code, doc, err = run_cli(capsys, "search", "--max-degree", "5")
     assert code == 0
@@ -298,6 +315,31 @@ def test_estimate_n(capsys):
     assert doc["report"]["estimate"] == pytest.approx(6534.4257, abs=0.1)
     code, _, _ = run_cli(capsys, "estimate-N", "--a", "0.3")
     assert code == 2
+
+
+def test_estimate_n_not_finite_exits_2(capsys):
+    # the estimate overflows at a subnormal a: an error, not "estimate": Infinity
+    code, doc, err = run_cli(capsys, "estimate-N", "--a", "1e-320")
+    assert code == 2
+    assert doc is None
+    assert "estimate N(a) is not a finite double at a = 1e-320" in err
+
+
+def test_simulate_counterfactual_estimate_not_finite_exits_2(capsys):
+    # used to fail on converting the infinite estimate to an int
+    code, doc, err = run_cli(capsys, "simulate", "--a", "1e-320", "--mode", "counterfactual")
+    assert code == 2
+    assert doc is None
+    assert "estimate N(a) is not a finite double at a = 1e-320" in err
+
+
+def test_document_with_a_non_finite_number_exits_2(capsys, monkeypatch):
+    # _emit writes strict JSON: a value no parser reads back is an error
+    monkeypatch.setattr(cli, "estimate_N", lambda a: math.inf)
+    code, doc, err = run_cli(capsys, "estimate-N", "--a", "0.005")
+    assert code == 2
+    assert doc is None
+    assert "not JSON compliant" in err
 
 
 def test_usage_errors(capsys):

@@ -2,6 +2,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import newmandiv.modpoly as modpoly
 from newmandiv.modpoly import (
     MINUS_INFINITY,
     CapacityError,
@@ -374,12 +375,21 @@ def coeff_list(max_deg):
     return st.lists(st.integers(min_value=0, max_value=10**6), max_size=max_deg + 1)
 
 
+#: the sweep's primes and wider lanes: W = 20, 28, 52 and 96 (W = 16 below 19)
+KERNEL_PRIMES = DEFAULT_PRIMES + (19, 257, 65537, 2**31 - 1)
+
+
+def test_kernel_primes_span_the_lane_widths():
+    widths = {p: modpoly._lane_shape(p)[0] for p in KERNEL_PRIMES if p >= 5}
+    assert widths == {5: 16, 7: 16, 11: 16, 13: 16, 17: 16, 19: 20, 257: 28, 65537: 52, 2**31 - 1: 96}
+
+
 @st.composite
 def packed_pairs(draw):
     """(p, f, g) as ModPolys: random pairs, pairs given a common factor h,
     and pairs whose Euclid quotients span many terms, so that the lane folds
-    and the piecewise product of a long quotient both run."""
-    prime = Prime(draw(st.sampled_from(DEFAULT_PRIMES)))
+    and the many passes of a long quotient both run."""
+    prime = Prime(draw(st.sampled_from(KERNEL_PRIMES)))
     f = ModPoly(prime, draw(coeff_list(40)))
     g = ModPoly(prime, draw(coeff_list(40)))
     shape = draw(st.sampled_from(["random", "common", "long"]))
@@ -405,16 +415,19 @@ def _add(f, g):
 @given(packed_pairs())
 @settings(max_examples=300, deadline=None)
 def test_coprime_iff_gcd_is_constant(case):
-    """Property: coprime(f, g) == (deg gcd(f, g) == 0) for every default p."""
+    """Property: coprime(f, g) == (deg gcd(f, g) == 0) for every kernel p."""
     prime, f, g = case
     assert coprime(pack(f), pack(g)) == (mp_gcd(f, g).degree() == 0)
     assert coprime(pack(g), pack(f)) == (mp_gcd(f, g).degree() == 0)
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
-def test_coprime_long_quotient(p):
-    """A quotient of 300 terms is too long for one lane product at every
-    p >= 5, so the kernel adds it in pieces and folds in between."""
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_coprime_long_quotient(p, monkeypatch):
+    """A quotient of 301 terms takes about 150 passes: at every p >= 5 the
+    lane sums outgrow W bits, so the kernel folds in between."""
+    folds = []
+    fold = modpoly._Lanes._fold
+    monkeypatch.setattr(modpoly._Lanes, "_fold", lambda self, x: folds.append(x) or fold(self, x))
     prime = Prime(p)
     g = ModPoly(prime, [3, 1, 4, 1, 5, 9, 2, 6, 1])
     q = ModPoly(prime, [(7 * k * k + 3) % p for k in range(300)] + [1])
@@ -422,9 +435,34 @@ def test_coprime_long_quotient(p):
         f = _add(mp_mul(q, g), r)
         expect = mp_gcd(f, g).degree() == 0
         assert coprime(pack(f), pack(g)) is expect
+    assert (len(folds) > 0) is (p >= 5)
 
 
-@given(st.sampled_from(DEFAULT_PRIMES), coeff_list(30), coeff_list(30), st.integers(0, 5))
+@pytest.mark.parametrize("p", [p for p in KERNEL_PRIMES if p >= 5])
+def test_coprime_lanes_at_their_bound(p):
+    """Lanes may hold any value up to the rest bound, as ``sub`` leaves
+    them.  With every lane of f and g at that bound and every quotient term
+    1 against a g of -1s, each pass adds close to the most its bound
+    allows: one product too many per pass, or a fold one pass late, carries
+    into the next lane."""
+    form = modpoly._Lanes(p)
+
+    def packed(cs):  # each coefficient as its largest representative <= rest
+        x = 0
+        for c in reversed(cs):
+            x = (x << form.w) | (form.rest - (form.rest - c) % p)
+        return x
+
+    prime = Prime(p)
+    g = ModPoly(prime, [p - 1] * 9)
+    for r in ([1, 1], [2, 0, 1], []):
+        f = _add(mp_mul(ModPoly(prime, [1] * 300), g), ModPoly(prime, r))
+        expect = mp_gcd(f, g).degree() == 0
+        assert form.coprime(packed(f.coeffs), packed(g.coeffs)) is expect
+        assert form.coprime(packed(g.coeffs), packed(f.coeffs)) is expect
+
+
+@given(st.sampled_from(KERNEL_PRIMES), coeff_list(30), coeff_list(30), st.integers(0, 5))
 @settings(max_examples=150, deadline=None)
 def test_packed_ring_ops_match_modpoly(p, a, b, k):
     prime = Prime(p)
