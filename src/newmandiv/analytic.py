@@ -629,8 +629,22 @@ def _track_from_zero(r: QuinticRoots) -> List[Tuple[complex, complex]]:
 
 
 def _small_positive(grids, tables) -> List[Tuple[float, QuinticRoots]]:
-    """(t, roots) over the small grid without t = 0, where t-scaled margins exist."""
-    return [(t, r) for t, r in zip(_grid(grids.small), tables["small"]) if t > 0]
+    """(t, roots) over the small grid without t = 0, where t-scaled margins exist.
+
+    A point too small for them is a ValueError that names the grid and the
+    point: (g) and (h) divide by t^2, which is 0 below about 1.5e-162, and
+    (j) by ln|beta|, which is 0 once |beta| rounds to 1 (about t < 1e-16).
+    """
+    points = [(t, r) for t, r in zip(_grid(grids.small), tables["small"]) if t > 0]
+    for t, r in points:
+        if t * t == 0 or abs(r.beta) == 1:
+            start, stop, step = grids.small
+            why = "t^2 is 0" if t * t == 0 else "|beta| rounds to 1"
+            raise ValueError(
+                f"grid small={start}:{stop}:{step} has the point t = {t:g}, too small for"
+                f" checks (g), (h) and (j): {why}"
+            )
+    return points
 
 
 def _check_g(grids, tables):

@@ -71,6 +71,15 @@ def __getattr__(name: str):
 VANDERMONDE_THRESHOLD = 1e-10
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, the default worker count: its
+    affinity mask where the OS has one, since os.cpu_count() counts every
+    CPU of the machine, also those a taskset or cpuset leaves out."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # --------------------------------------------------------------------------
 # flag parsing helpers
 # --------------------------------------------------------------------------
@@ -304,7 +313,7 @@ def _cmd_vandermonde(args) -> int:
 
 def _cmd_search(args) -> int:
     t0 = time.perf_counter()
-    rep = scan(args.max_degree)
+    rep = scan(args.max_degree, jobs=args.jobs)
     summary = [
         f"degrees 1..{args.max_degree}: {sum(s.polynomials for s in rep.summaries)} polynomials, "
         f"{sum(s.splits for s in rep.summaries)} splits",
@@ -313,6 +322,8 @@ def _cmd_search(args) -> int:
     if rep.retry_failures:
         summary.append(f"{len(rep.retry_failures)} of them from retries that failed: "
                        + ", ".join(str(r) for r, _ in rep.retry_failures))
+    # jobs is left out of the parameters, and so of the digest: the report
+    # does not depend on it
     _emit("search", {"max_degree": args.max_degree}, rep.to_dict(), t0, summary)
     return 0 if rep.conjecture_holds() else 1
 
@@ -346,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--primes", default="2..17", help='comma list "2,3,5" or range "2..17"')
     p.add_argument("--checkpoint", default=None, help="resume/persist pass results at this path")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=_usable_cpus())
     p.set_defaults(func=_cmd_verify, layer="verifier")
 
     p = sub.add_parser("simulate", help="drive the forced-cofactor recurrence for a given a")
@@ -370,6 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive unfair-factorization scan up to a degree")
     p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(), help="worker processes (one pool from degree 8 on)")
     p.set_defaults(func=_cmd_search, layer="search")
 
     p = sub.add_parser("estimate-N", help="balance-index estimate for small a")

@@ -36,6 +36,13 @@ The retry expands its splits on lists of mpmath numbers at its precision
 and rounds them to planes of one mask.  Both passes then reach their
 verdicts, and their imaginary-residue failures, by the same masked
 reductions, in _classify.
+
+The scan is one task per block, _scan_block, which surveys and retries
+the block's masks and returns its counts, offenders and retry failures.
+scan maps it over the blocks in order, in process or, with jobs > 1 from
+degree 8 on (where a degree first has two blocks), on a pool of jobs
+worker processes, and sums the results in block order: the report does
+not depend on jobs.
 """
 
 from __future__ import annotations
@@ -646,19 +653,90 @@ class ScanReport:
         return doc
 
 
+def _scan_block(degree: int, block: int, tol: float):
+    """The scan of one _BLOCK block of enumerate_01(degree): the block's
+    eight DegreeSummary counts (degree excluded), its offenders and its
+    retry failures, each in mask order.
+
+    First-pass indeterminates (and any first-pass unfair verdict, which at
+    these degrees only ever comes from a root-finder artifact) are retried
+    at _ESCALATION_PRECISION bits with tol/100.  split_survey is looked up
+    as a module global on each call, so a wrapped or patched one is the one
+    a pool worker calls too.
+    """
+    retry_tol = tol / _ESCALATION_TOL_FACTOR
+    n_poly = n_split = n_fair = n_unfair = n_ind = n_esc = n_r_unf = n_r_ind = 0
+    offenders: List[Tuple[Newman01, SplitCandidate]] = []
+    retry_failures: List[Tuple[Newman01, str]] = []
+    top = 1 << degree
+    for inner in range(block * _BLOCK, min((block + 1) * _BLOCK, top >> 1)):
+        r = Newman01(degree, 1 | (inner << 1) | top)
+        n_poly += 1
+        try:
+            survey = split_survey(r, tol)
+        except NumericFailure:
+            # double-precision pass lost the mask (typically repeated
+            # roots blowing the imaginary-residue budget): escalate it
+            survey, flagged = [], True
+        else:
+            flagged = False
+        n_split += len(survey)
+        for c in survey:
+            if c.classification is Classification.FAIR:
+                n_fair += 1
+            elif c.classification is Classification.UNFAIR:
+                n_unfair += 1
+                flagged = True
+            else:
+                n_ind += 1
+                flagged = True
+        if flagged:
+            n_esc += 1
+            try:
+                retry = split_survey(r, retry_tol, precision=_ESCALATION_PRECISION)
+            except NumericFailure as exc:
+                # the retry lost the mask as well: its splits stay
+                # undecided, so the scan cannot report that the conjecture holds
+                n_r_ind += 1
+                retry_failures.append((r, str(exc)))
+                continue
+            if not survey:
+                # first pass produced nothing; the retry is the record
+                n_split += len(retry)
+                n_fair += sum(1 for c in retry if c.classification is Classification.FAIR)
+            for c in retry:
+                if c.classification is Classification.UNFAIR:
+                    n_r_unf += 1
+                    offenders.append((r, c))
+                elif c.classification is Classification.INDETERMINATE:
+                    n_r_ind += 1
+                    offenders.append((r, c))
+    counts = (n_poly, n_split, n_fair, n_unfair, n_ind, n_esc, n_r_unf, n_r_ind)
+    return counts, offenders, retry_failures
+
+
 def scan(
     max_degree: int,
     tol: float = DEFAULT_TOL,
     progress: Optional[Callable[[DegreeSummary], None]] = None,
+    jobs: int = 1,
 ) -> ScanReport:
     """Run split_survey over every mask of degree 1..max_degree.
 
-    First-pass indeterminates (and any first-pass unfair verdict, which at
-    these degrees only ever comes from a root-finder artifact) are retried
-    at _ESCALATION_PRECISION bits with tol/100; whatever survives is listed
-    as an offender.  A retry that raises NumericFailure is listed in
-    retry_failures and counts as one residual indeterminate.  tol must lie
-    in [1e-8, 1e-4], so that the retry's tolerance is one split_survey takes.
+    The masks are scanned in blocks of _BLOCK, one _scan_block task each,
+    and the blocks' results are summed in ascending (degree, block) order,
+    so the report is the same for every jobs.  progress gets each degree's
+    summary once its last block is in.  With jobs > 1 and some degree of
+    more than one block (max_degree >= 8), the tasks run on one pool of
+    jobs worker processes, shut down before scan returns or raises.  The
+    pool starts its workers as verify_range's does (forked on Linux), so
+    they see the module as the caller left it, wrappers and patches included.
+
+    Flagged masks are retried at _ESCALATION_PRECISION bits with tol/100;
+    whatever survives is listed as an offender.  A retry that raises
+    NumericFailure is listed in retry_failures and counts as one residual
+    indeterminate.  tol must lie in [1e-8, 1e-4], so that the retry's
+    tolerance is one split_survey takes, and jobs must be at least 1.
     """
     if not 1 <= max_degree <= MAX_DEGREE:
         raise CapacityError(f"max_degree must be in 1..{MAX_DEGREE}, got {max_degree}")
@@ -668,67 +746,35 @@ def scan(
             f"tol must be in [1e-8, 1e-4], so that the retry tolerance tol/{_ESCALATION_TOL_FACTOR:g}"
             f" is in [1e-10, 1e-6]; got tol={tol}, retry tolerance {retry_tol:g}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.monotonic()
+    n_blocks = {d: ((1 << (d - 1)) + _BLOCK - 1) // _BLOCK for d in range(1, max_degree + 1)}
+    blocks = [(d, b) for d, n in n_blocks.items() for b in range(n)]
     summaries: List[DegreeSummary] = []
     offenders: List[Tuple[Newman01, SplitCandidate]] = []
     retry_failures: List[Tuple[Newman01, str]] = []
-    for degree in range(1, max_degree + 1):
-        n_poly = n_split = n_fair = n_unfair = n_ind = n_esc = n_r_unf = n_r_ind = 0
-        for r in enumerate_01(degree):
-            n_poly += 1
-            try:
-                survey = split_survey(r, tol)
-            except NumericFailure:
-                # double-precision pass lost the mask (typically repeated
-                # roots blowing the imaginary-residue budget): escalate it
-                survey, flagged = [], True
-            else:
-                flagged = False
-            n_split += len(survey)
-            for c in survey:
-                if c.classification is Classification.FAIR:
-                    n_fair += 1
-                elif c.classification is Classification.UNFAIR:
-                    n_unfair += 1
-                    flagged = True
-                else:
-                    n_ind += 1
-                    flagged = True
-            if flagged:
-                n_esc += 1
-                try:
-                    retry = split_survey(r, retry_tol, precision=_ESCALATION_PRECISION)
-                except NumericFailure as exc:
-                    # the retry lost the mask as well: its splits stay
-                    # undecided, so the scan cannot report that the conjecture holds
-                    n_r_ind += 1
-                    retry_failures.append((r, str(exc)))
-                    continue
-                if not survey:
-                    # first pass produced nothing; the retry is the record
-                    n_split += len(retry)
-                    n_fair += sum(1 for c in retry if c.classification is Classification.FAIR)
-                for c in retry:
-                    if c.classification is Classification.UNFAIR:
-                        n_r_unf += 1
-                        offenders.append((r, c))
-                    elif c.classification is Classification.INDETERMINATE:
-                        n_r_ind += 1
-                        offenders.append((r, c))
-        summary = DegreeSummary(
-            degree=degree,
-            polynomials=n_poly,
-            splits=n_split,
-            fair=n_fair,
-            unfair=n_unfair,
-            indeterminate=n_ind,
-            escalated=n_esc,
-            residual_unfair=n_r_unf,
-            residual_indeterminate=n_r_ind,
+    pool = None
+    try:
+        if jobs > 1 and n_blocks[max_degree] > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        results = (map if pool is None else pool.map)(
+            _scan_block, [d for d, _ in blocks], [b for _, b in blocks], [tol] * len(blocks)
         )
-        summaries.append(summary)
-        if progress is not None:
-            progress(summary)
+        for (degree, block), (counts, offs, fails) in zip(blocks, results):
+            totals = [a + b for a, b in zip(totals, counts)] if block else counts
+            offenders.extend(offs)
+            retry_failures.extend(fails)
+            if block == n_blocks[degree] - 1:
+                summary = DegreeSummary(degree, *totals)
+                summaries.append(summary)
+                if progress is not None:
+                    progress(summary)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return ScanReport(
         max_degree=max_degree,
         tol=tol,

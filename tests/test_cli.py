@@ -87,6 +87,26 @@ def test_estimates_grid_domain_names_the_grid(capsys, spec, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "spec, point, why",
+    [
+        ("small=1e-300:1e-300:1", "1e-300", "t^2 is 0"),
+        ("small=1e-200:1e-200:1", "1e-200", "t^2 is 0"),
+        ("small=1e-17:1e-17:1", "1e-17", "|beta| rounds to 1"),
+    ],
+)
+def test_estimates_small_grid_too_small_names_the_grid_and_point(capsys, spec, point, why):
+    # (g) and (h) divide by t^2 and (j) by ln|beta|: these grids used to exit
+    # 2 with "float division by zero", which named no grid
+    code, doc, err = run_cli(capsys, "estimates", "--grid", spec)
+    assert code == 2
+    assert doc is None
+    name, _, body = spec.partition("=")
+    start, stop, step = (float(x) for x in body.split(":"))
+    assert f"grid small={start}:{stop}:{step} has the point t = {point}" in err
+    assert why in err
+
+
 def test_parse_nodes():
     assert _parse_nodes("1,-1") == [1 + 0j, -1 + 0j]
     assert _parse_nodes("0.6+0.8j, 0.6-0.8j") == [0.6 + 0.8j, 0.6 - 0.8j]
@@ -193,6 +213,24 @@ def test_verify_rejects_job_count_below_one(capsys, tmp_path, jobs):
     assert doc is None  # no document, so no manifest records the bad count
     assert "jobs must be at least 1" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_job_count_below_one(capsys, jobs):
+    code, doc, err = run_cli(capsys, "search", "--max-degree", "3", "--jobs", jobs)
+    assert code == 2
+    assert doc is None
+    assert "jobs must be at least 1" in err
+
+
+def test_jobs_default_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    parser = cli._build_parser()
+    assert parser.parse_args(["search", "--max-degree", "3"]).jobs == 1
+    assert parser.parse_args(["verify-resultants", "--max-n", "60"]).jobs == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._build_parser().parse_args(["search", "--max-degree", "3"]).jobs == 8
 
 
 @pytest.mark.parametrize("primes", ["0..1", ""], ids=["no-prime-in-range", "empty"])
@@ -372,6 +410,14 @@ def test_verify_parallel_matches_sequential(capsys):
     p["manifest"]["parameters"].pop("jobs")
     s["manifest"].pop("digest"), p["manifest"].pop("digest")  # jobs is a parameter, so digests differ
     assert s == p
+
+
+def test_search_document_does_not_depend_on_jobs(capsys):
+    # degree 8 is the first with two blocks, so --jobs 2 runs on a pool
+    _, seq, _ = run_cli(capsys, "search", "--max-degree", "8", "--jobs", "1")
+    _, par, _ = run_cli(capsys, "search", "--max-degree", "8", "--jobs", "2")
+    assert seq["manifest"]["parameters"] == {"max_degree": 8}
+    assert _strip_durations(seq) == _strip_durations(par)
 
 
 def test_console_module_entry():

@@ -1,6 +1,7 @@
 """Tests for the small-degree unfair-factorization scanner."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -833,6 +834,105 @@ def test_failed_retry_leaves_the_mask_open(monkeypatch):
     assert all("at high precision" in f["error"] for f in doc["retry_failures"])
     monkeypatch.undo()
     assert "retry_failures" not in scan(6).to_dict()
+
+
+def test_scan_report_does_not_depend_on_jobs():
+    seen = {1: [], 2: []}
+    reports = {jobs: scan(12, progress=seen[jobs].append, jobs=jobs).to_dict() for jobs in (1, 2)}
+    assert reports[2] == reports[1]
+    assert seen[2] == seen[1] and [s.degree for s in seen[1]] == list(range(1, 13))
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers see the patches only when forked"
+)
+
+
+@fork_only
+def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch):
+    # retries fail on masks 297 and 495 (degree 8, blocks 0 and 1) and 891
+    # (degree 9, block 2); every other retry leaves its splits indeterminate
+    # and so lists them as offenders, from blocks of both degrees
+    real_roots_mp, real_survey = search._roots_mp, search.split_survey
+    lost = {(1, -2, 3, -3, 3, -2, 1), (1, -1, 2, -2, 2, -1, 1)}
+
+    def roots_mp(coeffs):
+        if tuple(coeffs) in lost:
+            raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
+        return real_roots_mp(coeffs)
+
+    def survey(r, tol=DEFAULT_TOL, precision=53):
+        got = real_survey(r, tol, precision)
+        if precision == 53:
+            return got
+        return [c._replace(classification=Classification.INDETERMINATE) for c in got]
+
+    monkeypatch.setattr(search, "_roots_mp", roots_mp)
+    monkeypatch.setattr(search, "split_survey", survey)
+    serial, pooled = scan(9, jobs=1), scan(9, jobs=2)
+    assert [(r.degree, r.bits) for r, _ in pooled.retry_failures] == [(8, 297), (8, 495), (9, 891)]
+    assert sorted({(r.degree, r.bits) for r, _ in pooled.offenders}) == [
+        (4, 27), (6, 99), (7, 189), (8, 325), (9, 975)
+    ]
+    assert pooled.offenders == serial.offenders
+    assert pooled.retry_failures == serial.retry_failures
+    assert pooled.to_dict() == serial.to_dict()
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _raise_at_degree_9(summary):
+    if summary.degree == 9:
+        raise _Recorded
+
+
+@fork_only
+@pytest.mark.parametrize("where", ["returns", "progress raises", "task raises"])
+def test_no_pool_worker_outlives_scan(monkeypatch, where):
+    real_survey = search.split_survey
+
+    def survey(r, tol=DEFAULT_TOL, precision=53):
+        if (r.degree, *_block_row(r)) == (9, 1, 36):  # a task in the middle of the run
+            raise _Recorded
+        return real_survey(r, tol, precision)
+
+    if where == "task raises":
+        monkeypatch.setattr(search, "split_survey", survey)
+    progress = _raise_at_degree_9 if where == "progress raises" else None
+    if where == "returns":
+        assert scan(10, jobs=2).conjecture_holds()
+    else:
+        with pytest.raises(_Recorded):
+            scan(10, progress=progress, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_starts_once_a_degree_has_two_blocks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    scan(7, jobs=2)
+    scan(8, jobs=1)
+    assert started == []
+    scan(8, jobs=3)
+    assert started == [3]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_scan_rejects_job_count_below_one(jobs):
+    seen = []
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        scan(9, progress=seen.append, jobs=jobs)
+    assert seen == []
 
 
 def test_scan_range_validation():
