@@ -268,11 +268,17 @@ def _residues(roots: QuinticRoots) -> ResidueCoeffs:
     y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
 
     Requires a > 0: at a = 0 all roots sit on the unit circle and alpha = -1
-    makes rho^2 - 1 vanish — the expansion degenerates.
+    makes rho^2 - 1 vanish — the expansion degenerates.  So it does in
+    double precision once alpha rounds to -1, below about a = 4e-16.
     """
     a = roots.t
     if not a > 0.0:
         raise ValueError(f"residues need 0 < a <= 1, got {a}")
+    if roots.alpha**2 == 1.0:
+        raise ValueError(
+            f"residues at a = {a:g} are out of reach in double precision: the real root alpha"
+            f" rounds to -1, where the residue divides by alpha^2 - 1 = 0"
+        )
     c_alpha = _residue(complex(roots.alpha), a)
     if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
         raise ArithmeticError(f"real residue drifted complex at a={a}")

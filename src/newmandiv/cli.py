@@ -3,7 +3,8 @@
 Every subcommand emits one self-describing JSON document on stdout — a run
 manifest (subcommand, effective parameters with defaults materialized, tool
 version, duration, result digest) plus the module's structured report — and
-a short human-readable summary on stderr.
+a short human-readable summary on stderr.  verify-resultants and search
+write one stderr line per report row before it: per prime pass, per degree.
 
 Exit codes: 0 = the expected mathematical outcome was confirmed, 1 = it was
 not (the report carries the data), 2 = usage or environment error.
@@ -174,55 +175,58 @@ def _emit(subcommand: str, parameters: dict, report: dict, started: float, summa
     }
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     for line in summary:
-        sys.stderr.write(line + "\n")
+        print(line, file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (parameters, report, summary, confirmed)
 # --------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    primes = _parse_primes(args.primes)
-    report = verify_range(
-        args.max_n,
-        primes=primes,
-        jobs=args.jobs,
-        checkpoint=args.checkpoint,
-        progress=lambda line: sys.stderr.write(line + "\n"),
+def _pass_line(ps) -> str:
+    """One verify_range PrimePass as a progress line."""
+    first = "none" if ps.first_unproven_after is None else ps.first_unproven_after
+    return (
+        f"p={ps.prime}: proved {ps.proved}/{ps.computed} computed ({ps.skipped} skipped) "
+        f"in {ps.duration_seconds:.1f}s; first unproven now {first}; proved up to {ps.proved_up_to_after}"
     )
-    params = {
-        "max_n": args.max_n,
-        "primes": primes,
-        "checkpoint": args.checkpoint,
-        "jobs": args.jobs,
-    }
+
+
+def _degree_line(s, began: float) -> str:
+    """One scan DegreeSummary as a progress line, with the seconds since began."""
+    return (
+        f"degree {s.degree}: {s.polynomials} polynomials, {s.splits} splits, {s.escalated} escalated, "
+        f"{s.residual_unfair} unfair, {s.residual_indeterminate} residual indeterminate; "
+        f"{time.perf_counter() - began:.1f}s"
+    )
+
+
+def _cmd_verify(args):
+    primes = _parse_primes(args.primes)
+    report = verify_range(args.max_n, primes=primes, jobs=args.jobs, checkpoint=args.checkpoint,
+                          progress=lambda ps: print(_pass_line(ps), file=sys.stderr))
+    params = {"max_n": args.max_n, "primes": primes, "checkpoint": args.checkpoint, "jobs": args.jobs}
     ok = report.all_proven()
-    summary = report.milestones() + [
-        "all claims proven" if ok else f"UNPROVEN cases remain: {report.unproven()[:10]} ..."
-    ]
-    _emit("verify-resultants", params, report.to_dict(), t0, summary)
-    return 0 if ok else 1
+    summary = ["all claims proven" if ok else f"UNPROVEN cases remain: {report.unproven()[:10]} ..."]
+    return params, report.to_dict(), summary, ok
 
 
 def _describe(outcome) -> str:
     if isinstance(outcome, NegativeCoefficient):
-        return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6f} < 0"
+        return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} < 0"
     if isinstance(outcome, ExceedsOne):
-        return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6f} > 1"
+        return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} > 1"
     if isinstance(outcome, Indeterminate):
         return (
             f"indeterminate: coefficient b_{outcome.n} = {outcome.value:.6e} leaves [0, 1] "
             f"by no more than its error bound {outcome.error_bound:.3e}"
         )
     if isinstance(outcome, CounterfactualNegative):
-        return f"counterfactual window at N = {outcome.N}: b_{{N+8}} = {outcome.b[outcome.N + 8]:.6f} < 0"
+        return f"counterfactual window at N = {outcome.N}: b_{{N+8}} = {outcome.b[outcome.N + 8]:.6g} < 0"
     return f"no violation up to n = {outcome.max_n}"
 
 
-def _cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(args):
     if not 0.0 < args.a < 1.0:
         raise ValueError(f"a must satisfy 0 < a < 1, got {args.a}")
     config = SimConfig(a=args.a, max_n=args.max_n)
@@ -238,12 +242,10 @@ def _cmd_simulate(args) -> int:
         if trace is not None:
             trace.close()
     params = {"a": args.a, "max_n": args.max_n, "mode": args.mode, "trace": args.trace}
-    _emit("simulate", params, result.to_dict(), t0, [_describe(result.outcome)])
-    return 0 if violated else 1
+    return params, result.to_dict(), [_describe(result.outcome)], violated
 
 
-def _cmd_roots(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_roots(args):
     roots = find_roots(args.t)
     report = {
         "t": args.t,
@@ -259,12 +261,10 @@ def _cmd_roots(args) -> int:
         f"beta  = {roots.beta.real:.7f} + {roots.beta.imag:.7f}i  (|beta| = {abs(roots.beta):.5f})",
         f"gamma = {roots.gamma.real:.7f} + {roots.gamma.imag:.7f}i  (|gamma| = {abs(roots.gamma):.5f})",
     ]
-    _emit("roots", {"t": args.t}, report, t0, summary)
-    return 0
+    return {"t": args.t}, report, summary, True
 
 
-def _cmd_estimates(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_estimates(args):
     grids = _parse_grids(args.grid)
     checks = check_estimates(grids)
     report = {
@@ -278,14 +278,12 @@ def _cmd_estimates(args) -> int:
         for c in checks
     ]
     params = {"grid": sorted(args.grid) if args.grid else []}
-    _emit("estimates", params, report, t0, summary)
-    return 0 if report["all_passed"] else 1
+    return params, report, summary, report["all_passed"]
 
 
-def _cmd_vandermonde(args) -> int:
+def _cmd_vandermonde(args):
     import numpy as np  # loaded with analytic
 
-    t0 = time.perf_counter()
     nodes = _parse_nodes(args.nodes)
     v = vandermonde_matrix(nodes)
     m = vandermonde_inverse(nodes)
@@ -301,19 +299,12 @@ def _cmd_vandermonde(args) -> int:
         "threshold": VANDERMONDE_THRESHOLD,
         "passed": passed,
     }
-    _emit(
-        "vandermonde-check",
-        {"nodes": args.nodes},
-        report,
-        t0,
-        [f"|V Vinv - I| = {err:.3e} ({'ok' if passed else 'FAILED'})"],
-    )
-    return 0 if passed else 1
+    return {"nodes": args.nodes}, report, [f"|V Vinv - I| = {err:.3e} ({'ok' if passed else 'FAILED'})"], passed
 
 
-def _cmd_search(args) -> int:
-    t0 = time.perf_counter()
-    rep = scan(args.max_degree, jobs=args.jobs)
+def _cmd_search(args):
+    began = time.perf_counter()
+    rep = scan(args.max_degree, progress=lambda s: print(_degree_line(s, began), file=sys.stderr), jobs=args.jobs)
     summary = [
         f"degrees 1..{args.max_degree}: {sum(s.polynomials for s in rep.summaries)} polynomials, "
         f"{sum(s.splits for s in rep.summaries)} splits",
@@ -324,21 +315,12 @@ def _cmd_search(args) -> int:
                        + ", ".join(str(r) for r, _ in rep.retry_failures))
     # jobs is left out of the parameters, and so of the digest: the report
     # does not depend on it
-    _emit("search", {"max_degree": args.max_degree}, rep.to_dict(), t0, summary)
-    return 0 if rep.conjecture_holds() else 1
+    return {"max_degree": args.max_degree}, rep.to_dict(), summary, rep.conjecture_holds()
 
 
-def _cmd_estimate_n(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_estimate_n(args):
     value = estimate_N(args.a)
-    _emit(
-        "estimate-N",
-        {"a": args.a},
-        {"a": args.a, "estimate": value},
-        t0,
-        [f"N({args.a}) ~ {value:.1f}"],
-    )
-    return 0
+    return {"a": args.a}, {"a": args.a, "estimate": value}, [f"N({args.a}) ~ {value:.1f}"], True
 
 
 # --------------------------------------------------------------------------
@@ -397,14 +379,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # bind the layer's names before the handler starts its clock, so that
+    # bind the layer's names before the clock starts, so that
     # duration_seconds times the work and not the imports; a name already
     # bound (wrapped or patched) is kept
     module = sys.modules[__name__]
     for name in _LAYERS[args.layer]:
         getattr(module, name)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        parameters, report, summary, confirmed = args.func(args)
+        _emit(args.subcommand, parameters, report, started, summary)
+        return 0 if confirmed else 1
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

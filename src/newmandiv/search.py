@@ -20,8 +20,8 @@ converge only linearly.  Each factor's roots are first found in double
 precision by the double pass's Aberth solver, and the 212-bit iteration
 starts from them, so it only adds the missing digits; when that solve
 fails, or returns two equal roots, it starts from the double pass's circle
-seeds as before.  A retry that fails outright counts as a residual
-indeterminate, so the scan cannot then report that the conjecture holds.
+seeds.  A retry that fails outright counts as a residual indeterminate, so
+the scan cannot then report that the conjecture holds.
 
 The double pass works in blocks of 64 consecutive masks of a degree and
 on arrays.  One batched Aberth solve finds the roots of a block; its masks
@@ -89,12 +89,11 @@ _REAL_AXIS_FACTOR = 1e3
 
 #: masks per batched Aberth solve and per block survey in the double pass.
 #: A block of 64 keeps its root arrays well under 1 MB at every degree; the
-#: 1024 solves of degree 11 take 0.053 s in blocks of 64, against 0.49 s
-#: mask by mask, 0.095 s in blocks of 16 and 0.041 s in one block (medians
-#: of 5 on one core of a 2-core Intel Xeon VM).  Up to degree 12 no block
-#: has more than two unit shapes, so the block survey expands the 1024
-#: masks of degree 11 in 36 _expand_group calls, where the per-mask
-#: expansion made six per mask.
+#: 1024 solves of degree 11 take 0.053 s in blocks of 64, against 0.095 s
+#: in blocks of 16 and 0.041 s in one block (medians of 5 on one core of a
+#: 2-core Intel Xeon VM).  Up to degree 12 no block has more than two unit
+#: shapes, so the block survey expands the 1024 masks of degree 11 in 36
+#: _expand_group calls.
 _BLOCK = 64
 
 
@@ -216,13 +215,12 @@ def _roots_mp(coeffs: Sequence[int]) -> List:
     in double precision, as MPSolve refines low-precision approximations
     (Bini & Fiorentino 2000), so it only has to add the digits past the
     53rd: two iterations on every factor of the masks of degree <= 12 that
-    escalate, where the circle seeds took 5 to 11.  It starts from the
-    circle seeds of the double pass instead when that solve raises, or when
-    two of its roots are equal, because the Aberth sum divides by their
-    differences.  Every root is simple, so convergence is cubic once the
-    approximations separate; the iteration stops when no approximation
-    moved by more than 2^(-prec/2), by which point the next error is far
-    below 2^(-prec).
+    escalate.  It starts from the circle seeds of the double pass instead
+    when that solve raises, or when two of its roots are equal, because the
+    Aberth sum divides by their differences.  Every root is simple, so
+    convergence is cubic once the approximations separate; the iteration
+    stops when no approximation moved by more than 2^(-prec/2), by which
+    point the next error is far below 2^(-prec).
     """
     import mpmath
 
@@ -538,10 +536,9 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
 
     At 53 bits one mask costs its whole block: the first call for a block
     solves and surveys all of its masks and keeps the arrays.  One mask took
-    12 ms at degree 12, and 0.46 s with 114 MB peak RSS at degree 24,
-    against 0.033 s and 39 MB when only the roots were solved in blocks and
-    each mask was surveyed alone.  Callers that walk the masks in
-    enumerate_01 order pay for each block once.
+    12 ms at degree 12, and 0.46 s with 114 MB peak RSS at degree 24.
+    Callers that walk the masks in enumerate_01 order pay for each block
+    once.
     """
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")

@@ -88,19 +88,12 @@ def skip_rule(n: int, p: int) -> bool:
     """True when the mod-p certificate is inadmissible at n.
 
     Inadmissible means p divides the leading coefficient of B_{n-2} or
-    B_{n-5}; reduction then drops the degree and the reduced resultant no
-    longer determines R_n mod p.  By the leading-coefficient law the even
-    member always leads with +-1, and the odd member 2j+1 leads with
-    +-(j-2), giving the closed form
-
-        n = 2k    skips iff  k ≡ 5 (mod p)
-        n = 2k+1  skips iff  k ≡ 3 (mod p).
+    B_{n-5}, as b_leading gives it; reduction then drops the degree and the
+    reduced resultant no longer determines R_n mod p.
     """
     if n < FIRST_RESULTANT_INDEX:
         raise ValueError(f"skip rule applies from n = {FIRST_RESULTANT_INDEX}, got {n}")
-    if n % 2 == 0:
-        return (n // 2 - 5) % p == 0
-    return ((n - 1) // 2 - 3) % p == 0
+    return b_leading(n - 2)[1] % p == 0 or b_leading(n - 5)[1] % p == 0
 
 
 # --------------------------------------------------------------------------
@@ -431,17 +424,6 @@ class VerifyReport:
     def unproven(self) -> List[int]:
         return self.table.unproven()
 
-    def milestones(self) -> List[str]:
-        out = []
-        for ps in self.passes:
-            first = "none" if ps.first_unproven_after is None else str(ps.first_unproven_after)
-            out.append(
-                f"p={ps.prime}: computed {ps.computed} resultants, proved "
-                f"{ps.proved} new cases ({ps.skipped} skipped); first unproven "
-                f"now {first}; proved up to {ps.proved_up_to_after}"
-            )
-        return out
-
     def to_dict(self) -> dict:
         return {
             "max_n": self.max_n,
@@ -459,7 +441,7 @@ def verify_range(
     primes: Sequence[int] = DEFAULT_PRIMES,
     jobs: int = 1,
     checkpoint: Optional[str] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[PrimePass], None]] = None,
 ) -> VerifyReport:
     """Settle every case 5 <= n <= max_n with the given ascending primes
     (at least one).
@@ -468,7 +450,8 @@ def verify_range(
     prime settled and the skip rule admits, so later (more expensive) primes
     see only the stragglers.  With jobs > 1 each pass is split into
     contiguous n-ranges balanced by the measured cost model; passes themselves
-    are barriers, so witnesses match the sequential run exactly.
+    are barriers, so witnesses match the sequential run exactly.  progress
+    gets each pass's PrimePass once the pass is recorded.
     """
     t0 = time.perf_counter()
     if max_n < 5:
@@ -530,12 +513,7 @@ def verify_range(
             if ckpt is not None:
                 ckpt.persist(table, completed_prime=p)
             if progress is not None:
-                first = "none" if ps.first_unproven_after is None else str(ps.first_unproven_after)
-                progress(
-                    f"p={p}: proved {ps.proved}/{ps.computed} computed "
-                    f"({ps.skipped} skipped) in {ps.duration_seconds:.1f}s; "
-                    f"first unproven now {first}"
-                )
+                progress(ps)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -355,6 +355,14 @@ def test_residue_domain():
         residue_coeffs(1.5)
 
 
+@pytest.mark.parametrize("a", [1e-16, 3e-16, 1e-100])
+def test_residues_where_alpha_rounds_to_minus_one_name_a(a):
+    # rho^2 - 1 is exactly 0 there: this was a bare ZeroDivisionError
+    assert find_roots(a).alpha == -1.0
+    with pytest.raises(ValueError, match=f"a = {a:g} .* alpha rounds to -1"):
+        residue_coeffs(a)
+
+
 def test_residues_high_precision():
     # the residue formula divides by rho^2 - 1, which cancels near alpha = -1,
     # so the relative error allowed is a few units scaled by 1 / |rho^2 - 1|

@@ -163,6 +163,37 @@ def test_simulate_counterfactual_domain(capsys):
     assert "small-coefficient" in err
 
 
+@pytest.mark.parametrize(
+    "argv, a",
+    [
+        (["simulate", "--a", "1e-16", "--mode", "counterfactual"], "1e-16"),
+        (["simulate", "--a", "1e-100", "--mode", "counterfactual"], "1e-100"),
+        (["estimates", "--grid", "large=1e-17:0.5:0.1"], "1e-17"),
+    ],
+)
+def test_residues_where_alpha_rounds_to_minus_one_exit_2_naming_a(capsys, argv, a):
+    # these exited 2 with "complex division by zero", which named neither
+    # the point nor the cause
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc is None
+    assert f"residues at a = {a} " in err
+    assert "alpha rounds to -1" in err
+
+
+@pytest.mark.parametrize("a", ["1e-7", "1e-9"])
+def test_simulate_counterfactual_summary_shows_the_digits(capsys, a):
+    # b_{N+8} is of the order of -a: six decimals printed it as -0.000000
+    code, doc, err = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual")
+    assert code == 0
+    report = doc["report"]
+    value = report["b"][str(report["N"] + 8)]
+    (line,) = err.splitlines()
+    shown = float(line.split("b_{N+8} = ")[1].split()[0])
+    assert shown < 0
+    assert math.isclose(shown, value, rel_tol=1e-5)
+
+
 def test_simulate_no_violation_exit_one(capsys):
     # a tiny a cannot blow up within a short horizon: outcome unconfirmed
     code, doc, _ = run_cli(capsys, "simulate", "--a", "0.001", "--max-n", "50")
@@ -418,6 +449,43 @@ def test_search_document_does_not_depend_on_jobs(capsys):
     _, par, _ = run_cli(capsys, "search", "--max-degree", "8", "--jobs", "2")
     assert seq["manifest"]["parameters"] == {"max_degree": 8}
     assert _strip_durations(seq) == _strip_durations(par)
+
+
+def test_verify_writes_each_pass_once_then_the_closing_line(capsys):
+    # the pass lines come from verify_range's progress, one per PrimePass
+    code, doc, err = run_cli(capsys, "verify-resultants", "--max-n", "300", "--jobs", "1")
+    assert code == 0
+    passes = doc["report"]["passes"]
+    lines = err.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:-1]] == [f"p={ps['prime']}" for ps in passes]
+    for ps, line in zip(passes, lines):
+        assert line.startswith(
+            f"p={ps['prime']}: proved {ps['proved']}/{ps['computed']} computed ({ps['skipped']} skipped) in "
+        )
+        assert line.endswith(f"; proved up to {ps['proved_up_to_after']}")
+    assert lines[-1] == "all claims proven"
+
+
+def test_search_writes_one_line_per_degree_for_any_jobs(capsys):
+    # one progress line per degree, in order, before the two summary lines;
+    # only the seconds at the end of each line may differ with jobs
+    counts = {}
+    for jobs in ("1", "2"):
+        code, doc, err = run_cli(capsys, "search", "--max-degree", "8", "--jobs", jobs)
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 8 + 2
+        for s, line in zip(doc["report"]["degrees"], lines):
+            assert line.startswith(
+                f"degree {s['degree']}: {s['polynomials']} polynomials, {s['splits']} splits, "
+                f"{s['escalated']} escalated, {s['residual_unfair']} unfair, "
+                f"{s['residual_indeterminate']} residual indeterminate; "
+            )
+            assert re.fullmatch(r"\d+\.\ds", line.rsplit("; ", 1)[1])
+        assert [s["degree"] for s in doc["report"]["degrees"]] == list(range(1, 9))
+        assert lines[8].startswith("degrees 1..8: ")
+        counts[jobs] = [line.rsplit("; ", 1)[0] for line in lines[:8]]
+    assert counts["1"] == counts["2"]
 
 
 def test_console_module_entry():

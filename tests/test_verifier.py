@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import newmandiv
-from newmandiv.bseq import ZERO_POLY_LAW, b_leading, b_pairs
+from newmandiv.bseq import b_leading, b_pairs
 from newmandiv.modpoly import CapacityError, IntPoly, Prime, _gcd2, resultant_prs
 from newmandiv.verifier import (
     BASE_CASE_WITNESS,
@@ -48,17 +48,25 @@ def test_skip_rule_rejects_small_n():
         skip_rule(10, 3)
 
 
+def _closed_form_skip(n, p):
+    """The leading-coefficient law solved for n: the even member of the pair
+    leads with +-1 and the odd member 2j+1 with +-(j-2), so n = 2k skips iff
+    k = 5 (mod p) and n = 2k+1 iff k = 3 (mod p)."""
+    if n % 2 == 0:
+        return (n // 2 - 5) % p == 0
+    return ((n - 1) // 2 - 3) % p == 0
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_skip_rule_is_leading_coeff_divisibility(p):
-    """skip_rule(n, p) iff p divides lc(B_{n-2}) or lc(B_{n-5}), n <= 2000."""
+    """skip_rule(n, p) iff p divides a leading coefficient of the exact
+    walk's pair (B_{n-2}, B_{n-5}), n <= 200, and iff the closed form holds,
+    n <= 2000."""
+    for n, f, g in b_pairs(None, 200):
+        if n >= 11:
+            assert skip_rule(n, p) == (f.leading() % p == 0 or g.leading() % p == 0), (n, p)
     for n in range(11, 2001):
-        divides = False
-        for m in (n - 2, n - 5):
-            law = b_leading(m)
-            assert law != ZERO_POLY_LAW  # no zero member at n >= 11
-            if law[1] % p == 0:
-                divides = True
-        assert skip_rule(n, p) == divides, (n, p)
+        assert skip_rule(n, p) == _closed_form_skip(n, p), (n, p)
 
 
 # --------------------------------------------------------------------------
@@ -373,14 +381,17 @@ def test_verify_range_pass_accounting():
     for ps in rep.passes:
         assert ps.candidates == ps.skipped + ps.computed
         assert 0 <= ps.proved <= ps.computed
-    # milestones render one line per pass
-    lines = rep.milestones()
-    assert len(lines) == len(rep.passes)
-    assert all(f"p={ps.prime}:" in ln for ps, ln in zip(rep.passes, lines))
     d = rep.to_dict()
     assert d["all_proven"] is True
     assert d["unproven"] == []
     assert d["witnesses"]["11"] == 3
+
+
+def test_verify_range_progress_gets_each_pass_as_recorded():
+    seen = []
+    rep = verify_range(300, progress=seen.append)
+    assert seen == rep.passes
+    assert [ps.prime for ps in seen] == list(DEFAULT_PRIMES)
 
 
 def test_parallel_matches_sequential():
