@@ -626,11 +626,9 @@ class _Lanes:
         self.r = pow(2, self.h, p)
         self.lane = (1 << self.w) - 1
         self.cap = 1 << self.w  # every lane must stay below this
-        self.rest = self._fold_bound(self.lane)
+        # folding a lane <= b leaves it <= 2^h - 1 + r * (b >> h)
+        self.rest = (1 << self.h) - 1 + self.r * (self.lane >> self.h)
         self._lo = self._hi = 0
-
-    def _fold_bound(self, b: int) -> int:
-        return min(b, (1 << self.h) - 1) + self.r * (b >> self.h)
 
     def _masks(self, nbits: int):
         if self._lo.bit_length() < nbits:
@@ -678,6 +676,7 @@ class _Lanes:
 
     def coprime(self, f: int, g: int) -> bool:
         p, w, lane, cap, rest = self.p, self.w, self.lane, self.cap, self.rest
+        h, r, low = self.h, self.r, (1 << self.h) - 1
         df, dg = self.degree(f), self.degree(g)
         if df < dg:
             f, g, df, dg = g, f, dg, df
@@ -701,11 +700,12 @@ class _Lanes:
                     k, qneg = 1, -(f >> (df * w)) * ig % p
                 step = k * (p - 1) * bg  # k products summed into one lane
                 if bf + step >= cap:
+                    # after a fold a lane bound b becomes low + r * (b >> h)
                     if bg > rest:
-                        g, bg = self._fold(g), self._fold_bound(bg)
+                        g, bg = self._fold(g), low + r * (bg >> h)
                         step = k * (p - 1) * bg
                     if bf + step >= cap:
-                        f, bf = self._fold(f), self._fold_bound(bf)
+                        f, bf = self._fold(f), low + r * (bf >> h)
                 s = (df - dg + 1 - k) * w
                 f += qneg * g << s if s else qneg * g  # a shift by 0 still copies
                 bf += step

@@ -67,7 +67,6 @@ __all__ = [
     "NumericFailure",
     "enumerate_01",
     "split_survey",
-    "classify",
     "DegreeSummary",
     "ScanReport",
     "scan",
@@ -572,11 +571,6 @@ def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> 
     if failure is not None:
         raise NumericFailure(failure)
     return _candidates(r.degree, arrays, 0)
-
-
-def classify(r: Newman01, tol: float = DEFAULT_TOL) -> List[SplitCandidate]:
-    """Non-fair splits of r at the given tolerance (empty = conjecture holds)."""
-    return [c for c in split_survey(r, tol) if c.classification is not Classification.FAIR]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,13 @@ Over a field a resultant is nonzero exactly when the two polynomials are
 coprime, so the batch pass never forms the resultant: one packed walk of
 the window (``bseq.b_pairs``) feeds each admissible pair, checked against
 the leading-coefficient law, to ``modpoly.coprime``, the same Euclid kernel
-for every prime.  ``resultant_mod`` (the remainder-sequence resultant on
+for every prime.  Euclid is skipped where it is certain to fail: a pair
+that shares a root c in GF(p)* has (t - c) in its gcd, and one walk of the
+values B_n(c) at every such c (``bseq.b_values``) marks those n first.  c = 0 is
+never a shared root, since exactly one member of each pair has constant
+term 1.  The marking walk costs (p - 1) * max(ns) scalar steps, so it runs
+only when p - 1 <= len(ns); a large prime skips it and runs Euclid on every
+case.  ``resultant_mod`` (the remainder-sequence resultant on
 the same walk's pair, unpacked) and ``verify_exact_small`` (exact Sylvester
 determinant on the exact walk) are the independent single-case paths the
 tests hold it to.
@@ -35,7 +41,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .bseq import b_leading, b_pairs
+from .bseq import b_leading, b_pairs, b_values
 from .modpoly import (
     CapacityError,
     IntPoly,
@@ -204,22 +210,34 @@ def _check_leading(n: int, p: int, f: PackedPoly, g: PackedPoly) -> None:
             )
 
 
+def _shared_roots(p: int, ns: Sequence[int]) -> Set[int]:
+    """The n of ns at which B_{n-2} and B_{n-5} mod p vanish together at
+    some c in GF(p)*: (t - c) divides their gcd, so Euclid cannot prove n.
+    One walk of the values (``b_values``) through max(ns); the values lie in
+    [0, p), so both vanish at c exactly when their max does."""
+    want = set(ns)
+    return {n for n, f, g in b_values(Prime(p), max(ns)) if n in want and 0 in map(max, f, g)}
+
+
 def _run_chunk(p: int, ns: Sequence[int]) -> List[int]:
     """Decide the admissible cases in ns for prime p; returns those proved.
 
     Walks the packed window once (``b_pairs``), up through max(ns).  At each
     requested n the pair (B_{n-2}, B_{n-5}) is checked against the leading
     law and proved when the two are coprime over GF(p); with both leading
-    coefficients intact that is exactly R_n != 0 mod p.
+    coefficients intact that is exactly R_n != 0 mod p.  When p - 1 <=
+    len(ns), the n whose pair shares a root in GF(p)* are marked first
+    (``_shared_roots``) and fail without Euclid; the verdicts are the same.
     """
     if not ns:
         return []
     want = set(ns)
+    marked = _shared_roots(p, ns) if p - 1 <= len(ns) else set()
     proved: List[int] = []
     for n, f, g in b_pairs(Prime(p), max(ns)):
         if n in want:
             _check_leading(n, p, f, g)
-            if coprime(f, g):
+            if n not in marked and coprime(f, g):
                 proved.append(n)
     return proved
 
@@ -403,6 +421,8 @@ class PrimePass:
     prime: int
     candidates: int  # unproven cases entering the pass
     skipped: int
+    #: admissible cases the pass decided, counting those that failed on a
+    #: shared root in GF(p)* with no Euclid run
     computed: int
     proved: int
     first_unproven_after: Optional[int]

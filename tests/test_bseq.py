@@ -11,9 +11,13 @@ from newmandiv.bseq import (
     b_constant,
     b_leading,
     b_pairs,
+    b_values,
 )
 from newmandiv.modpoly import CapacityError, IntPoly, ModPoly, Prime
 from newmandiv.verifier import DEFAULT_PRIMES
+
+#: the verifier's primes and one prime of each wider lane form (W up to 96)
+WALK_PRIMES = DEFAULT_PRIMES + (19, 257, 65537, 2**31 - 1)
 
 
 def sympy_b(n_max):
@@ -86,7 +90,9 @@ def test_initial_window_mod3():
 def test_pairs_run_from_five_to_hi():
     assert [n for n, _, _ in b_pairs(None, 12)] == list(range(5, 13))
     assert [n for n, _, _ in b_pairs(Prime(5), 12)] == list(range(5, 13))
+    assert [n for n, _, _ in b_values(Prime(5), 12)] == list(range(5, 13))
     assert list(b_pairs(Prime(5), 4)) == []
+    assert list(b_values(Prime(5), 4)) == []
 
 
 # --------------------------------------------------------------------------
@@ -134,7 +140,7 @@ def test_default_exact_cap():
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+@pytest.mark.parametrize("p", WALK_PRIMES)
 def test_modp_window_is_exact_reduced(p):
     """The packed pairs the verifier reads, unpacked, are the exact pairs
     reduced mod p at every n the exact walk reaches."""
@@ -144,6 +150,17 @@ def test_modp_window_is_exact_reduced(p):
         assert n == m
         assert f.unpack() == fe.reduce_mod(prime), f"B_{n - 2} mod {p}"
         assert g.unpack() == ge.reduce_mod(prime), f"B_{n - 5} mod {p}"
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES + (19, 23))
+def test_value_walk_is_exact_evaluated(p):
+    """The value walk yields the exact pair evaluated at c = 1..p-1, mod p,
+    at every n the exact walk reaches."""
+    exact = b_pairs(None, EXACT_INDEX_CAP)
+    for (n, f, g), (m, fe, ge) in zip(b_values(Prime(p), EXACT_INDEX_CAP), exact, strict=True):
+        assert n == m
+        assert f == [fe(c) % p for c in range(1, p)], f"B_{n - 2} mod {p}"
+        assert g == [ge(c) % p for c in range(1, p)], f"B_{n - 5} mod {p}"
 
 
 # --------------------------------------------------------------------------

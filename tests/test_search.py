@@ -17,7 +17,6 @@ from newmandiv.search import (
     Newman01,
     NumericFailure,
     SplitCandidate,
-    classify,
     enumerate_01,
     scan,
     split_survey,
@@ -83,7 +82,7 @@ def test_reciprocal_reverses_and_involutes():
 
 
 # ----------------------------------------------------------------------
-# classify on hand-checked cases
+# split_survey on hand-checked cases
 # ----------------------------------------------------------------------
 
 
@@ -100,14 +99,13 @@ def test_two_factor_cube():
     assert c.classification is Classification.FAIR
     got = sorted([list(np.round(c.p_coeffs, 9)), list(np.round(c.q_coeffs, 9))], key=len)
     assert got == [[1.0, 1.0], [1.0, 0.0, 1.0]]
-    assert classify(Newman01(3, 0b1111)) == []
 
 
-def test_classify_tolerance_domain():
+def test_split_survey_tolerance_domain():
     r = Newman01(3, 0b1111)
     for bad in (1e-11, 1e-3, 0.0):
-        with pytest.raises(ValueError):
-            classify(r, tol=bad)
+        with pytest.raises(ValueError, match="tol must be in"):
+            split_survey(r, tol=bad)
 
 
 @pytest.mark.parametrize("precision", [0, -5, 52])

@@ -20,6 +20,7 @@ from newmandiv.verifier import (
     _COST_EXPONENT,
     _chunk_by_weight,
     _run_chunk,
+    _shared_roots,
     base_cases,
     check_base_case,
     resultant_mod,
@@ -214,6 +215,69 @@ def test_leading_law_guard_rejects_inadmissible_case():
     assert skip_rule(16, 3)
     with pytest.raises(ArithmeticError):
         _run_chunk(3, [16])
+
+
+# --------------------------------------------------------------------------
+# shared roots in GF(p)*: the cases marked to fail before Euclid
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_shared_roots_are_common_roots_of_the_exact_pair(p):
+    """n <= 200 is marked iff the exact pair, evaluated at some c in GF(p)*,
+    vanishes mod p in both members."""
+    ns = [n for n in range(11, 201) if not skip_rule(n, p)]
+    want = {
+        n
+        for n, f, g in b_pairs(None, 200)
+        if n in ns and any(f(c) % p == 0 == g(c) % p for c in range(1, p))
+    }
+    assert _shared_roots(p, ns) == want
+    assert want or p == 17  # the check is not empty where a root occurs
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_shared_roots_have_zero_resultant(p):
+    """Every marked admissible n <= 600 has Res(B_{n-2}, B_{n-5}) = 0 mod p,
+    by the remainder-sequence resultant."""
+    ns = [n for n in range(11, 601) if not skip_rule(n, p)]
+    for n in sorted(_shared_roots(p, ns)):
+        assert resultant_mod(n, Prime(p)) == 0, n
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_marking_changes_no_verdict(p, monkeypatch):
+    """With the marker marking nothing, Euclid proves the same cases, for
+    every admissible n <= 1500."""
+    from newmandiv import verifier
+
+    ns = [n for n in range(11, 1501) if not skip_rule(n, p)]
+    proved = _run_chunk(p, ns)
+    assert _shared_roots(p, ns)
+    monkeypatch.setattr(verifier, "_shared_roots", lambda p, ns: set())
+    assert _run_chunk(p, ns) == proved
+
+
+def test_marking_runs_only_when_p_minus_1_fits_the_cases(monkeypatch):
+    """The value walk costs (p - 1) * max(ns) scalar steps: it runs for a
+    chunk of at least p - 1 cases, never for 2^31 - 1."""
+    from newmandiv import verifier
+
+    calls = []
+    real = verifier._shared_roots
+    monkeypatch.setattr(verifier, "_shared_roots", lambda p, ns: calls.append(len(ns)) or real(p, ns))
+    ns = [n for n in range(11, 200) if not skip_rule(n, 7)]
+    _run_chunk(7, ns[:5])
+    assert calls == []
+    _run_chunk(7, ns[:6])
+    assert calls == [6]
+
+    def refuse(p, ns):
+        raise AssertionError(f"value walk at p = {p}")
+
+    monkeypatch.setattr(verifier, "_shared_roots", refuse)
+    rep = verify_range(60, primes=(2**31 - 1,))
+    assert rep.passes[0].computed > 0
 
 
 # --------------------------------------------------------------------------
