@@ -35,8 +35,8 @@ __all__ = ["main"]
 
 #: the layer module behind each subcommand -> the names its handler calls.
 #: A name is bound as an attribute of this module on first use (PEP 562), so
-#: ``import newmandiv.cli`` loads neither numpy nor mpmath, and ``main`` loads
-#: only the chosen subcommand's layer.
+#: ``import newmandiv.cli`` loads no numpy, and ``main`` loads only the
+#: chosen subcommand's layer.
 _LAYERS = {
     "analytic": (
         "check_estimates",

@@ -19,7 +19,8 @@ check.
 
 Over Z there is a primitive-remainder-sequence gcd, ``ip_gcd``, and Yun's
 squarefree decomposition, ``squarefree_decomposition``, in exact integer
-arithmetic; the scan's high-precision retry finds roots on its factors.
+arithmetic; the scan's retry solves each factor's simple roots on its
+own, in double precision.
 """
 
 from __future__ import annotations

@@ -10,18 +10,16 @@ up to 24, where the root-finder seeding is validated).
 
 Splits are classified numerically, so there is a deliberate indeterminate
 band around the thresholds; a mask with a split in it (or whose double
-pass fails) is retried at roughly four times the working precision with a
-hundredfold tighter tolerance, and only splits that survive that
-escalation are reported.  The retry first splits the mask exactly into its
-squarefree factors over Z, finds the simple roots of each factor, and
-lists every root as often as its multiplicity: the masks that escalate are
-the ones with repeated roots, on which root finding would otherwise
-converge only linearly.  Each factor's roots are first found in double
-precision by the double pass's Aberth solver, and the 212-bit iteration
-starts from them, so it only adds the missing digits; when that solve
-fails, or returns two equal roots, it starts from the double pass's circle
-seeds.  A retry that fails outright counts as a residual indeterminate, so
-the scan cannot then report that the conjecture holds.
+pass fails) is retried with a hundredfold tighter tolerance, and only
+splits that survive that escalation are reported.  The masks that escalate
+are the ones with repeated roots, which a solve of the whole mask finds
+only to about the k-th root of the unit roundoff at a k-fold root.  The
+retry therefore splits the mask exactly into its squarefree factors over
+Z, solves each factor on its own in double precision, where every root is
+simple and comes out accurate far inside the retry's tolerance, and lists
+every root as often as its multiplicity.  Everything after the roots is
+the double pass's.  A retry that fails outright counts as a residual
+indeterminate, so the scan cannot then report that the conjecture holds.
 
 The double pass works in blocks of 64 consecutive masks of a degree and
 on arrays.  One batched Aberth solve finds the roots of a block; its masks
@@ -32,10 +30,9 @@ their order, so every coefficient is that loop's to the last bit.  When
 split_survey first asks for a mask of a block, the block is solved and
 surveyed; the survey, not the roots, is the one thing kept, until the next
 block, and each mask's SplitCandidates are built from it on each call.
-The retry expands its splits on lists of mpmath numbers at its precision
-and rounds them to planes of one mask.  Both passes then reach their
-verdicts, and their imaginary-residue failures, by the same masked
-reductions, in _classify.
+The retry expands the splits of its one mask on the same planes.  Both
+passes then reach their verdicts, and their imaginary-residue failures, by
+the same masked reductions, in _classify.
 
 The scan is one task per block, _scan_block, which surveys and retries
 the block's masks and returns its counts, offenders and retry failures.
@@ -51,7 +48,7 @@ import enum
 import functools
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -75,8 +72,7 @@ __all__ = [
 MAX_DEGREE = 24
 DEFAULT_TOL = 1e-8
 
-#: escalation pass: ~4x the double-precision mantissa, tolerance / 100
-_ESCALATION_PRECISION = 212
+#: the retry of a flagged mask runs at tolerance / 100
 _ESCALATION_TOL_FACTOR = 100.0
 
 #: |Im ρ| below this multiple of tol counts as a real root.  The double pass
@@ -206,90 +202,32 @@ def _block_roots(degree: int, block: int) -> List[object]:
     return rows
 
 
-def _roots_mp(coeffs: Sequence[int]) -> List:
-    """Roots of a squarefree integer polynomial (ascending coefficients) by
-    Aberth iteration in the ambient mpmath precision.
-
-    The iteration starts from the polynomial's roots found by aberth_roots
-    in double precision, as MPSolve refines low-precision approximations
-    (Bini & Fiorentino 2000), so it only has to add the digits past the
-    53rd: two iterations on every factor of the masks of degree <= 12 that
-    escalate.  It starts from the circle seeds of the double pass instead
-    when that solve raises, or when two of its roots are equal, because the
-    Aberth sum divides by their differences.  Every root is simple, so
-    convergence is cubic once the approximations separate; the iteration
-    stops when no approximation moved by more than 2^(-prec/2), by which
-    point the next error is far below 2^(-prec).
-    """
-    import mpmath
-
-    d = len(coeffs) - 1
-    if d == 1:
-        return [mpmath.mpf(-coeffs[0]) / coeffs[1]]
-    cs = [mpmath.mpf(c) for c in coeffs]
-    dcs = [k * cs[k] for k in range(1, d + 1)]
-
-    def horner(cs, x):
-        acc = mpmath.mpf(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    try:
-        z = aberth_roots(np.array(coeffs, dtype=float), _seeds(d)).tolist()
-    except ArithmeticError:
-        z = []
-    if len(set(z)) == d:
-        z = [mpmath.mpc(s) for s in z]
-    else:
-        two_pi = 2 * mpmath.pi
-        z = [
-            mpmath.mpf("1.2") * mpmath.exp(mpmath.mpc(0, two_pi * (k + mpmath.mpf("0.37")) / d))
-            for k in range(d)
-        ]
-    stop = mpmath.mpf(2) ** -(mpmath.mp.prec // 2)
-    for _ in range(400):
-        max_step = mpmath.mpf(0)
-        for i in range(d):
-            fz = horner(cs, z[i])
-            if fz == 0:
-                continue
-            fpz = horner(dcs, z[i])
-            if fpz == 0:
-                z[i] += stop  # nudge off an exact critical point
-                continue
-            newton = fz / fpz
-            rep = mpmath.mpf(0)
-            for j in range(d):
-                if j != i:
-                    rep += 1 / (z[i] - z[j])
-            w = newton / (1 - newton * rep)
-            z[i] -= w
-            step = abs(w)
-            if step > max_step:
-                max_step = step
-        if max_step < stop:
-            break
-    else:
-        raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
-    return z
-
-
-def _roots_squarefree(r: Newman01) -> List:
+def _roots_squarefree(r: Newman01) -> List[complex]:
     """Roots of r with multiplicity, from its exact squarefree factors.
 
-    Each factor's roots are simple, so _roots_mp converges fast on it; a
-    root of multiplicity k is then listed k times, equal copies side by side.
+    Each factor's roots are simple: a linear factor's is -c0/c1, rounded
+    once (a 0-1 mask's only linear factor is x + 1), and the others come
+    from one aberth_roots solve from the circle seeds, whose roots converge
+    fast and far inside the retry's tolerance.  A root of multiplicity k is
+    then listed k times, equal copies side by side.
     """
     _, factors = squarefree_decomposition(IntPoly([(r.bits >> k) & 1 for k in range(r.degree + 1)]))
-    roots = []
+    roots: List[complex] = []
     for factor, mult in factors:
-        for z in _roots_mp(factor.coeffs):
+        cs = factor.coeffs
+        if len(cs) == 2:
+            zs = [complex(-cs[0] / cs[1])]
+        else:
+            try:
+                zs = aberth_roots(np.array(cs, dtype=float), _seeds(len(cs) - 1)).tolist()
+            except ArithmeticError as exc:
+                raise NumericFailure(f"root finding failed for the factor {list(cs)} of {r}") from exc
+        for z in zs:
             roots.extend([z] * mult)
     return roots
 
 
-def _units(roots, tol: float):
+def _units(roots: List[complex], tol: float):
     """Group roots into real singletons and conjugate pairs.
 
     Returns a list of (index-tuple, factor-coefficient-list) units, where
@@ -297,14 +235,13 @@ def _units(roots, tol: float):
     kept in complex form (imaginary residue is checked after expansion).
     """
     axis = _REAL_AXIS_FACTOR * tol
-    reals: List[Tuple[int, object]] = []
-    uppers: List[Tuple[int, object]] = []
-    lowers: List[Tuple[int, object]] = []
+    reals: List[Tuple[int, complex]] = []
+    uppers: List[Tuple[int, complex]] = []
+    lowers: List[Tuple[int, complex]] = []
     for i, z in enumerate(roots):
-        im = float(z.imag)
-        if abs(im) <= axis:
+        if abs(z.imag) <= axis:
             reals.append((i, z))
-        elif im > 0:
+        elif z.imag > 0:
             uppers.append((i, z))
         else:
             lowers.append((i, z))
@@ -315,10 +252,10 @@ def _units(roots, tol: float):
     for i, u in uppers:
         best_j, best_d = -1, None
         for j, (_, l) in enumerate(remaining):
-            dist = float(abs(u.conjugate() - l))
+            dist = abs(u.conjugate() - l)
             if best_d is None or dist < best_d:
                 best_j, best_d = j, dist
-        size = 1.0 + float(abs(u))
+        size = 1.0 + abs(u)
         if best_d > axis * size:
             raise NumericFailure("conjugate pairing failed: no matching lower root")
         li, l = remaining.pop(best_j)
@@ -327,37 +264,17 @@ def _units(roots, tol: float):
     return units
 
 
-def _mul(poly, factor):
-    out = [0] * (len(poly) + len(factor) - 1)
-    for i, c in enumerate(poly):
-        for j, f in enumerate(factor):
-            out[i + j] = out[i + j] + c * f
-    return out
-
-
-def _products(units) -> List[List]:
-    """Product of the factors of every unit subset, indexed by unit bitmask.
-
-    products[mask] is products[mask without its top unit] times that unit's
-    factor, so each subset costs one multiplication and performs the same
-    float operations, in the same order, as multiplying its units ascending.
-    """
-    products = [[1]]
-    for _, factor in units:
-        products += [_mul(poly, factor) for poly in products]
-    return products
-
-
 def _expand_planes(re: np.ndarray, im: np.ndarray, factors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Planes re + i im, (masks x rows x width), times one unit factor per
     mask: row m of factors holds mask m's factor coefficients, ascending.
 
-    _mul adds c_i f_j into out[i + j] for ascending i, then ascending j;
-    taking j in descending order hands every column its terms in that same
-    order, and each complex product is written out as (c f).re = cr fr - ci fi,
-    (c f).im = cr fi + ci fr, as numpy computes it on scalars.  Where _mul
-    multiplies reals, the zero imaginary parts here add only signed zeros,
-    which leave every column sum (it starts at +0.0) as it is.
+    The per-split product loop adds c_i f_j into out[i + j] for ascending i,
+    then ascending j; taking j in descending order hands every column its
+    terms in that same order, and each complex product is written out as
+    (c f).re = cr fr - ci fi, (c f).im = cr fi + ci fr, as numpy computes it
+    on scalars.  Where the loop multiplies reals, the zero imaginary parts
+    here add only signed zeros, which leave every column sum (it starts at
+    +0.0) as it is.
     """
     width = re.shape[2]
     out_re, out_im = np.zeros_like(re), np.zeros_like(im)
@@ -373,9 +290,11 @@ def _expand_group(group) -> Tuple[np.ndarray, ...]:
     """Every split of masks whose units have equal factor lengths, expanded
     at once on float64 planes (masks x splits x width), as _classify takes them.
 
-    The product table is built on planes, its rows indexed by unit bitmask as
-    in _products and padded with zeros to the width of the whole polynomial;
-    each split's P and Q come out bit for bit as _products makes them.
+    The product table is built on planes: row b, padded with zeros to the
+    width of the whole polynomial, is the product of the units in bitmask b,
+    made as row b without its top unit times that unit's factor.  Each
+    split's P and Q come out bit for bit as the loop that multiplies the
+    split's units in ascending order makes them.
     """
     lengths = [len(factor) for _, factor in group[0]]
     m, n = len(group), 1 << (len(lengths) - 1)
@@ -523,51 +442,39 @@ def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[Spl
     ]
 
 
-def split_survey(r: Newman01, tol: float = DEFAULT_TOL, precision: int = 53) -> List[SplitCandidate]:
+def split_survey(r: Newman01, tol: float = DEFAULT_TOL) -> List[SplitCandidate]:
     """Classify every nontrivial conjugate-closed split of r.
 
     Subset/complement pairs are visited once (the lexicographically smaller
-    unit mask is kept).  precision 53 reads r's entry of its block's
-    double-precision survey and builds its candidates from it; higher values
-    find r's roots and expand its splits with mpmath at that mantissa, and
-    classify them as the double pass does.  tol must lie in [1e-10, 1e-4]
-    and precision be at least 53 bits.
+    unit mask is kept).  r's entry of its block's double-precision survey
+    is read and its candidates built from it.  tol must lie in [1e-10, 1e-4].
 
-    At 53 bits one mask costs its whole block: the first call for a block
-    solves and surveys all of its masks and keeps the arrays.  One mask took
-    12 ms at degree 12, and 0.46 s with 114 MB peak RSS at degree 24.
-    Callers that walk the masks in enumerate_01 order pay for each block
-    once.
+    One mask costs its whole block: the first call for a block solves and
+    surveys all of its masks and keeps the arrays.  One mask took 12 ms at
+    degree 12, and 0.46 s with 114 MB peak RSS at degree 24.  Callers that
+    walk the masks in enumerate_01 order pay for each block once.
     """
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")
-    if precision < 53:
-        raise ValueError(f"precision must be at least 53 bits, got {precision}")
-    if precision == 53:
-        block, row = _block_row(r)
-        entry = _block_survey(r.degree, block, tol)[row]
-        if isinstance(entry, str):
-            raise NumericFailure(entry)
-        return _candidates(r.degree, *entry) if entry is not None else []
-    import mpmath
+    block, row = _block_row(r)
+    entry = _block_survey(r.degree, block, tol)[row]
+    if isinstance(entry, str):
+        raise NumericFailure(entry)
+    return _candidates(r.degree, *entry) if entry is not None else []
 
-    with mpmath.workprec(precision):
-        units = _units(_roots_squarefree(r), tol)
-        # split k: subset k of the lower units, and the rest times the top unit
-        products = _products(units[:-1])
-        n = len(products)
-        if n < 2:
-            return []
-        planes = np.zeros((2, 2, 1, n - 1, r.degree + 1))  # P and Q, each real and imaginary
-        for k in range(1, n):
-            for plane, poly in zip(planes, (products[k], _mul(products[n - 1 - k], units[-1][1]))):
-                plane[:, 0, k - 1, : len(poly)] = [[float(c.real) for c in poly], [float(c.imag) for c in poly]]
-    root_bits = [0]
-    for idx, _ in units[:-1]:
-        root_bits += [b | sum(1 << i for i in idx) for b in root_bits]
-    (p_re, p_im), (q_re, q_im) = planes
-    p_len = np.array([len(poly) for poly in products[1:]])
-    arrays, (failure,) = _classify(p_re, p_im, q_re, q_im, p_len, np.array([root_bits[1:]]), tol)
+
+def _retry_survey(r: Newman01, tol: float) -> List[SplitCandidate]:
+    """split_survey's verdicts for r from the roots of its squarefree factors.
+
+    The units, planes and verdict rule are the double pass's, applied to r
+    alone; only the roots differ, each simple root found once and listed
+    with its multiplicity.  Raises NumericFailure when a factor's solve, the
+    pairing or the imaginary residue fails.
+    """
+    units = _units(_roots_squarefree(r), tol)
+    if len(units) < 2:
+        return []
+    arrays, (failure,) = _classify(*_expand_group([units]), tol)
     if failure is not None:
         raise NumericFailure(failure)
     return _candidates(r.degree, arrays, 0)
@@ -586,7 +493,7 @@ class DegreeSummary:
     fair: int
     unfair: int
     indeterminate: int          # first pass, before escalation
-    escalated: int              # masks retried at high precision
+    escalated: int              # masks retried on their squarefree factors
     residual_unfair: int        # after escalation
     #: splits still indeterminate after escalation, plus one per mask whose
     #: escalation raised (that mask's splits are not counted one by one)
@@ -651,9 +558,9 @@ def _scan_block(degree: int, block: int, tol: float):
 
     First-pass indeterminates (and any first-pass unfair verdict, which at
     these degrees only ever comes from a root-finder artifact) are retried
-    at _ESCALATION_PRECISION bits with tol/100.  split_survey is looked up
-    as a module global on each call, so a wrapped or patched one is the one
-    a pool worker calls too.
+    by _retry_survey with tol/100.  split_survey and _retry_survey are
+    looked up as module globals on each call, so a wrapped or patched one is
+    the one a pool worker calls too.
     """
     retry_tol = tol / _ESCALATION_TOL_FACTOR
     n_poly = n_split = n_fair = n_unfair = n_ind = n_esc = n_r_unf = n_r_ind = 0
@@ -684,7 +591,7 @@ def _scan_block(degree: int, block: int, tol: float):
         if flagged:
             n_esc += 1
             try:
-                retry = split_survey(r, retry_tol, precision=_ESCALATION_PRECISION)
+                retry = _retry_survey(r, retry_tol)
             except NumericFailure as exc:
                 # the retry lost the mask as well: its splits stay
                 # undecided, so the scan cannot report that the conjecture holds
@@ -723,11 +630,11 @@ def scan(
     pool starts its workers as verify_range's does (forked on Linux), so
     they see the module as the caller left it, wrappers and patches included.
 
-    Flagged masks are retried at _ESCALATION_PRECISION bits with tol/100;
+    Flagged masks are retried on their squarefree factors with tol/100;
     whatever survives is listed as an offender.  A retry that raises
     NumericFailure is listed in retry_failures and counts as one residual
     indeterminate.  tol must lie in [1e-8, 1e-4], so that the retry's
-    tolerance is one split_survey takes, and jobs must be at least 1.
+    tolerance lies in split_survey's range, and jobs must be at least 1.
     """
     if not 1 <= max_degree <= MAX_DEGREE:
         raise CapacityError(f"max_degree must be in 1..{MAX_DEGREE}, got {max_degree}")

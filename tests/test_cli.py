@@ -363,13 +363,17 @@ def test_search_small(capsys):
 
 
 def test_search_failed_retry_exits_1(capsys, monkeypatch):
-    # a 212-bit retry that fails leaves its mask open: exit 1 with a report
+    # a retry that fails leaves its mask open: exit 1 with a report
     import newmandiv.search as search
 
-    def lost(coeffs):
-        raise search.NumericFailure("root finding failed at high precision")
+    def lost(coeffs, seeds, *args, **kwargs):
+        # the double pass's batched solves run; the retry's 1-D solves raise
+        if coeffs.ndim == 1:
+            raise ArithmeticError("root iteration did not converge")
+        return aberth_roots(coeffs, seeds, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_roots_mp", lost)
+    aberth_roots = search.aberth_roots
+    monkeypatch.setattr(search, "aberth_roots", lost)
     code, doc, err = run_cli(capsys, "search", "--max-degree", "6")
     assert code == 1
     assert doc["report"]["conjecture_holds"] is False

@@ -1,8 +1,9 @@
 """Import discipline: a process loads only the libraries its work needs.
 
 Each test runs a fresh interpreter, because the test process itself has
-numpy and mpmath loaded long before any test starts. A module set to None
-in sys.modules cannot be imported, so a run that would need it fails.
+numpy and mpmath (an oracle of the tests) loaded long before any test
+starts. A module set to None in sys.modules cannot be imported, so a run
+that would need it fails.
 """
 
 import json
@@ -75,13 +76,23 @@ def test_double_precision_subcommands_run_without_mpmath(argv, capsys):
 
 
 def test_search_without_escalation_runs_without_mpmath(capsys):
-    # below degree 4 no mask escalates, so the double pass alone decides the
-    # scan, and seeding the 212-bit retry must not pull mpmath into it
+    # below degree 4 no mask escalates, so the double pass alone decides the scan
     argv = ["search", "--max-degree", "3"]
     out = run_cli_isolated(argv, blocked=("mpmath",))
     assert out.returncode == main(argv) == 0, out.stderr
     doc = json.loads(capsys.readouterr().out)
     assert all(d["escalated"] == 0 for d in doc["report"]["degrees"])
+    assert json.loads(out.stdout)["manifest"]["digest"] == doc["manifest"]["digest"]
+
+
+def test_escalating_search_runs_without_mpmath(capsys):
+    # the scan to degree 6 retries 1+x+x^3+x^4 and 1+x+x^5+x^6, both with a
+    # repeated root, and reaches its verdict without mpmath
+    argv = ["search", "--max-degree", "6"]
+    out = run_cli_isolated(argv, blocked=("mpmath",))
+    assert out.returncode == main(argv) == 0, out.stderr
+    doc = json.loads(capsys.readouterr().out)
+    assert [d["escalated"] for d in doc["report"]["degrees"]] == [0, 0, 0, 1, 0, 1]
     assert json.loads(out.stdout)["manifest"]["digest"] == doc["manifest"]["digest"]
 
 
@@ -92,18 +103,3 @@ def test_all_ones_simulate_runs_without_numpy(capsys):
     assert out.returncode == main(argv) == 0, out.stderr
     expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
-
-
-def test_escalated_split_survey_loads_mpmath_on_demand():
-    # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2), one of the masks the scan escalates
-    out = run_isolated(
-        "from newmandiv.search import DEFAULT_TOL, _ESCALATION_PRECISION, Classification,"
-        " Newman01, split_survey\n"
-        "assert 'mpmath' not in sys.modules\n"
-        "retry = split_survey(Newman01(4, 0b11011), tol=DEFAULT_TOL / 100,"
-        " precision=_ESCALATION_PRECISION)\n"
-        "assert len(retry) == 3, retry\n"
-        "assert all(c.classification is Classification.FAIR for c in retry)\n"
-        "assert 'mpmath' in sys.modules\n"
-    )
-    assert out.returncode == 0, out.stderr

@@ -1,5 +1,6 @@
 """Tests for the small-degree unfair-factorization scanner."""
 
+import hashlib
 import json
 import multiprocessing
 
@@ -23,11 +24,10 @@ from newmandiv.search import (
 )
 from newmandiv.search import (
     _BLOCK,
-    _ESCALATION_PRECISION,
     _block_roots,
     _block_row,
     _block_survey,
-    _products,
+    _retry_survey,
     _seeds,
     _units,
 )
@@ -108,14 +108,6 @@ def test_split_survey_tolerance_domain():
             split_survey(r, tol=bad)
 
 
-@pytest.mark.parametrize("precision", [0, -5, 52])
-def test_split_survey_rejects_precision_below_double(precision):
-    # below 53 bits the mpmath survey would run at that working precision:
-    # at 0 and -5 it called the splits of 1+x+x^3+x^4 fair
-    with pytest.raises(ValueError, match="precision must be at least 53"):
-        split_survey(Newman01(4, 0b11011), precision=precision)
-
-
 def test_repeated_real_root_mask():
     # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2): the double root at -1 splits into
     # near-coincident approximations; every split must come out fair or
@@ -123,14 +115,14 @@ def test_repeated_real_root_mask():
     r = Newman01(4, 0b11011)
     for c in split_survey(r):
         assert c.classification in (Classification.FAIR, Classification.INDETERMINATE)
-    retry = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+    retry = _retry_survey(r, DEFAULT_TOL / 100)
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
 def test_repeated_complex_pair_mask_escalates_clean():
     # 1+x^2+x^6+x^8 = (1+x^2)^2 (x^4-x^2+1): double roots at +-i
     r = Newman01(8, 0b101000101)
-    retry = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+    retry = _retry_survey(r, DEFAULT_TOL / 100)
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
@@ -161,7 +153,7 @@ def test_reconstruction_bound(degree, rng):
     try:
         survey = split_survey(r)
     except NumericFailure:
-        survey = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+        survey = _retry_survey(r, DEFAULT_TOL / 100)
     budget = degree * (2**degree) * DEFAULT_TOL
     want = r.coeffs()
     for c in survey:
@@ -243,11 +235,11 @@ SHARED_PRODUCT_MASKS = LISTED_PRODUCT_MASKS + [
 
 @pytest.mark.parametrize("bits", SHARED_PRODUCT_MASKS)
 def test_shared_products_equal_the_ascending_loop(bits):
-    # the subset-product table and the survey's array expansion must both
-    # reproduce the per-subset loop bit for bit, since the first pass's
-    # verdicts are pinned by the scan digest; the listed masks must survive
-    # the double pass, an added mask may be lost by it, and then the survey
-    # must be lost on the same grounds
+    # the survey's shared product table on planes must reproduce the
+    # per-subset loop bit for bit, since the first pass's verdicts are pinned
+    # by the scan digest; the listed masks must survive the double pass, an
+    # added mask may be lost by it, and then the survey must be lost on the
+    # same grounds
     listed = bits in LISTED_PRODUCT_MASKS
     r = Newman01(bits.bit_length() - 1, bits)
     try:
@@ -260,10 +252,6 @@ def test_shared_products_equal_the_ascending_loop(bits):
         return
     if listed:
         assert len(units) >= 4
-    products = _products(units)
-    assert len(products) == 1 << len(units)
-    for picked, poly in enumerate(products):
-        assert poly == _product_by_loop(units, picked, 0.0)
     # the survey visits each subset without the top unit once, in order,
     # and fails at the first split the loop survey fails at
     want = _survey_by_loop(units, DEFAULT_TOL)
@@ -274,7 +262,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
         assert str(info.value) == want
         return
     survey = split_survey(r)
-    assert len(survey) == len(products) // 2 - 1
+    assert len(survey) == (1 << (len(units) - 1)) - 1
     assert repr(survey) == repr(want)
 
 
@@ -536,13 +524,14 @@ def test_reciprocal_metamorphic_full_degree_seven():
 
 
 def test_monotone_refinement_sample():
-    # raising precision may flip indeterminate either way but must never
-    # turn a fair split unfair; match splits by their coefficient vectors
+    # the retry's simple roots and tighter tolerance may flip indeterminate
+    # either way but must never turn a fair split unfair; match splits by
+    # their coefficient vectors
     rng = np.random.default_rng(20260817)
     masks = [Newman01(9, 1 | (int(rng.integers(0, 1 << 8)) << 1) | (1 << 9)) for _ in range(8)]
     for r in masks:
         lo = split_survey(r)
-        hi = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+        hi = _retry_survey(r, DEFAULT_TOL / 100)
         hi_by_coeffs = {
             tuple(np.round(c.p_coeffs, 5)): c.classification for c in hi
         } | {tuple(np.round(c.q_coeffs, 5)): c.classification for c in hi}
@@ -580,7 +569,7 @@ def test_scan_small_degrees_hold():
 
 
 #: every mask of degree <= 12 the double-precision pass flags, as
-#: (degree, bits) -> split count of its 212-bit survey; each count is
+#: (degree, bits) -> split count of its retry; each count is
 #: 2^(m-1) - 1 for m real roots plus conjugate pairs, with multiplicity
 ESCALATED_TO_DEGREE_12 = {
     (4, 27): 3, (6, 99): 7, (7, 189): 7, (8, 297): 15, (8, 325): 7,
@@ -612,7 +601,7 @@ def test_escalated_masks_have_repeated_factors_and_fair_retries():
         r = Newman01(degree, bits)
         _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
         assert max(k for _, k in factors) >= 2, str(r)
-        retry = split_survey(r, tol=DEFAULT_TOL / 100, precision=_ESCALATION_PRECISION)
+        retry = _retry_survey(r, DEFAULT_TOL / 100)
         assert len(retry) == n_splits, str(r)
         assert all(c.classification is Classification.FAIR for c in retry), str(r)
 
@@ -622,69 +611,60 @@ def _squarefree_factors(degree, bits):
     return [factor.coeffs for factor, _ in factors if len(factor.coeffs) > 2]
 
 
-def _circle_seeded_roots(coeffs):
-    # the reference: _roots_mp's loop started from the circle seeds alone
+def _oracle_roots(degree, bits):
+    # the reference: every root with its multiplicity, by mpmath.polyroots
+    # at 200 bits on each exact squarefree factor
     import mpmath
 
-    d = len(coeffs) - 1
-    cs = [mpmath.mpf(c) for c in coeffs]
-    dcs = [k * cs[k] for k in range(1, d + 1)]
-
-    def horner(cs, x):
-        acc = mpmath.mpf(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    two_pi = 2 * mpmath.pi
-    z = [
-        mpmath.mpf("1.2") * mpmath.exp(mpmath.mpc(0, two_pi * (k + mpmath.mpf("0.37")) / d))
-        for k in range(d)
-    ]
-    stop = mpmath.mpf(2) ** -(mpmath.mp.prec // 2)
-    for _ in range(400):
-        max_step = mpmath.mpf(0)
-        for i in range(d):
-            fz = horner(cs, z[i])
-            if fz == 0:
-                continue
-            fpz = horner(dcs, z[i])
-            if fpz == 0:
-                z[i] += stop
-                continue
-            newton = fz / fpz
-            rep = mpmath.mpf(0)
-            for j in range(d):
-                if j != i:
-                    rep += 1 / (z[i] - z[j])
-            w = newton / (1 - newton * rep)
-            z[i] -= w
-            step = abs(w)
-            if step > max_step:
-                max_step = step
-        if max_step < stop:
-            return z
-    raise AssertionError(f"the circle-seeded loop did not converge on {coeffs}")
+    _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
+    roots = []
+    with mpmath.workprec(200):
+        for factor, mult in factors:
+            for w in mpmath.polyroots(factor.coeffs[::-1], maxsteps=200, extraprec=200):
+                roots.extend([mpmath.mpc(w)] * mult)
+    return roots
 
 
-def test_seeded_retry_roots_equal_the_circle_seeded_roots():
-    # every factor of every escalated mask: the roots the 212-bit loop finds
-    # from the double-precision seeds are those it finds from the circle,
-    # each within 2^-100, one for one
+def _oracle_product(roots):
+    # prod (x - w) over roots, ascending, at the roots' precision
+    poly = [1]
+    for w in roots:
+        poly = [b - w * a for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def test_retry_splits_match_the_200_bit_oracle():
+    # every split of every mask the scan escalates to degree 12: P and Q lie
+    # within 1e-11 of the same roots' product from 200-bit roots, and a split
+    # fair as 0-1 rounds to integer factors whose product is exactly R
     import mpmath
 
-    with mpmath.workprec(_ESCALATION_PRECISION):
-        for degree, bits in ESCALATED_TO_DEGREE_12:
-            for coeffs in _squarefree_factors(degree, bits):
-                seeded, circle = search._roots_mp(coeffs), _circle_seeded_roots(coeffs)
-                assert len(seeded) == len(circle)
-                nearest = []
-                for z in seeded:
-                    dist = [abs(z - w) for w in circle]
-                    k = min(range(len(circle)), key=dist.__getitem__)
-                    assert dist[k] < mpmath.mpf(2) ** -100, (degree, bits, coeffs)
-                    nearest.append(k)
-                assert sorted(nearest) == list(range(len(circle))), (degree, bits, coeffs)
+    retry_tol = DEFAULT_TOL / 100
+    exact = 0
+    with mpmath.workprec(200):
+        for (degree, bits), n_splits in ESCALATED_TO_DEGREE_12.items():
+            r = Newman01(degree, bits)
+            whole = IntPoly([(bits >> k) & 1 for k in range(degree + 1)])
+            oracle = _oracle_roots(degree, bits)
+            # pair each retry root with the nearest oracle root not yet taken
+            free, match = list(range(len(oracle))), []
+            for z in search._roots_squarefree(r):
+                k = min(free, key=lambda k: abs(oracle[k] - z))
+                free.remove(k)
+                match.append(oracle[k])
+            retry = _retry_survey(r, retry_tol)
+            assert len(retry) == n_splits, str(r)
+            for c in retry:
+                rest = [i for i in range(degree) if i not in c.subset]
+                for got, picked in ((c.p_coeffs, c.subset), (c.q_coeffs, rest)):
+                    want = _oracle_product([match[i] for i in picked])
+                    assert len(got) == len(want), (str(r), c.subset)
+                    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-11, (str(r), c.subset)
+                if c.classification is Classification.FAIR and c.min_coefficient >= -retry_tol:
+                    p0, q0 = (IntPoly([round(x) for x in f]) for f in (c.p_coeffs, c.q_coeffs))
+                    assert p0 * q0 == whole, (str(r), c.subset)
+                    exact += 1
+    assert exact > 0
 
 
 def test_retry_solves_each_factor_once_in_double_precision(monkeypatch):
@@ -699,53 +679,19 @@ def test_retry_solves_each_factor_once_in_double_precision(monkeypatch):
     monkeypatch.setattr(search, "aberth_roots", recording)
     for degree, bits in [(4, 27), (12, 8127)]:
         solved.clear()
-        split_survey(Newman01(degree, bits), DEFAULT_TOL / 100, _ESCALATION_PRECISION)
+        _retry_survey(Newman01(degree, bits), DEFAULT_TOL / 100)
         assert solved == [[float(c) for c in f] for f in _squarefree_factors(degree, bits)]
 
 
-def _no_double_solve(coeffs, seeds, *args, **kwargs):
-    raise ArithmeticError("root iteration did not converge")
-
-
-def _coinciding_double_roots(coeffs, seeds, *args, **kwargs):
-    z = aberth_roots(coeffs, seeds, *args, **kwargs)
-    z[1] = z[0]
-    return z
-
-
-@pytest.mark.parametrize("double_solve", [_no_double_solve, _coinciding_double_roots])
-def test_retry_falls_back_to_the_circle_seeds(monkeypatch, double_solve):
-    # a double solve that raises, or whose roots coincide, leaves the 212-bit
-    # loop on the circle seeds: the roots are the reference loop's to the bit,
-    # and the retry's verdicts are the seeded retry's
-    import mpmath
-
-    masks = [(4, 27), (8, 325), (11, 3195), (12, 8127)]
-    retry_tol = DEFAULT_TOL / 100
-    seeded = {m: split_survey(Newman01(*m), retry_tol, _ESCALATION_PRECISION) for m in masks}
-    monkeypatch.setattr(search, "aberth_roots", double_solve)
-    for m in masks:
-        with mpmath.workprec(_ESCALATION_PRECISION):
-            for coeffs in _squarefree_factors(*m):
-                assert search._roots_mp(coeffs) == _circle_seeded_roots(coeffs)
-        retry = split_survey(Newman01(*m), retry_tol, _ESCALATION_PRECISION)
-        assert len(retry) == len(seeded[m]) == ESCALATED_TO_DEGREE_12[m]
-        assert [c.classification for c in retry] == [c.classification for c in seeded[m]]
-        assert all(c.classification is Classification.FAIR for c in retry)
-
-
-def test_retry_equals_the_loop_survey_at_212_bits():
+def test_retry_equals_the_loop_survey():
     # the retry classifies through the double pass's planes; on every mask
-    # the scan escalates to degree 12 it is the loop survey of its units, run
-    # at the retry's precision, to the bit
-    import mpmath
-
+    # the scan escalates to degree 12 it is the loop survey of its units, to
+    # the bit
     retry_tol = DEFAULT_TOL / 100
     for degree, bits in ESCALATED_TO_DEGREE_12:
         r = Newman01(degree, bits)
-        with mpmath.workprec(_ESCALATION_PRECISION):
-            want = _survey_by_loop(_units(search._roots_squarefree(r), retry_tol), retry_tol)
-        assert repr(split_survey(r, retry_tol, _ESCALATION_PRECISION)) == repr(want), str(r)
+        want = _survey_by_loop(_units(search._roots_squarefree(r), retry_tol), retry_tol)
+        assert repr(_retry_survey(r, retry_tol)) == repr(want), str(r)
 
 
 #: a mask whose first split fails on Q, with real roots in the units before
@@ -756,8 +702,6 @@ def test_retry_residue_failure_is_the_loop_surveys(monkeypatch, mask):
     # lower root, which allows im_limit (1 + |u|), but leaves that much
     # imaginary residue in their factor: the retry fails with the loop
     # survey's message
-    import mpmath
-
     retry_tol = DEFAULT_TOL / 100
     im_limit = search._REAL_AXIS_FACTOR * retry_tol
     roots_squarefree = search._roots_squarefree
@@ -765,16 +709,15 @@ def test_retry_residue_failure_is_the_loop_surveys(monkeypatch, mask):
     def moved(r):
         z = roots_squarefree(r)
         first = next(i for i, w in enumerate(z) if w.imag > im_limit)
-        z[first] += mpmath.mpc(0, 1.5 * im_limit)
+        z[first] += 1.5j * im_limit
         return z
 
     monkeypatch.setattr(search, "_roots_squarefree", moved)
     r = Newman01(*mask)
-    with mpmath.workprec(_ESCALATION_PRECISION):
-        want = _survey_by_loop(_units(moved(r), retry_tol), retry_tol)
+    want = _survey_by_loop(_units(moved(r), retry_tol), retry_tol)
     assert want.startswith("imaginary residue")
     with pytest.raises(NumericFailure) as info:
-        split_survey(r, retry_tol, _ESCALATION_PRECISION)
+        _retry_survey(r, retry_tol)
     assert str(info.value) == want
 
 
@@ -810,13 +753,17 @@ def test_scan_degree_ten_resolves_all_indeterminates():
     }
 
 
+def _no_factor_solve(coeffs, seeds, *args, **kwargs):
+    # the double pass's batched solves run; the retry's 1-D solves raise
+    if np.ndim(coeffs) == 1:
+        raise ArithmeticError("root iteration did not converge")
+    return aberth_roots(coeffs, seeds, *args, **kwargs)
+
+
 def test_failed_retry_leaves_the_mask_open(monkeypatch):
     # a retry that raises is a residual indeterminate recorded in the report,
     # not a crash of the whole scan
-    def lost(coeffs):
-        raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
-
-    monkeypatch.setattr(search, "_roots_mp", lost)
+    monkeypatch.setattr(search, "aberth_roots", _no_factor_solve)
     rep = scan(6)
     assert [(r.degree, r.bits) for r, _ in rep.retry_failures] == [(4, 27), (6, 99)]
     assert [s.residual_indeterminate for s in rep.summaries] == [0, 0, 0, 1, 0, 1]
@@ -829,16 +776,31 @@ def test_failed_retry_leaves_the_mask_open(monkeypatch):
         (4, 27, "1+x+x^3+x^4"),
         (6, 99, "1+x+x^5+x^6"),
     ]
-    assert all("at high precision" in f["error"] for f in doc["retry_failures"])
+    assert [f["error"] for f in doc["retry_failures"]] == [
+        "root finding failed for the factor [1, -1, 1] of 1+x+x^3+x^4",
+        "root finding failed for the factor [1, -1, 1, -1, 1] of 1+x+x^5+x^6",
+    ]
     monkeypatch.undo()
     assert "retry_failures" not in scan(6).to_dict()
 
 
+def _sha256(report):
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def test_scan_report_does_not_depend_on_jobs():
     seen = {1: [], 2: []}
-    reports = {jobs: scan(12, progress=seen[jobs].append, jobs=jobs).to_dict() for jobs in (1, 2)}
-    assert reports[2] == reports[1]
+    reports = {jobs: scan(12, progress=seen[jobs].append, jobs=jobs) for jobs in (1, 2)}
+    assert reports[2].to_dict() == reports[1].to_dict()
     assert seen[2] == seen[1] and [s.degree for s in seen[1]] == list(range(1, 13))
+    # recorded with a 212-bit retry: the retry in double reaches its report
+    assert _sha256(reports[1]) == "00d29d7b744932486003ccdb34e4d7f01da484f0a9ade87e706828a12e4abedb"
+
+
+@pytest.mark.slow
+def test_scan_report_to_degree_14():
+    # 113 masks escalate up to degree 14; recorded with a 212-bit retry
+    assert _sha256(scan(14, jobs=2)) == "e22939a124ba73770b5a7297f975fdadc71ebd15b156af4e73cf5a4f57eea8b5"
 
 
 fork_only = pytest.mark.skipif(
@@ -851,22 +813,19 @@ def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch
     # retries fail on masks 297 and 495 (degree 8, blocks 0 and 1) and 891
     # (degree 9, block 2); every other retry leaves its splits indeterminate
     # and so lists them as offenders, from blocks of both degrees
-    real_roots_mp, real_survey = search._roots_mp, search.split_survey
+    real_retry = search._retry_survey
     lost = {(1, -2, 3, -3, 3, -2, 1), (1, -1, 2, -2, 2, -1, 1)}
 
-    def roots_mp(coeffs):
-        if tuple(coeffs) in lost:
-            raise NumericFailure(f"root finding failed for {list(coeffs)} at high precision")
-        return real_roots_mp(coeffs)
+    def factor_solve(coeffs, seeds, *args, **kwargs):
+        if np.ndim(coeffs) == 1 and tuple(np.asarray(coeffs).tolist()) in lost:
+            raise ArithmeticError("root iteration did not converge")
+        return aberth_roots(coeffs, seeds, *args, **kwargs)
 
-    def survey(r, tol=DEFAULT_TOL, precision=53):
-        got = real_survey(r, tol, precision)
-        if precision == 53:
-            return got
-        return [c._replace(classification=Classification.INDETERMINATE) for c in got]
+    def retry(r, tol):
+        return [c._replace(classification=Classification.INDETERMINATE) for c in real_retry(r, tol)]
 
-    monkeypatch.setattr(search, "_roots_mp", roots_mp)
-    monkeypatch.setattr(search, "split_survey", survey)
+    monkeypatch.setattr(search, "aberth_roots", factor_solve)
+    monkeypatch.setattr(search, "_retry_survey", retry)
     serial, pooled = scan(9, jobs=1), scan(9, jobs=2)
     assert [(r.degree, r.bits) for r, _ in pooled.retry_failures] == [(8, 297), (8, 495), (9, 891)]
     assert sorted({(r.degree, r.bits) for r, _ in pooled.offenders}) == [
@@ -891,10 +850,10 @@ def _raise_at_degree_9(summary):
 def test_no_pool_worker_outlives_scan(monkeypatch, where):
     real_survey = search.split_survey
 
-    def survey(r, tol=DEFAULT_TOL, precision=53):
+    def survey(r, tol=DEFAULT_TOL):
         if (r.degree, *_block_row(r)) == (9, 1, 36):  # a task in the middle of the run
             raise _Recorded
-        return real_survey(r, tol, precision)
+        return real_survey(r, tol)
 
     if where == "task raises":
         monkeypatch.setattr(search, "split_survey", survey)
