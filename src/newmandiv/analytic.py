@@ -76,22 +76,23 @@ def _horner(planes: List[np.ndarray], x: np.ndarray) -> np.ndarray:
     return y
 
 
-def aberth_roots(
-    coeffs: Sequence[complex],
-    seeds: Sequence[complex],
-    tol: float = 1e-14,
-    max_iter: int = 200,
-) -> np.ndarray:
+#: aberth_roots's backward-stable residual test and its iteration cap
+_ABERTH_TOL = 1e-14
+_ABERTH_MAX_ITER = 200
+
+
+def aberth_roots(coeffs: Sequence[complex], seeds: Sequence[complex]) -> np.ndarray:
     """All roots at once (Ehrlich–Aberth iteration).
 
     coeffs are ascending (coeffs[k] multiplies x^k) with nonzero leading
     term; seeds must be pairwise distinct and of the same length as the
     degree.  Stops once every point satisfies the backward-stable test
-    |p(z)| <= tol * sum_k |c_k| |z|^k — i.e. z is an exact root of some
-    polynomial whose coefficients differ relatively by at most tol — and
-    raises ArithmeticError otherwise.  (A plain absolute residual bound is
-    unreachable for roots of modulus above 1 at larger degrees: evaluation
-    noise alone scales with the coefficient-magnitude sum.)
+    |p(z)| <= tol * sum_k |c_k| |z|^k with tol = _ABERTH_TOL (1e-14) — i.e.
+    z is an exact root of some polynomial whose coefficients differ
+    relatively by at most tol — and raises ArithmeticError if that takes
+    more than _ABERTH_MAX_ITER (200) steps.  (A plain absolute residual
+    bound is unreachable for roots of modulus above 1 at larger degrees:
+    evaluation noise alone scales with the coefficient-magnitude sum.)
 
     Batched form: coeffs of shape (m, d+1) and seeds of shape (m, d) give
     roots of shape (m, d).  Each row runs the arithmetic of its own 1-D
@@ -114,9 +115,9 @@ def aberth_roots(
     p, dp, ap = (_planes(r, deg) for r in (c[:, ::-1], dc[:, ::-1], np.abs(c[:, ::-1])))
     out = np.empty_like(z)
     live = np.arange(len(z))  # the rows of out that z still holds
-    for it in range(max_iter + 1):
+    for it in range(_ABERTH_MAX_ITER + 1):
         pv = _horner(p, z)
-        ok = np.abs(pv) <= tol * _horner(ap, np.abs(z))
+        ok = np.abs(pv) <= _ABERTH_TOL * _horner(ap, np.abs(z))
         if ok.all():
             out[live] = z
             return out if batched else out[0]
@@ -126,7 +127,7 @@ def aberth_roots(
             keep = ~done
             live, z, pv = live[keep], z[keep], pv[keep]
             p, dp, ap = ([x[keep] for x in planes] for planes in (p, dp, ap))
-        if it == max_iter:
+        if it == _ABERTH_MAX_ITER:
             break
         dv = _horner(dp, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,7 +143,7 @@ def aberth_roots(
             step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         z = z - step
     raise ArithmeticError(
-        f"root iteration did not reach residual {tol:g} in {max_iter} steps"
+        f"root iteration did not reach residual {_ABERTH_TOL:g} in {_ABERTH_MAX_ITER} steps"
     )
 
 

@@ -8,18 +8,20 @@ is not a 0-1 polynomial.  The conjecture says no unfair split exists; the
 scanner confirms it exhaustively for all degrees up to 12 (and stays sound
 up to 24, where the root-finder seeding is validated).
 
-Splits are classified numerically, so there is a deliberate indeterminate
-band around the thresholds; a mask with a split in it (or whose double
-pass fails) is retried with a hundredfold tighter tolerance, and only
-splits that survive that escalation are reported.  The masks that escalate
-are the ones with repeated roots, which a solve of the whole mask finds
-only to about the k-th root of the unit roundoff at a k-fold root.  The
-retry therefore splits the mask exactly into its squarefree factors over
-Z, solves each factor on its own in double precision, where every root is
-simple and comes out accurate far inside the retry's tolerance, and lists
-every root as often as its multiplicity.  Everything after the roots is
-the double pass's.  A retry that fails outright counts as a residual
-indeterminate, so the scan cannot then report that the conjecture holds.
+Splits are classified numerically at the fixed tolerance DEFAULT_TOL
+(1e-8), so there is a deliberate indeterminate band around the
+thresholds; a mask with a split in it (or whose double pass fails) is
+retried at _RETRY_TOL (1e-10), a hundredfold tighter, and only splits
+that survive that escalation are reported.  The masks that escalate are
+the ones with repeated roots, which a solve of the whole mask finds only
+to about the k-th root of the unit roundoff at a k-fold root.  The retry
+therefore splits the mask exactly into its squarefree factors over Z,
+solves each factor on its own in double precision, where every root is
+simple and comes out accurate far inside the retry's tolerance, and
+lists every root as often as its multiplicity.  Everything after the
+roots is the double pass's.  A retry that fails outright counts as a
+residual indeterminate, so the scan cannot then report that the
+conjecture holds.
 
 The double pass works in blocks of 64 consecutive masks of a degree and
 on arrays.  One batched Aberth solve finds the roots of a block; its masks
@@ -38,8 +40,8 @@ The scan is one task per block, _scan_block, which surveys and retries
 the block's masks and returns its counts, offenders and retry failures.
 scan maps it over the blocks in order, in process or, with jobs > 1 from
 degree 8 on (where a degree first has two blocks), on a pool of jobs
-worker processes, and sums the results in block order: the report does
-not depend on jobs.
+worker processes (no more than there are blocks), and sums the results in
+block order: the report does not depend on jobs.
 """
 
 from __future__ import annotations
@@ -72,14 +74,16 @@ __all__ = [
 MAX_DEGREE = 24
 DEFAULT_TOL = 1e-8
 
-#: the retry of a flagged mask runs at tolerance / 100
+#: the double pass classifies at DEFAULT_TOL, and the retry of a flagged
+#: mask at _RETRY_TOL, a hundredfold tighter
 _ESCALATION_TOL_FACTOR = 100.0
+_RETRY_TOL = DEFAULT_TOL / _ESCALATION_TOL_FACTOR
 
 #: |Im ρ| below this multiple of tol counts as a real root.  The double pass
 #: needs the slack: there a double root on the axis splits into a
 #: conjugate-looking pair with imaginary parts around sqrt(eps), well under
-#: 1000 tol at the default tolerance.  The retry's roots are simple, so its
-#: real roots sit far inside the band.
+#: 1000 DEFAULT_TOL.  The retry's roots are simple, so its real roots sit
+#: far inside the band.
 _REAL_AXIS_FACTOR = 1e3
 
 #: masks per batched Aberth solve and per block survey in the double pass.
@@ -373,7 +377,7 @@ _PLANE_ELEMENTS = 1 << 14
 
 
 @functools.lru_cache(maxsize=1)
-def _block_survey(degree: int, block: int, tol: float) -> List[object]:
+def _block_survey(degree: int, block: int) -> List[object]:
     """The double pass of every mask of a _block_roots block, one entry per
     mask: the message of its NumericFailure, None when it has fewer than two
     units, or (arrays, i) when it is mask i of a _classify call.
@@ -391,7 +395,7 @@ def _block_survey(degree: int, block: int, tol: float) -> List[object]:
             entries[row] = roots
             continue
         try:
-            units = _units(roots, tol)
+            units = _units(roots, DEFAULT_TOL)
         except NumericFailure as exc:
             entries[row] = str(exc)
             continue
@@ -402,7 +406,7 @@ def _block_survey(degree: int, block: int, tol: float) -> List[object]:
         step = max(1, _PLANE_ELEMENTS // size)
         for at in range(0, len(members), step):
             run = members[at : at + step]
-            arrays, failures = _classify(*_expand_group([units for _, units in run]), tol)
+            arrays, failures = _classify(*_expand_group([units for _, units in run]), DEFAULT_TOL)
             for i, ((row, _), failure) in enumerate(zip(run, failures)):
                 entries[row] = failure or (arrays, i)
     return entries
@@ -442,39 +446,38 @@ def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[Spl
     ]
 
 
-def split_survey(r: Newman01, tol: float = DEFAULT_TOL) -> List[SplitCandidate]:
-    """Classify every nontrivial conjugate-closed split of r.
+def split_survey(r: Newman01) -> List[SplitCandidate]:
+    """Classify every nontrivial conjugate-closed split of r at DEFAULT_TOL.
 
     Subset/complement pairs are visited once (the lexicographically smaller
     unit mask is kept).  r's entry of its block's double-precision survey
-    is read and its candidates built from it.  tol must lie in [1e-10, 1e-4].
+    is read and its candidates built from it.
 
     One mask costs its whole block: the first call for a block solves and
     surveys all of its masks and keeps the arrays.  One mask took 12 ms at
     degree 12, and 0.46 s with 114 MB peak RSS at degree 24.  Callers that
     walk the masks in enumerate_01 order pay for each block once.
     """
-    if not 1e-10 <= tol <= 1e-4:
-        raise ValueError(f"tol must be in [1e-10, 1e-4], got {tol}")
     block, row = _block_row(r)
-    entry = _block_survey(r.degree, block, tol)[row]
+    entry = _block_survey(r.degree, block)[row]
     if isinstance(entry, str):
         raise NumericFailure(entry)
     return _candidates(r.degree, *entry) if entry is not None else []
 
 
-def _retry_survey(r: Newman01, tol: float) -> List[SplitCandidate]:
-    """split_survey's verdicts for r from the roots of its squarefree factors.
+def _retry_survey(r: Newman01) -> List[SplitCandidate]:
+    """split_survey's verdicts for r from the roots of its squarefree factors,
+    at _RETRY_TOL.
 
     The units, planes and verdict rule are the double pass's, applied to r
-    alone; only the roots differ, each simple root found once and listed
-    with its multiplicity.  Raises NumericFailure when a factor's solve, the
-    pairing or the imaginary residue fails.
+    alone; only the roots and the tolerance differ, each simple root found
+    once and listed with its multiplicity.  Raises NumericFailure when a
+    factor's solve, the pairing or the imaginary residue fails.
     """
-    units = _units(_roots_squarefree(r), tol)
+    units = _units(_roots_squarefree(r), _RETRY_TOL)
     if len(units) < 2:
         return []
-    arrays, (failure,) = _classify(*_expand_group([units]), tol)
+    arrays, (failure,) = _classify(*_expand_group([units]), _RETRY_TOL)
     if failure is not None:
         raise NumericFailure(failure)
     return _candidates(r.degree, arrays, 0)
@@ -503,7 +506,6 @@ class DegreeSummary:
 @dataclass(frozen=True)
 class ScanReport:
     max_degree: int
-    tol: float
     summaries: Tuple[DegreeSummary, ...]
     offenders: Tuple[Tuple[Newman01, SplitCandidate], ...]
     duration_seconds: float
@@ -525,7 +527,7 @@ class ScanReport:
     def to_dict(self) -> dict:
         doc = {
             "max_degree": self.max_degree,
-            "tol": self.tol,
+            "tol": DEFAULT_TOL,
             "degrees": [asdict(s) for s in self.summaries],
             "offenders": [
                 {
@@ -551,18 +553,17 @@ class ScanReport:
         return doc
 
 
-def _scan_block(degree: int, block: int, tol: float):
+def _scan_block(degree: int, block: int):
     """The scan of one _BLOCK block of enumerate_01(degree): the block's
     eight DegreeSummary counts (degree excluded), its offenders and its
     retry failures, each in mask order.
 
     First-pass indeterminates (and any first-pass unfair verdict, which at
     these degrees only ever comes from a root-finder artifact) are retried
-    by _retry_survey with tol/100.  split_survey and _retry_survey are
+    by _retry_survey at _RETRY_TOL.  split_survey and _retry_survey are
     looked up as module globals on each call, so a wrapped or patched one is
     the one a pool worker calls too.
     """
-    retry_tol = tol / _ESCALATION_TOL_FACTOR
     n_poly = n_split = n_fair = n_unfair = n_ind = n_esc = n_r_unf = n_r_ind = 0
     offenders: List[Tuple[Newman01, SplitCandidate]] = []
     retry_failures: List[Tuple[Newman01, str]] = []
@@ -571,7 +572,7 @@ def _scan_block(degree: int, block: int, tol: float):
         r = Newman01(degree, 1 | (inner << 1) | top)
         n_poly += 1
         try:
-            survey = split_survey(r, tol)
+            survey = split_survey(r)
         except NumericFailure:
             # double-precision pass lost the mask (typically repeated
             # roots blowing the imaginary-residue budget): escalate it
@@ -591,7 +592,7 @@ def _scan_block(degree: int, block: int, tol: float):
         if flagged:
             n_esc += 1
             try:
-                retry = _retry_survey(r, retry_tol)
+                retry = _retry_survey(r)
             except NumericFailure as exc:
                 # the retry lost the mask as well: its splits stay
                 # undecided, so the scan cannot report that the conjecture holds
@@ -615,7 +616,6 @@ def _scan_block(degree: int, block: int, tol: float):
 
 def scan(
     max_degree: int,
-    tol: float = DEFAULT_TOL,
     progress: Optional[Callable[[DegreeSummary], None]] = None,
     jobs: int = 1,
 ) -> ScanReport:
@@ -626,24 +626,19 @@ def scan(
     so the report is the same for every jobs.  progress gets each degree's
     summary once its last block is in.  With jobs > 1 and some degree of
     more than one block (max_degree >= 8), the tasks run on one pool of
-    jobs worker processes, shut down before scan returns or raises.  The
-    pool starts its workers as verify_range's does (forked on Linux), so
-    they see the module as the caller left it, wrappers and patches included.
+    min(jobs, blocks) worker processes, shut down before scan returns or
+    raises.  The pool starts its workers as verify_range's does (forked on
+    Linux), so they see the module as the caller left it, wrappers and
+    patches included.
 
-    Flagged masks are retried on their squarefree factors with tol/100;
-    whatever survives is listed as an offender.  A retry that raises
-    NumericFailure is listed in retry_failures and counts as one residual
-    indeterminate.  tol must lie in [1e-8, 1e-4], so that the retry's
-    tolerance lies in split_survey's range, and jobs must be at least 1.
+    Splits are classified at DEFAULT_TOL (1e-8), and flagged masks are
+    retried on their squarefree factors at _RETRY_TOL (1e-10); whatever
+    survives is listed as an offender.  A retry that raises NumericFailure
+    is listed in retry_failures and counts as one residual indeterminate.
+    jobs must be at least 1.
     """
     if not 1 <= max_degree <= MAX_DEGREE:
         raise CapacityError(f"max_degree must be in 1..{MAX_DEGREE}, got {max_degree}")
-    retry_tol = tol / _ESCALATION_TOL_FACTOR
-    if not (1e-10 <= retry_tol and tol <= 1e-4):
-        raise ValueError(
-            f"tol must be in [1e-8, 1e-4], so that the retry tolerance tol/{_ESCALATION_TOL_FACTOR:g}"
-            f" is in [1e-10, 1e-6]; got tol={tol}, retry tolerance {retry_tol:g}"
-        )
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.monotonic()
@@ -657,10 +652,8 @@ def scan(
         if jobs > 1 and n_blocks[max_degree] > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
-        results = (map if pool is None else pool.map)(
-            _scan_block, [d for d, _ in blocks], [b for _, b in blocks], [tol] * len(blocks)
-        )
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(blocks)))
+        results = (map if pool is None else pool.map)(_scan_block, [d for d, _ in blocks], [b for _, b in blocks])
         for (degree, block), (counts, offs, fails) in zip(blocks, results):
             totals = [a + b for a, b in zip(totals, counts)] if block else counts
             offenders.extend(offs)
@@ -675,7 +668,6 @@ def scan(
             pool.shutdown(cancel_futures=True)
     return ScanReport(
         max_degree=max_degree,
-        tol=tol,
         summaries=tuple(summaries),
         offenders=tuple(offenders),
         duration_seconds=time.monotonic() - t0,

@@ -64,6 +64,9 @@ COUNTERFACTUAL_WINDOW = 30
 #: forced-vanishing quality gate: the assembled window must really vanish
 _FORCED_RESIDUAL_LIMIT = 0.05
 
+#: the all-ones run lists (the first 32) indices with |b_n| at most this
+_ZERO_THRESHOLD = 1e-6
+
 
 class NoCandidateError(ArithmeticError):
     """No index in the candidate window admits the near-vanishing profile."""
@@ -75,12 +78,12 @@ class SimConfig:
 
     a = 0 is accepted as a boundary diagnostic (x^5 + 1 genuinely divides
     0-1 polynomials, so the all-ones run cycles forever); the counterfactual
-    mode needs 0 < a <= 0.005 on top of this.
+    mode needs 0 < a <= 0.005 on top of this.  The all-ones run's near-zero
+    threshold is fixed at _ZERO_THRESHOLD (1e-6).
     """
 
     a: float
     max_n: int = 10000
-    zero_threshold: float = 1e-6
     violation_tolerance: float = 1e-12
 
     def __post_init__(self):
@@ -88,8 +91,8 @@ class SimConfig:
             raise ValueError(f"a must satisfy 0 <= a < 1, got {self.a}")
         if self.max_n < 6:
             raise ValueError("max_n must be at least 6")
-        if self.zero_threshold <= 0 or self.violation_tolerance <= 0:
-            raise ValueError("thresholds must be positive")
+        if self.violation_tolerance <= 0:
+            raise ValueError("violation_tolerance must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +179,7 @@ class AllOnesResult:
     config: SimConfig
     outcome: SimOutcome
     steps: int                    # last index iterated
-    near_zero: Tuple[int, ...]    # indices with |b_n| <= zero_threshold (first 32)
+    near_zero: Tuple[int, ...]    # indices with |b_n| <= _ZERO_THRESHOLD (first 32)
     error_bound_at_stop: float
     max_error_bound: float
     b: Optional[np.ndarray] = None  # full series when collected
@@ -247,7 +250,7 @@ def run_all_ones(
             eseries.append(en)
         if trace is not None:
             trace.write(_trace_line(n, bn, 1, 0.0, en) + "\n")
-        if abs(bn) <= config.zero_threshold and len(near_zero) < 32:
+        if abs(bn) <= _ZERO_THRESHOLD and len(near_zero) < 32:
             near_zero.append(n)
         if bn < -eps or bn > 1 + eps:
             if (-bn if bn < 0 else bn - 1) <= en:

@@ -514,7 +514,9 @@ def verify_range(
             if pool is None and _needs_pool(ns, jobs):
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(max_workers=jobs)
+                # every later pass's cases are a subset of cands, so no pass
+                # has work for more workers than this
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(cands)))
             proved = _compute_pass(p, ns, jobs, pool)
             for n in proved:
                 table.mark(n, p)

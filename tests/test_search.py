@@ -101,13 +101,6 @@ def test_two_factor_cube():
     assert got == [[1.0, 1.0], [1.0, 0.0, 1.0]]
 
 
-def test_split_survey_tolerance_domain():
-    r = Newman01(3, 0b1111)
-    for bad in (1e-11, 1e-3, 0.0):
-        with pytest.raises(ValueError, match="tol must be in"):
-            split_survey(r, tol=bad)
-
-
 def test_repeated_real_root_mask():
     # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2): the double root at -1 splits into
     # near-coincident approximations; every split must come out fair or
@@ -115,14 +108,14 @@ def test_repeated_real_root_mask():
     r = Newman01(4, 0b11011)
     for c in split_survey(r):
         assert c.classification in (Classification.FAIR, Classification.INDETERMINATE)
-    retry = _retry_survey(r, DEFAULT_TOL / 100)
+    retry = _retry_survey(r)
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
 def test_repeated_complex_pair_mask_escalates_clean():
     # 1+x^2+x^6+x^8 = (1+x^2)^2 (x^4-x^2+1): double roots at +-i
     r = Newman01(8, 0b101000101)
-    retry = _retry_survey(r, DEFAULT_TOL / 100)
+    retry = _retry_survey(r)
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
@@ -153,7 +146,7 @@ def test_reconstruction_bound(degree, rng):
     try:
         survey = split_survey(r)
     except NumericFailure:
-        survey = _retry_survey(r, DEFAULT_TOL / 100)
+        survey = _retry_survey(r)
     budget = degree * (2**degree) * DEFAULT_TOL
     want = r.coeffs()
     for c in survey:
@@ -345,18 +338,18 @@ def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _list_outcome(r, tol):
+def _list_outcome(r):
     # the reference: this mask's units, expanded split by split on lists
     try:
-        units = _units(_double_roots(r), tol)
+        units = _units(_double_roots(r), DEFAULT_TOL)
     except NumericFailure as exc:
         return str(exc)
-    return _survey_by_loop(units, tol)
+    return _survey_by_loop(units, DEFAULT_TOL)
 
 
-def _block_outcome(r, tol):
+def _block_outcome(r):
     try:
-        return split_survey(r, tol)
+        return split_survey(r)
     except NumericFailure as exc:
         return str(exc)
 
@@ -366,24 +359,23 @@ def _block_outcome(r, tol):
     st.integers(min_value=10, max_value=12),
     st.integers(min_value=0),
     st.integers(min_value=0, max_value=_BLOCK - 1),
-    st.sampled_from([DEFAULT_TOL, 1e-6, 1e-10]),
 )
-@example(9, 2, 61, DEFAULT_TOL)  # 1+x+x^3+x^4+x^5+x^6+x^8+x^9 fails on its residue
-@example(10, 0, 0, DEFAULT_TOL)
-@example(12, 31, _BLOCK - 1, DEFAULT_TOL)  # the last mask of degree 12
-def test_block_survey_equals_the_list_survey(degree, block, row, tol):
+@example(9, 2, 61)  # 1+x+x^3+x^4+x^5+x^6+x^8+x^9 fails on its residue
+@example(10, 0, 0)
+@example(12, 31, _BLOCK - 1)  # the last mask of degree 12
+def test_block_survey_equals_the_list_survey(degree, block, row):
     # every mask's entry of its block's survey, wherever it sits in the block,
     # is its own list survey bit for bit, or fails with the same message
     block %= (1 << (degree - 1)) // _BLOCK
     inner = block * _BLOCK + row
     r = Newman01(degree, 1 | (inner << 1) | (1 << degree))
-    assert _block_outcome(r, tol) == _list_outcome(r, tol)
+    assert _block_outcome(r) == _list_outcome(r)
 
 
 def test_failing_mask_raises_the_same_message_each_call(monkeypatch):
     # a failure is cached as its message; each call raises a fresh exception
     r = Newman01(9, 0b1101111011)  # the one degree <= 12 mask that fails at 53 bits
-    want = _list_outcome(r, DEFAULT_TOL)
+    want = _list_outcome(r)
     assert want.startswith("imaginary residue")
     raised = []
     for _ in range(2):
@@ -489,21 +481,6 @@ def test_unpaired_roots_fail_the_mask_and_the_scan_escalates_it(monkeypatch, mes
     assert got == want
 
 
-def test_block_survey_is_cached_per_tolerance():
-    # 1+x+x^3+x^4 = (1+x)^2 (1-x+x^2) has a double root at -1, whose two
-    # approximations leave factors 2.5e-8 away from 0-1: fair at tol 1e-6,
-    # indeterminate at 1e-8, so a survey cached for one tolerance would be
-    # wrong for the other
-    r = Newman01(4, 0b11011)
-    seen = {}
-    for tol in (1e-6, DEFAULT_TOL, 1e-6):
-        survey = split_survey(r, tol)
-        assert survey == _list_outcome(r, tol)
-        seen.setdefault(tol, survey)
-        assert survey == seen[tol]
-    assert seen[1e-6] != seen[DEFAULT_TOL]
-
-
 def _verdict_counts(survey):
     out = {cls: 0 for cls in Classification}
     for c in survey:
@@ -531,7 +508,7 @@ def test_monotone_refinement_sample():
     masks = [Newman01(9, 1 | (int(rng.integers(0, 1 << 8)) << 1) | (1 << 9)) for _ in range(8)]
     for r in masks:
         lo = split_survey(r)
-        hi = _retry_survey(r, DEFAULT_TOL / 100)
+        hi = _retry_survey(r)
         hi_by_coeffs = {
             tuple(np.round(c.p_coeffs, 5)): c.classification for c in hi
         } | {tuple(np.round(c.q_coeffs, 5)): c.classification for c in hi}
@@ -601,7 +578,7 @@ def test_escalated_masks_have_repeated_factors_and_fair_retries():
         r = Newman01(degree, bits)
         _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
         assert max(k for _, k in factors) >= 2, str(r)
-        retry = _retry_survey(r, DEFAULT_TOL / 100)
+        retry = _retry_survey(r)
         assert len(retry) == n_splits, str(r)
         assert all(c.classification is Classification.FAIR for c in retry), str(r)
 
@@ -652,7 +629,7 @@ def test_retry_splits_match_the_200_bit_oracle():
                 k = min(free, key=lambda k: abs(oracle[k] - z))
                 free.remove(k)
                 match.append(oracle[k])
-            retry = _retry_survey(r, retry_tol)
+            retry = _retry_survey(r)
             assert len(retry) == n_splits, str(r)
             for c in retry:
                 rest = [i for i in range(degree) if i not in c.subset]
@@ -679,7 +656,7 @@ def test_retry_solves_each_factor_once_in_double_precision(monkeypatch):
     monkeypatch.setattr(search, "aberth_roots", recording)
     for degree, bits in [(4, 27), (12, 8127)]:
         solved.clear()
-        _retry_survey(Newman01(degree, bits), DEFAULT_TOL / 100)
+        _retry_survey(Newman01(degree, bits))
         assert solved == [[float(c) for c in f] for f in _squarefree_factors(degree, bits)]
 
 
@@ -691,7 +668,7 @@ def test_retry_equals_the_loop_survey():
     for degree, bits in ESCALATED_TO_DEGREE_12:
         r = Newman01(degree, bits)
         want = _survey_by_loop(_units(search._roots_squarefree(r), retry_tol), retry_tol)
-        assert repr(_retry_survey(r, retry_tol)) == repr(want), str(r)
+        assert repr(_retry_survey(r)) == repr(want), str(r)
 
 
 #: a mask whose first split fails on Q, with real roots in the units before
@@ -717,7 +694,7 @@ def test_retry_residue_failure_is_the_loop_surveys(monkeypatch, mask):
     want = _survey_by_loop(_units(moved(r), retry_tol), retry_tol)
     assert want.startswith("imaginary residue")
     with pytest.raises(NumericFailure) as info:
-        _retry_survey(r, retry_tol)
+        _retry_survey(r)
     assert str(info.value) == want
 
 
@@ -821,8 +798,8 @@ def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch
             raise ArithmeticError("root iteration did not converge")
         return aberth_roots(coeffs, seeds, *args, **kwargs)
 
-    def retry(r, tol):
-        return [c._replace(classification=Classification.INDETERMINATE) for c in real_retry(r, tol)]
+    def retry(r):
+        return [c._replace(classification=Classification.INDETERMINATE) for c in real_retry(r)]
 
     monkeypatch.setattr(search, "aberth_roots", factor_solve)
     monkeypatch.setattr(search, "_retry_survey", retry)
@@ -850,10 +827,10 @@ def _raise_at_degree_9(summary):
 def test_no_pool_worker_outlives_scan(monkeypatch, where):
     real_survey = search.split_survey
 
-    def survey(r, tol=DEFAULT_TOL):
+    def survey(r):
         if (r.degree, *_block_row(r)) == (9, 1, 36):  # a task in the middle of the run
             raise _Recorded
-        return real_survey(r, tol)
+        return real_survey(r)
 
     if where == "task raises":
         monkeypatch.setattr(search, "split_survey", survey)
@@ -884,6 +861,29 @@ def test_pool_starts_once_a_degree_has_two_blocks(monkeypatch):
     assert started == [3]
 
 
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # degrees 1..8 make 9 blocks; the fake pool records its size and maps in
+    # process, so no worker is started
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    report = scan(8, jobs=5000)
+    assert started == [9]
+    assert report.to_dict() == scan(8, jobs=1).to_dict()
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_scan_rejects_job_count_below_one(jobs):
     seen = []
@@ -897,21 +897,6 @@ def test_scan_range_validation():
         scan(0)
     with pytest.raises(CapacityError):
         scan(25)
-
-
-@pytest.mark.parametrize("tol", [1e-10, 9.9e-9, 2e-4])
-def test_scan_rejects_a_tolerance_its_retry_cannot_take(tol):
-    # the retry runs at tol/100, which split_survey takes only down to 1e-10:
-    # such a tol is refused before the first mask, not at the first retry
-    seen = []
-    with pytest.raises(ValueError, match="retry tolerance"):
-        scan(7, tol=tol, progress=seen.append)
-    assert seen == []
-
-
-def test_scan_takes_the_ends_of_its_tolerance_range():
-    for tol in (1e-8, 1e-4):
-        assert scan(6, tol=tol).conjecture_holds()
 
 
 def test_scan_report_serializes():

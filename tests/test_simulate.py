@@ -46,7 +46,6 @@ def test_config_boundary_a_zero_allowed():
     "kwargs",
     [
         dict(max_n=5),
-        dict(zero_threshold=0.0),
         dict(violation_tolerance=-1e-12),
     ],
 )

@@ -488,6 +488,30 @@ def test_parallel_run_starts_one_pool(monkeypatch):
     assert par.table.witness == verify_range(600, jobs=1).table.witness
 
 
+def test_pool_has_no_more_workers_than_cases(monkeypatch):
+    # the pool is sized by the first pass that needs it: every later pass
+    # works on a subset of its cases.  The fake pool records its size and
+    # maps in process, so no worker is started
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    par = verify_range(300, jobs=5000)
+    assert started == [par.passes[0].candidates] and started[0] < 5000
+    assert par.table.witness == verify_range(300, jobs=1).table.witness
+
+
 def test_chunk_by_weight_partitions():
     ns = list(range(11, 400))
     chunks = _chunk_by_weight(ns, 4)
