@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modpoly import CapacityError
+from . import CapacityError
 
 __all__ = [
     "N_ESTIMATE_CONSTANT",
@@ -504,6 +504,12 @@ def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[Qui
 
     "small±h" holds the roots at t - h for every small-grid t of the
     finite-difference check in (l), then those at t + h.
+
+    Every table is solved here, before the first check runs, and not on
+    its first read: root_table's temporary arrays are then freed before
+    check (d) first imports numpy.random (about 7 MB), instead of adding to
+    that peak.  Solving each table on its first read gave the same report
+    but about 1.2 MB more peak RSS for `newmandiv estimates`.
     """
     tables = {}
     for name in sorted({g for cid in ids for g in _TABLES.get(cid, ())}):

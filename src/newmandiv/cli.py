@@ -29,7 +29,6 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .modpoly import _is_prime
 
 __all__ = ["main"]
 
@@ -49,7 +48,6 @@ _LAYERS = {
     "simulate": (
         "CounterfactualNegative",
         "ExceedsOne",
-        "Indeterminate",
         "NegativeCoefficient",
         "SimConfig",
         "counterfactual_run",
@@ -96,6 +94,8 @@ def _parse_primes(text: str) -> List[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty prime range {text!r}")
+        from .modpoly import _is_prime  # verify-resultants loads modpoly anyway
+
         return [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -104,12 +104,9 @@ def _parse_grids(specs: Optional[Sequence[str]]) -> EstimateGrids:
     """Override battery grids with name=start:stop:step entries."""
     from .analytic import EstimateGrids
 
-    grids = EstimateGrids()
-    if not specs:
-        return grids
     valid = {"unit", "large", "small"}
     overrides: Dict[str, tuple] = {}
-    for spec in specs:
+    for spec in specs or ():
         if "=" not in spec:
             raise ValueError(f"grid spec {spec!r} is not name=start:stop:step")
         name, _, body = spec.partition("=")
@@ -119,11 +116,7 @@ def _parse_grids(specs: Optional[Sequence[str]]) -> EstimateGrids:
         if len(parts) != 3:
             raise ValueError(f"grid spec {spec!r} is not name=start:stop:step")
         overrides[name] = tuple(float(x) for x in parts)
-    return EstimateGrids(
-        unit=overrides.get("unit", grids.unit),
-        large=overrides.get("large", grids.large),
-        small=overrides.get("small", grids.small),
-    )
+    return EstimateGrids(**overrides)
 
 
 def _parse_nodes(text: str) -> List[complex]:
@@ -216,11 +209,6 @@ def _describe(outcome) -> str:
         return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} < 0"
     if isinstance(outcome, ExceedsOne):
         return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} > 1"
-    if isinstance(outcome, Indeterminate):
-        return (
-            f"indeterminate: coefficient b_{outcome.n} = {outcome.value:.6e} leaves [0, 1] "
-            f"by no more than its error bound {outcome.error_bound:.3e}"
-        )
     if isinstance(outcome, CounterfactualNegative):
         return f"counterfactual window at N = {outcome.N}: b_{{N+8}} = {outcome.b[outcome.N + 8]:.6g} < 0"
     return f"no violation up to n = {outcome.max_n}"

@@ -29,6 +29,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+# defined in the package, so that the analysis layers need not load this
+# module, and re-exported here
+from . import CapacityError
+
 __all__ = [
     "MINUS_INFINITY",
     "CapacityError",
@@ -50,10 +54,6 @@ __all__ = [
 #: degree of the zero polynomial — a real minus infinity, never -1-as-integer,
 #: so arithmetic on degrees (skip rules, exponent bookkeeping) stays honest.
 MINUS_INFINITY = float("-inf")
-
-
-class CapacityError(ValueError):
-    """An input exceeds a documented size cap (not a math error)."""
 
 
 # --------------------------------------------------------------------------

@@ -5,9 +5,9 @@ R = (x^5 + a x^2 + 1) Q would force when the dividend coefficients c_n are
 pinned to the all-ones pattern:
 
 * all-ones: iterate b_n = 1 - a b_{n-2} - b_{n-5} from the fixed start
-  values and report the first coefficient that escapes [0, 1] — for every
-  a bounded away from 0 this happens quickly, which is the quantitative
-  heart of the matter;
+  values and report the first coefficient that certainly escapes [0, 1] —
+  for every a bounded away from 0 this happens quickly, which is the
+  quantitative heart of the matter;
 * counterfactual: for small a, assemble the window around the balance
   index N where b_N could vanish *if* the sequence tracked its slow modes
   exactly, and propagate the deviation stream triggered by the dividend
@@ -16,13 +16,13 @@ pinned to the all-ones pattern:
 
 Both modes run in double precision.  A float error bound
 e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|) rides along with
-the all-ones iteration (u = 2^-53, the unit roundoff of double precision): a
-coefficient that leaves [0, 1] by no more than its bound is reported as
-indeterminate, not as a violation, since accumulated rounding could explain
-it.  The bound itself is computed in double precision, rounded to nearest and
-not rounded up, so it is rigorous only up to its own rounding: every term of
-e_n is nonnegative, so that rounding can shrink e_n by a relative amount of
-order n u at most.
+the all-ones iteration (u = 2^-53, the unit roundoff of double precision),
+and it is that mode's one verdict rule: b_n is a violation when it leaves
+[0, 1] by more than e_n, and a smaller overshoot, which accumulated rounding
+could explain, is passed over.  The bound itself is computed in double
+precision, rounded to nearest and not rounded up, so it is rigorous only up
+to its own rounding: every term of e_n is nonnegative, so that rounding can
+shrink e_n by a relative amount of order n u at most.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "SimConfig",
     "NegativeCoefficient",
     "ExceedsOne",
-    "Indeterminate",
     "CounterfactualNegative",
     "NoViolationUpTo",
     "SimOutcome",
@@ -67,6 +66,10 @@ _FORCED_RESIDUAL_LIMIT = 0.05
 #: the all-ones run lists (the first 32) indices with |b_n| at most this
 _ZERO_THRESHOLD = 1e-6
 
+#: the counterfactual leg reports b_{N+8} < 0 only below -_VIOLATION_TOLERANCE;
+#: an absolute cut, so it hides the window for a <= 1e-12
+_VIOLATION_TOLERANCE = 1e-12
+
 
 class NoCandidateError(ArithmeticError):
     """No index in the candidate window admits the near-vanishing profile."""
@@ -84,15 +87,12 @@ class SimConfig:
 
     a: float
     max_n: int = 10000
-    violation_tolerance: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.a < 1.0:
             raise ValueError(f"a must satisfy 0 <= a < 1, got {self.a}")
         if self.max_n < 6:
             raise ValueError("max_n must be at least 6")
-        if self.violation_tolerance <= 0:
-            raise ValueError("violation_tolerance must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -117,17 +117,6 @@ class ExceedsOne:
 
 
 @dataclass(frozen=True)
-class Indeterminate:
-    """b_n left [0, 1] by no more than its running error bound e_n."""
-
-    n: int
-    value: float
-    error_bound: float
-
-    kind = "indeterminate"
-
-
-@dataclass(frozen=True)
 class CounterfactualNegative:
     N: int
     b: Dict[int, float]  # absolute index -> value, N-6..N+8
@@ -142,17 +131,13 @@ class NoViolationUpTo:
     kind = "no-violation"
 
 
-SimOutcome = Union[
-    NegativeCoefficient, ExceedsOne, Indeterminate, CounterfactualNegative, NoViolationUpTo
-]
+SimOutcome = Union[NegativeCoefficient, ExceedsOne, CounterfactualNegative, NoViolationUpTo]
 
 
 def _outcome_dict(outcome: SimOutcome) -> dict:
     d = {"kind": outcome.kind}
     if isinstance(outcome, (NegativeCoefficient, ExceedsOne)):
         d.update(n=outcome.n, value=outcome.value)
-    elif isinstance(outcome, Indeterminate):
-        d.update(n=outcome.n, value=outcome.value, error_bound=outcome.error_bound)
     elif isinstance(outcome, CounterfactualNegative):
         d.update(N=outcome.N, b={str(k): v for k, v in sorted(outcome.b.items())})
     else:
@@ -210,14 +195,14 @@ def run_all_ones(
     """Iterate b_n = 1 - a b_{n-2} - b_{n-5} until it leaves [0, 1].
 
     Checks start at n = 6 (the six start values are in range for every
-    0 <= a < 1 by inspection).  A b_n past 0 or 1 by more than the
-    violation tolerance is a violation when its overshoot exceeds the
-    running error bound e_n, and Indeterminate otherwise.  e_n is computed
-    in double precision, round-to-nearest rather than rounded up, so the
-    verdict is rigorous only up to the rounding of e_n itself.
+    0 <= a < 1 by inspection).  The first b_n that leaves [0, 1] by more
+    than the running error bound e_n stops the run, as NegativeCoefficient
+    when -b_n > e_n and as ExceedsOne when b_n - 1 > e_n; a smaller
+    overshoot is passed over.  e_n is computed in double precision,
+    round-to-nearest rather than rounded up, so the verdict is rigorous only
+    up to the rounding of e_n itself.
     """
     a = config.a
-    eps = config.violation_tolerance
     u = 2.0**-53
     bs = [1.0, 0.0, 1.0 - a, 0.0, 1.0 - a + a * a, 0.0]
     errs = [0.0, 0.0, u, 0.0, 2 * u, 0.0]
@@ -252,13 +237,11 @@ def run_all_ones(
             trace.write(_trace_line(n, bn, 1, 0.0, en) + "\n")
         if abs(bn) <= _ZERO_THRESHOLD and len(near_zero) < 32:
             near_zero.append(n)
-        if bn < -eps or bn > 1 + eps:
-            if (-bn if bn < 0 else bn - 1) <= en:
-                outcome = Indeterminate(n, bn, en)
-            elif bn < 0:
-                outcome = NegativeCoefficient(n, bn)
-            else:
-                outcome = ExceedsOne(n, bn)
+        if -bn > en:
+            outcome = NegativeCoefficient(n, bn)
+            break
+        if bn - 1 > en:
+            outcome = ExceedsOne(n, bn)
             break
     if outcome is None:
         outcome = NoViolationUpTo(config.max_n)
@@ -427,7 +410,7 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
     b8 = b[N + 8]
     outcome: SimOutcome = (
         CounterfactualNegative(N, dict(b))
-        if b8 < -config.violation_tolerance
+        if b8 < -_VIOLATION_TOLERANCE
         else NoViolationUpTo(N + 8)
     )
 

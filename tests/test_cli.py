@@ -12,7 +12,6 @@ import pytest
 
 import newmandiv.cli as cli
 from newmandiv.cli import _parse_grids, _parse_nodes, _parse_primes, _strip_durations, main
-from newmandiv.simulate import SimConfig, run_all_ones
 
 # coarse battery grids keep the estimates runs fast in tests
 COARSE = [
@@ -201,15 +200,14 @@ def test_simulate_no_violation_exit_one(capsys):
     assert doc["report"]["outcome"]["kind"] == "no-violation"
 
 
-def test_simulate_indeterminate_exit_one(capsys, monkeypatch):
-    # a b_n past [0, 1] by less than its error bound confirms nothing
-    result = run_all_ones(SimConfig(a=0.5 + 2.0**-53, violation_tolerance=1e-17))
-    monkeypatch.setattr(cli, "run_all_ones", lambda config, trace=None: result)
-    code, doc, err = run_cli(capsys, "simulate", "--a", "0.5")
-    assert code == 1
-    assert doc["report"]["outcome"]["kind"] == "indeterminate"
-    assert doc["report"]["outcome"]["n"] == 9
-    assert "indeterminate: coefficient b_9 = -1.110223e-16 leaves [0, 1]" in err
+def test_simulate_overshoot_within_error_bound_is_passed_over(capsys):
+    # at a = 1/2 + 2^-53, b_9 rounds to -2^-53, within its error bound: the
+    # run passes over it and confirms the certified violation at b_19
+    code, doc, err = run_cli(capsys, "simulate", "--a", "0.5000000000000001")
+    assert code == 0
+    assert doc["manifest"]["parameters"]["a"] == 0.5 + 2.0**-53
+    assert doc["report"]["outcome"] == {"kind": "negative-coefficient", "n": 19, "value": -0.2578125000000002}
+    assert "first violation: coefficient b_19 = -0.257813 < 0" in err
 
 
 def test_simulate_trace_file(tmp_path, capsys):

@@ -35,9 +35,10 @@ def run_cli_isolated(argv, blocked):
 
 
 def test_importing_the_cli_loads_no_numpy_or_mpmath():
-    # nor any layer module: main loads the one its subcommand runs
+    # nor any layer module, nor the mod-p kernel: main loads the one layer
+    # its subcommand runs
     unwanted = ["numpy", "mpmath"] + [
-        f"newmandiv.{m}" for m in ("analytic", "search", "simulate", "verifier")
+        f"newmandiv.{m}" for m in ("analytic", "modpoly", "search", "simulate", "verifier")
     ]
     out = run_isolated(
         "import newmandiv.cli\n"
@@ -66,23 +67,16 @@ def test_verify_resultants_runs_without_numpy_or_mpmath():
         ["roots", "--t", "0.5"],
         ["simulate", "--a", "0.3"],
         ["simulate", "--a", "0.003", "--mode", "counterfactual"],
+        ["estimate-N", "--a", "0.003"],
+        ["vandermonde-check", "--nodes", "1,-1,0.6+0.8j"],
     ],
 )
-def test_double_precision_subcommands_run_without_mpmath(argv, capsys):
-    out = run_cli_isolated(argv, blocked=("mpmath",))
+def test_double_precision_subcommands_run_without_mpmath_or_modpoly(argv, capsys):
+    # the analysis layers need neither mpmath nor the mod-p kernel
+    out = run_cli_isolated(argv, blocked=("mpmath", "newmandiv.modpoly"))
     assert out.returncode == main(argv) == 0, out.stderr
     expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
-
-
-def test_search_without_escalation_runs_without_mpmath(capsys):
-    # below degree 4 no mask escalates, so the double pass alone decides the scan
-    argv = ["search", "--max-degree", "3"]
-    out = run_cli_isolated(argv, blocked=("mpmath",))
-    assert out.returncode == main(argv) == 0, out.stderr
-    doc = json.loads(capsys.readouterr().out)
-    assert all(d["escalated"] == 0 for d in doc["report"]["degrees"])
-    assert json.loads(out.stdout)["manifest"]["digest"] == doc["manifest"]["digest"]
 
 
 def test_escalating_search_runs_without_mpmath(capsys):

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newmandiv.simulate import (
     AllOnesResult,
     CounterfactualNegative,
     ExceedsOne,
-    Indeterminate,
     NegativeCoefficient,
     NoCandidateError,
     NoViolationUpTo,
@@ -46,7 +45,6 @@ def test_config_boundary_a_zero_allowed():
     "kwargs",
     [
         dict(max_n=5),
-        dict(violation_tolerance=-1e-12),
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -98,33 +96,27 @@ def test_all_ones_violates_within_bound(a):
     assert r.outcome.n <= 10000
 
 
-def test_all_ones_overshoot_within_error_bound_is_indeterminate():
+def test_all_ones_overshoot_within_error_bound_is_passed_over():
     # at a = 1/2 + 2^-53, b_9 = a (1 - 2a) rounds to -2^-53: past 0, but by
-    # less than its error bound, so rounding alone could put it there
+    # less than its error bound, so rounding alone could put it there; the
+    # run goes on to the first overshoot that its bound certifies
     a = math.nextafter(0.5, 1.0)
-    r = run_all_ones(SimConfig(a=a, violation_tolerance=1e-17))
-    assert r.outcome == Indeterminate(9, -(2.0**-53), r.error_bound_at_stop)
-    assert 2.0**-53 < r.outcome.error_bound < 1e-15
-    assert not r.violated()
-    assert r.to_dict()["outcome"] == {
-        "kind": "indeterminate",
-        "n": 9,
-        "value": -(2.0**-53),
-        "error_bound": r.outcome.error_bound,
-    }
-    # the default tolerance passes over b_9 and stops at a real violation
-    r = run_all_ones(SimConfig(a=a))
-    assert isinstance(r.outcome, NegativeCoefficient)
+    r = run_all_ones(SimConfig(a=a), collect=True)
+    assert r.b[9] == -(2.0**-53)
+    assert 2.0**-53 <= r.e[9] < 1e-15
+    assert 9 in r.near_zero
+    assert r.outcome == NegativeCoefficient(19, -0.2578125000000002)
     assert -r.outcome.value > r.error_bound_at_stop
     assert r.violated()
 
 
-def _exact_all_ones(a, max_n):
+def _exact_all_ones(a, max_n, stop=True):
     """b_0, b_1, ... of the all-ones recurrence in exact rationals at the
-    double a, up to index max_n or to the first value outside [0, 1]."""
+    double a, up to index max_n or, with stop, to the first value outside
+    [0, 1]."""
     a = Fraction(a)
     b = [Fraction(1), Fraction(0), 1 - a, Fraction(0), 1 - a + a * a, Fraction(0)]
-    while len(b) <= max_n and 0 <= b[-1] <= 1:
+    while len(b) <= max_n and (not stop or 0 <= b[-1] <= 1):
         n = len(b)
         b.append(1 - a * b[n - 2] - b[n - 5])
     return b
@@ -150,6 +142,24 @@ def test_all_ones_high_precision_matches_double():
     assert isinstance(r.outcome, NegativeCoefficient)
     assert r.outcome.n == len(exact) - 1 == 39
     assert abs(r.outcome.value - float(exact[-1])) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.05, max_value=0.999))
+@example(math.nextafter(0.5, 1.0))  # passes over b_9, stops at b_19
+def test_all_ones_violation_is_certified(a):
+    # the reported b_n is within e_n of the exact rational b_n, which lies
+    # outside [0, 1] on the reported side; earlier overshoots within their
+    # bound may be passed over, so the exact run does not stop at them
+    r = run_all_ones(SimConfig(a=a))
+    assert r.violated()
+    n = r.outcome.n
+    exact = _exact_all_ones(a, n, stop=False)[n]
+    assert abs(Fraction(r.outcome.value) - exact) <= Fraction(r.error_bound_at_stop)
+    if isinstance(r.outcome, NegativeCoefficient):
+        assert exact < 0
+    else:
+        assert exact > 1
 
 
 @settings(max_examples=40, deadline=None)
