@@ -47,7 +47,6 @@ _LAYERS = {
     "search": ("scan",),
     "simulate": (
         "CounterfactualNegative",
-        "ExceedsOne",
         "NegativeCoefficient",
         "SimConfig",
         "counterfactual_run",
@@ -207,8 +206,6 @@ def _cmd_verify(args):
 def _describe(outcome) -> str:
     if isinstance(outcome, NegativeCoefficient):
         return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} < 0"
-    if isinstance(outcome, ExceedsOne):
-        return f"first violation: coefficient b_{outcome.n} = {outcome.value:.6g} > 1"
     if isinstance(outcome, CounterfactualNegative):
         return f"counterfactual window at N = {outcome.N}: b_{{N+8}} = {outcome.b[outcome.N + 8]:.6g} < 0"
     return f"no violation up to n = {outcome.max_n}"
@@ -226,6 +223,11 @@ def _cmd_simulate(args):
         else:
             result = counterfactual_run(config, trace=trace)
             violated = isinstance(result.outcome, CounterfactualNegative)
+    except BaseException:
+        if trace is not None:  # a refused run leaves no output, not an empty trace
+            trace.close()
+            os.remove(args.trace)
+        raise
     finally:
         if trace is not None:
             trace.close()

@@ -17,9 +17,10 @@ pinned to the all-ones pattern:
 Both modes run in double precision.  A float error bound
 e_n = a e_{n-2} + e_{n-5} + u (2 + a|b_{n-2}| + |b_{n-5}|) rides along with
 the all-ones iteration (u = 2^-53, the unit roundoff of double precision),
-and it is that mode's one verdict rule: b_n is a violation when it leaves
-[0, 1] by more than e_n, and a smaller overshoot, which accumulated rounding
-could explain, is passed over.  The bound itself is computed in double
+and it is that mode's one verdict rule: b_n is a violation when it falls
+below 0 by more than e_n (no b_n can certifiably exceed 1, see
+run_all_ones), and a smaller overshoot, which accumulated rounding could
+explain, is passed over.  The bound itself is computed in double
 precision, rounded to nearest and not rounded up, so it is rigorous only up
 to its own rounding: every term of e_n is nonnegative, so that rounding can
 shrink e_n by a relative amount of order n u at most.
@@ -42,7 +43,6 @@ __all__ = [
     "COUNTERFACTUAL_WINDOW",
     "SimConfig",
     "NegativeCoefficient",
-    "ExceedsOne",
     "CounterfactualNegative",
     "NoViolationUpTo",
     "SimOutcome",
@@ -109,14 +109,6 @@ class NegativeCoefficient:
 
 
 @dataclass(frozen=True)
-class ExceedsOne:
-    n: int
-    value: float
-
-    kind = "exceeds-one"
-
-
-@dataclass(frozen=True)
 class CounterfactualNegative:
     N: int
     b: Dict[int, float]  # absolute index -> value, N-6..N+8
@@ -131,12 +123,12 @@ class NoViolationUpTo:
     kind = "no-violation"
 
 
-SimOutcome = Union[NegativeCoefficient, ExceedsOne, CounterfactualNegative, NoViolationUpTo]
+SimOutcome = Union[NegativeCoefficient, CounterfactualNegative, NoViolationUpTo]
 
 
 def _outcome_dict(outcome: SimOutcome) -> dict:
     d = {"kind": outcome.kind}
-    if isinstance(outcome, (NegativeCoefficient, ExceedsOne)):
+    if isinstance(outcome, NegativeCoefficient):
         d.update(n=outcome.n, value=outcome.value)
     elif isinstance(outcome, CounterfactualNegative):
         d.update(N=outcome.N, b={str(k): v for k, v in sorted(outcome.b.items())})
@@ -171,7 +163,7 @@ class AllOnesResult:
     e: Optional[np.ndarray] = None  # matching per-index error bounds
 
     def violated(self) -> bool:
-        return isinstance(self.outcome, (NegativeCoefficient, ExceedsOne))
+        return isinstance(self.outcome, NegativeCoefficient)
 
     def to_dict(self) -> dict:
         return {
@@ -195,12 +187,17 @@ def run_all_ones(
     """Iterate b_n = 1 - a b_{n-2} - b_{n-5} until it leaves [0, 1].
 
     Checks start at n = 6 (the six start values are in range for every
-    0 <= a < 1 by inspection).  The first b_n that leaves [0, 1] by more
-    than the running error bound e_n stops the run, as NegativeCoefficient
-    when -b_n > e_n and as ExceedsOne when b_n - 1 > e_n; a smaller
-    overshoot is passed over.  e_n is computed in double precision,
-    round-to-nearest rather than rounded up, so the verdict is rigorous only
-    up to the rounding of e_n itself.
+    0 <= a < 1 by inspection).  The first b_n with -b_n > e_n stops the run
+    as a NegativeCoefficient; a smaller overshoot is passed over.  e_n is
+    computed in double precision, round-to-nearest rather than rounded up,
+    so the verdict is rigorous only up to the rounding of e_n itself.
+
+    No run can certify b_n > 1.  While every b_k (k < n) lies in [0, 1],
+    b_n = 1 - a b_{n-2} - b_{n-5} <= 1, so in exact arithmetic the first
+    coefficient to leave [0, 1] is negative.  In this run a passed-over b_k
+    is at least -e_k, so b_n - 1 is at most a e_{n-2} + e_{n-5} plus this
+    step's rounding, which e_n adds up: only the rounding of e_n itself
+    could put b_n - 1 above it.
     """
     a = config.a
     u = 2.0**-53
@@ -239,9 +236,6 @@ def run_all_ones(
             near_zero.append(n)
         if -bn > en:
             outcome = NegativeCoefficient(n, bn)
-            break
-        if bn - 1 > en:
-            outcome = ExceedsOne(n, bn)
             break
     if outcome is None:
         outcome = NoViolationUpTo(config.max_n)

@@ -31,6 +31,9 @@ tests hold it to.
 Cases n = 5..10 are handled directly: one member of each pair is the zero
 polynomial or has no root in (0, 1) at all, so no common root can exist.
 That no-root check is exact (Descartes' rule of signs in integers).
+
+A run resumes from a checkpoint file, replaced whole at each pass boundary
+and re-checked claim by claim on load.
 """
 
 from __future__ import annotations
@@ -314,101 +317,88 @@ def verify_exact_small(lo: int = 11, hi: int = 60) -> Dict[int, int]:
 # --------------------------------------------------------------------------
 
 
-class _Checkpoint:
-    """Append-only progress file.
+def _header(max_n: int, primes: Sequence[int]) -> List[str]:
+    return [
+        "# verify-resultants checkpoint v1",
+        f"max_n={max_n}",
+        "primes=" + ",".join(str(p) for p in primes),
+        "# n status witness",
+    ]
 
-    Layout: a parameter header, then one ``n proven <witness>`` line per
-    settled case, with ``# pass p=<p> complete`` markers after each finished
-    prime.  A resumed run must present identical max_n and primes.
+
+def _write_checkpoint(
+    path: str, max_n: int, primes: Sequence[int], table: ClaimTable, done: Sequence[int]
+) -> None:
+    """Replace path whole: the header, one ``n proven <witness>`` line per
+    claim of table in ascending n, and one ``# pass p=<p> complete`` line per
+    completed pass.  The text goes to path + ".tmp", is synced, and is
+    renamed onto path, so a crash leaves the old file or the new one."""
+    lines = _header(max_n, primes)
+    lines += [f"{n} proven {table.witness[n]}" for n in sorted(table.witness)]
+    lines += [f"# pass p={p} complete" for p in done]
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(path: str, max_n: int, primes: Sequence[int], table: ClaimTable) -> List[int]:
+    """Mark the claims of path in table; return its completed passes.
+
+    An absent file records nothing.  Nothing is trusted unchecked: the
+    header must name this run's max_n and primes; a prime witnesses only an
+    admissible n >= 11, the case analysis only n <= 10; and the k-th pass
+    marker must name the k-th prime, since passes finish in that order and
+    a skipped pass is never recomputed.  _write_checkpoint always ends the
+    file with a newline, so a file that does not is rejected.
     """
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    header = _header(max_n, primes)
+    if lines[: len(header)] != header:
+        raise CheckpointMismatch(
+            f"{path} was written for different parameters "
+            f"(wanted max_n={max_n}, primes={list(primes)})"
+        )
+    if not text.endswith("\n"):
+        raise CheckpointMismatch(f"{path} does not end in a newline, so it was not written whole")
+    done: List[int] = []
+    for ln in lines[len(header) :]:
+        if not ln.strip():
+            continue
+        if ln.startswith("# pass"):
+            k = len(done)
+            if k >= len(primes) or ln != f"# pass p={primes[k]} complete":
+                due = f"the marker of p={primes[k]}" if k < len(primes) else "no further marker"
+                raise CheckpointMismatch(f"pass marker {ln!r} where {due} was due")
+            done.append(primes[k])
+        else:
+            table.mark(*_parse_claim(ln, max_n, primes))
+    return done
 
-    def __init__(self, path: str, max_n: int, primes: Sequence[int]):
-        self.path = path
-        self.max_n = max_n
-        self.primes = [int(p) for p in primes]
-        self._persisted: Set[int] = set()
 
-    def _header(self) -> List[str]:
-        return [
-            "# verify-resultants checkpoint v1",
-            f"max_n={self.max_n}",
-            "primes=" + ",".join(str(p) for p in self.primes),
-            "# n status witness",
-        ]
-
-    def load_into(self, table: ClaimTable) -> Set[int]:
-        """Read the file (creating it if absent); returns completed primes.
-
-        An unterminated last line is what a crash mid-append leaves: it is
-        cut from the file and its case is recomputed.  Every witness is
-        checked before it is trusted: a prime only for an admissible
-        n >= 11, the case analysis only for n <= 10.  The pass markers must
-        name the run's first primes in order, since passes finish in that
-        order and a skipped pass is never recomputed.
-        """
-        if not os.path.exists(self.path):
-            tmp = self.path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(self._header()) + "\n")
-            os.replace(tmp, self.path)  # a crash never leaves half a header
-            return set()
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        whole = data.rfind(b"\n") + 1
-        lines = data[:whole].decode().splitlines()
-        header = self._header()
-        if lines[: len(header)] != header:
-            raise CheckpointMismatch(
-                f"{self.path} was written for different parameters "
-                f"(wanted max_n={self.max_n}, primes={self.primes})"
-            )
-        if whole < len(data):
-            os.truncate(self.path, whole)
-        done: List[int] = []
-        for ln in lines[len(header) :]:
-            if not ln.strip():
-                continue
-            if ln.startswith("# pass"):
-                done.append(self._marker(ln, len(done)))
-                continue
-            n, w = self._claim(ln)
-            table.mark(n, w)
-            self._persisted.add(n)
-        return set(done)
-
-    def _marker(self, ln: str, k: int) -> int:
-        """The prime of pass marker ln, the k-th (from 0): the k-th prime."""
-        if k >= len(self.primes) or ln != f"# pass p={self.primes[k]} complete":
-            due = f"the marker of p={self.primes[k]}" if k < len(self.primes) else "no further marker"
-            raise CheckpointMismatch(f"pass marker {ln!r} where {due} was due")
-        return self.primes[k]
-
-    def _claim(self, ln: str) -> Tuple[int, Witness]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[1] != "proven" or not parts[0].isdigit():
-            raise CheckpointMismatch(f"unreadable checkpoint line: {ln!r}")
-        n = int(parts[0])
-        if not 5 <= n <= self.max_n:
-            raise CheckpointMismatch(f"case outside 5..{self.max_n}: {ln!r}")
-        if parts[2] == BASE_CASE_WITNESS:
-            if n >= FIRST_RESULTANT_INDEX:
-                raise CheckpointMismatch(f"case analysis covers only n <= 10: {ln!r}")
-            return n, BASE_CASE_WITNESS
-        if not parts[2].isdigit() or int(parts[2]) not in self.primes:
-            raise CheckpointMismatch(f"witness not in prime list: {ln!r}")
-        w = int(parts[2])
-        if n < FIRST_RESULTANT_INDEX or skip_rule(n, w):
-            raise CheckpointMismatch(f"witness {w} is inadmissible at n={n}: {ln!r}")
-        return n, w
-
-    def persist(self, table: ClaimTable, completed_prime: Optional[int] = None):
-        new = sorted(n for n in table.witness if n not in self._persisted)
-        with open(self.path, "a") as fh:
-            for n in new:
-                fh.write(f"{n} proven {table.witness[n]}\n")
-            if completed_prime is not None:
-                fh.write(f"# pass p={completed_prime} complete\n")
-        self._persisted.update(new)
+def _parse_claim(ln: str, max_n: int, primes: Sequence[int]) -> Tuple[int, Witness]:
+    parts = ln.split()
+    if len(parts) != 3 or parts[1] != "proven" or not parts[0].isdigit():
+        raise CheckpointMismatch(f"unreadable checkpoint line: {ln!r}")
+    n = int(parts[0])
+    if not 5 <= n <= max_n:
+        raise CheckpointMismatch(f"case outside 5..{max_n}: {ln!r}")
+    if parts[2] == BASE_CASE_WITNESS:
+        if n >= FIRST_RESULTANT_INDEX:
+            raise CheckpointMismatch(f"case analysis covers only n <= 10: {ln!r}")
+        return n, BASE_CASE_WITNESS
+    if not parts[2].isdigit() or int(parts[2]) not in primes:
+        raise CheckpointMismatch(f"witness not in prime list: {ln!r}")
+    w = int(parts[2])
+    if n < FIRST_RESULTANT_INDEX or skip_rule(n, w):
+        raise CheckpointMismatch(f"witness {w} is inadmissible at n={n}: {ln!r}")
+    return n, w
 
 
 # --------------------------------------------------------------------------
@@ -472,6 +462,9 @@ def verify_range(
     contiguous n-ranges balanced by the measured cost model; passes themselves
     are barriers, so witnesses match the sequential run exactly.  progress
     gets each pass's PrimePass once the pass is recorded.
+
+    A checkpoint file's claims and completed passes are loaded first, and
+    the file is replaced whole after the base cases and after each pass.
     """
     t0 = time.perf_counter()
     if max_n < 5:
@@ -487,11 +480,9 @@ def verify_range(
         raise ValueError("primes must be strictly ascending")
 
     table = ClaimTable(max_n)
-    done_passes: Set[int] = set()
-    ckpt: Optional[_Checkpoint] = None
+    done: List[int] = []
     if checkpoint is not None:
-        ckpt = _Checkpoint(checkpoint, max_n, plist)
-        done_passes = ckpt.load_into(table)
+        done = _read_checkpoint(checkpoint, max_n, plist, table)
 
     for case in base_cases():
         if case.n > max_n or table.is_proven(case.n):
@@ -499,14 +490,14 @@ def verify_range(
         if not check_base_case(case):
             raise ArithmeticError(f"base case n={case.n} failed its no-root check")
         table.mark(case.n, BASE_CASE_WITNESS)
-    if ckpt is not None:
-        ckpt.persist(table)
+    if checkpoint is not None:
+        _write_checkpoint(checkpoint, max_n, plist, table, done)
 
     passes: List[PrimePass] = []
     pool = None  # one worker pool per run, started by the first pass that needs one
     try:
         for p in plist:
-            if p in done_passes:
+            if p in done:
                 continue
             t1 = time.perf_counter()
             cands = [n for n in table.unproven() if n >= FIRST_RESULTANT_INDEX]
@@ -532,8 +523,9 @@ def verify_range(
                 duration_seconds=time.perf_counter() - t1,
             )
             passes.append(ps)
-            if ckpt is not None:
-                ckpt.persist(table, completed_prime=p)
+            done.append(p)
+            if checkpoint is not None:
+                _write_checkpoint(checkpoint, max_n, plist, table, done)
             if progress is not None:
                 progress(ps)
     finally:

@@ -219,6 +219,17 @@ def test_simulate_trace_file(tmp_path, capsys):
     assert len(lines) == 41
 
 
+@pytest.mark.parametrize("a", ["0.3", "1e-16"], ids=["out-of-domain", "alpha-rounds-to-minus-one"])
+def test_refused_simulate_leaves_no_trace_file(tmp_path, capsys, a):
+    # exit 2 means no output: the trace file the run opened is removed
+    path = tmp_path / "trace.txt"
+    code, doc, err = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual", "--trace", str(path))
+    assert code == 2
+    assert doc is None
+    assert "error" in err
+    assert not path.exists()
+
+
 def test_verify_exit_codes(capsys):
     code, doc, _ = run_cli(capsys, "verify-resultants", "--max-n", "11", "--primes", "2", "--jobs", "1")
     assert code == 1

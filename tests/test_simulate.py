@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from newmandiv.simulate import (
     AllOnesResult,
     CounterfactualNegative,
-    ExceedsOne,
     NegativeCoefficient,
     NoCandidateError,
     NoViolationUpTo,
@@ -92,7 +91,7 @@ def test_all_ones_boundary_a_zero_never_violates():
 @pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 0.999])
 def test_all_ones_violates_within_bound(a):
     r = run_all_ones(SimConfig(a=a))
-    assert isinstance(r.outcome, (NegativeCoefficient, ExceedsOne))
+    assert isinstance(r.outcome, NegativeCoefficient)
     assert r.outcome.n <= 10000
 
 
@@ -148,18 +147,15 @@ def test_all_ones_high_precision_matches_double():
 @given(st.floats(min_value=0.05, max_value=0.999))
 @example(math.nextafter(0.5, 1.0))  # passes over b_9, stops at b_19
 def test_all_ones_violation_is_certified(a):
-    # the reported b_n is within e_n of the exact rational b_n, which lies
-    # outside [0, 1] on the reported side; earlier overshoots within their
-    # bound may be passed over, so the exact run does not stop at them
+    # the reported b_n is within e_n of the exact rational b_n, which is
+    # negative; earlier overshoots within their bound may be passed over,
+    # so the exact run does not stop at them
     r = run_all_ones(SimConfig(a=a))
-    assert r.violated()
+    assert isinstance(r.outcome, NegativeCoefficient)
     n = r.outcome.n
     exact = _exact_all_ones(a, n, stop=False)[n]
     assert abs(Fraction(r.outcome.value) - exact) <= Fraction(r.error_bound_at_stop)
-    if isinstance(r.outcome, NegativeCoefficient):
-        assert exact < 0
-    else:
-        assert exact > 1
+    assert exact < 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -571,11 +571,10 @@ def test_checkpoint_rejects_corrupt_lines(tmp_path):
         verify_range(60, primes=[2, 3], checkpoint=path)
 
 
-def test_checkpoint_drops_torn_last_line(tmp_path):
-    """A crash mid-append leaves an unterminated line: it is cut and the
-    case recomputed, and the next append starts on a clean line."""
+def test_checkpoint_rejects_unterminated_last_line(tmp_path):
+    """The writer replaces the file whole and ends it with a newline, so a
+    file that does not end in one was not written by it and is refused."""
     path = str(tmp_path / "ck.txt")
-    full = verify_range(61, primes=[2, 3])
     verify_range(61, primes=[2, 3], checkpoint=path)
     with open(path) as fh:
         lines = fh.readlines()
@@ -583,17 +582,58 @@ def test_checkpoint_drops_torn_last_line(tmp_path):
     with open(path, "w") as fh:
         fh.writelines(lines[:cut])
         fh.write("61 prov")  # torn: no newline
-    resumed = verify_range(61, primes=[2, 3], checkpoint=path)
-    assert resumed.table.witness == full.table.witness
-    kept = "".join(lines[:cut])
-    lost = [q for q in (2, 3) if f"# pass p={q} complete" not in kept]
-    assert [ps.prime for ps in resumed.passes] == lost
+    with pytest.raises(CheckpointMismatch, match="newline") as err:
+        verify_range(61, primes=[2, 3], checkpoint=path)
+    assert path in str(err.value)
+    with open(path) as fh:
+        assert fh.read().endswith("61 prov")  # refused, never repaired
+
+
+def test_checkpoint_survives_a_crash_mid_write(tmp_path, monkeypatch):
+    """A crash before the rename of the p=3 write leaves the p=2 file whole;
+    the resume reruns exactly passes 3 and 5."""
+    from newmandiv import verifier
+
+    path = str(tmp_path / "ck.txt")
+    full = verify_range(120, primes=[2, 3, 5])
+    real_replace = verifier.os.replace
+
+    def crash_at_p3(src, dst):
+        with open(src) as fh:
+            if "# pass p=3 complete" in fh.read():
+                raise OSError("simulated crash")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(verifier.os, "replace", crash_at_p3)
+    with pytest.raises(OSError, match="simulated crash"):
+        verify_range(120, primes=[2, 3, 5], checkpoint=path)
+    monkeypatch.setattr(verifier.os, "replace", real_replace)
     with open(path) as fh:
         text = fh.read()
-    assert "61 prov\n" not in text and "61 prov6" not in text
-    assert text.count(f"61 proven {full.table.witness[61]}\n") == 1
-    again = verify_range(61, primes=[2, 3], checkpoint=path)  # file still loads
-    assert again.table.witness == full.table.witness
+    assert "# pass p=2 complete\n" in text and "# pass p=3" not in text
+    resumed = verify_range(120, primes=[2, 3, 5], checkpoint=path)
+    assert [ps.prime for ps in resumed.passes] == [3, 5]
+    assert resumed.table.witness == full.table.witness
+
+
+def test_checkpoint_resumes_from_interleaved_layout(tmp_path):
+    """Earlier versions appended each pass's claims before its marker; the
+    reader does not depend on where claims sit, so such a file resumes."""
+    path = str(tmp_path / "ck.txt")
+    primes = [2, 3, 5]
+    full = verify_range(120, primes=primes)
+    header = _checkpoint_lines(str(tmp_path / "fresh.txt"), 120, primes)[:4]
+    by_witness = {}
+    for n in sorted(full.table.witness):
+        by_witness.setdefault(full.table.witness[n], []).append(f"{n} proven {full.table.witness[n]}\n")
+    lines = header + by_witness[BASE_CASE_WITNESS]
+    for p in (2, 3):  # the file a run stopped after its p=3 pass left
+        lines += by_witness[p] + [f"# pass p={p} complete\n"]
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    resumed = verify_range(120, primes=primes, checkpoint=path)
+    assert [ps.prime for ps in resumed.passes] == [5]
+    assert resumed.table.witness == full.table.witness
 
 
 def _checkpoint_lines(path, max_n, primes):
