@@ -93,6 +93,8 @@ def _parse_primes(text: str) -> List[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty prime range {text!r}")
+        if hi >= 2**31:  # before the primality loop, which would run for hours
+            raise ValueError(f"prime range {text!r} passes the cap: primes must be in [2, 2^31)")
         from .modpoly import _is_prime  # verify-resultants loads modpoly anyway
 
         return [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]
@@ -215,22 +217,16 @@ def _cmd_simulate(args):
     if not 0.0 < args.a < 1.0:
         raise ValueError(f"a must satisfy 0 < a < 1, got {args.a}")
     config = SimConfig(a=args.a, max_n=args.max_n)
-    trace = open(args.trace, "w") if args.trace else None
-    try:
-        if args.mode == "all-ones":
-            result = run_all_ones(config, trace=trace)
-            violated = result.violated()
-        else:
-            result = counterfactual_run(config, trace=trace)
-            violated = isinstance(result.outcome, CounterfactualNegative)
-    except BaseException:
-        if trace is not None:  # a refused run leaves no output, not an empty trace
-            trace.close()
-            os.remove(args.trace)
-        raise
-    finally:
-        if trace is not None:
-            trace.close()
+    if args.mode == "all-ones":
+        result = run_all_ones(config, collect=args.trace is not None)
+        violated = result.violated()
+    else:
+        result = counterfactual_run(config)
+        violated = isinstance(result.outcome, CounterfactualNegative)
+    # opened only now, so that a refused run leaves any file at the path alone
+    if args.trace is not None:
+        with open(args.trace, "w") as fh:
+            fh.write(result.trace_text())
     params = {"a": args.a, "max_n": args.max_n, "mode": args.mode, "trace": args.trace}
     return params, result.to_dict(), [_describe(result.outcome)], violated
 

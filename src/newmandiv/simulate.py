@@ -24,6 +24,10 @@ explain, is passed over.  The bound itself is computed in double
 precision, rounded to nearest and not rounded up, so it is rigorous only up
 to its own rounding: every term of e_n is nonnegative, so that rounding can
 shrink e_n by a relative amount of order n u at most.
+
+Neither mode writes anything.  An all-ones run with collect keeps b_n and
+e_n as tuples of floats (it needs no numpy), and each result renders its
+"n b c d err" trace with trace_text.
 """
 
 from __future__ import annotations
@@ -31,13 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, IO, List, Optional, Tuple, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 # numpy and the analytic layer are imported by the functions that use them,
-# so that an all-ones run without collect loads neither
+# so that an all-ones run loads neither
 
 __all__ = [
     "COUNTERFACTUAL_WINDOW",
@@ -137,6 +138,12 @@ def _outcome_dict(outcome: SimOutcome) -> dict:
     return d
 
 
+def _trace_text(rows: Iterable[Tuple[int, float, int, float, float]]) -> str:
+    """The trace table: the header "n b c d err", then one line per row."""
+    lines = ["n b c d err"] + [f"{n:>8d} {b:+.12e} {c:>2d} {d:+.12e} {err:.3e}" for n, b, c, d, err in rows]
+    return "\n".join(lines) + "\n"
+
+
 # --------------------------------------------------------------------------
 # all-ones mode
 # --------------------------------------------------------------------------
@@ -144,26 +151,30 @@ def _outcome_dict(outcome: SimOutcome) -> dict:
 # start values b_0..b_5 and the dividend pattern c_0..c_5 they encode
 _INIT_C = (1, 0, 1, 0, 1, 1)
 
-_TRACE_HEADER = "n b c d err"
-
-
-def _trace_line(n: int, b: float, c: int, d: float, err: float) -> str:
-    return f"{n:>8d} {b:+.12e} {c:>2d} {d:+.12e} {err:.3e}"
-
 
 @dataclass(frozen=True)
 class AllOnesResult:
+    """An all-ones run; b and e, the series b_0..b_steps and its error
+    bounds as tuples of floats, only when it ran with collect."""
+
     config: SimConfig
     outcome: SimOutcome
     steps: int                    # last index iterated
     near_zero: Tuple[int, ...]    # indices with |b_n| <= _ZERO_THRESHOLD (first 32)
     error_bound_at_stop: float
     max_error_bound: float
-    b: Optional[np.ndarray] = None  # full series when collected
-    e: Optional[np.ndarray] = None  # matching per-index error bounds
+    b: Optional[Tuple[float, ...]] = None
+    e: Optional[Tuple[float, ...]] = None
 
     def violated(self) -> bool:
         return isinstance(self.outcome, NegativeCoefficient)
+
+    def trace_text(self) -> str:
+        """The trace of a collected run: one row per index, d = 0 throughout."""
+        if self.b is None:
+            raise ValueError("the all-ones trace needs a run with collect=True")
+        c = _INIT_C + (1,) * (len(self.b) - len(_INIT_C))
+        return _trace_text(zip(range(len(self.b)), self.b, c, [0.0] * len(self.b), self.e))
 
     def to_dict(self) -> dict:
         return {
@@ -179,12 +190,11 @@ class AllOnesResult:
         }
 
 
-def run_all_ones(
-    config: SimConfig,
-    collect: bool = False,
-    trace: Optional[IO[str]] = None,
-) -> AllOnesResult:
+def run_all_ones(config: SimConfig, collect: bool = False) -> AllOnesResult:
     """Iterate b_n = 1 - a b_{n-2} - b_{n-5} until it leaves [0, 1].
+
+    With collect, the result keeps every b_n and e_n as tuples of floats
+    (no numpy), from which AllOnesResult.trace_text renders the trace.
 
     Checks start at n = 6 (the six start values are in range for every
     0 <= a < 1 by inspection).  The first b_n with -b_n > e_n stops the run
@@ -209,11 +219,6 @@ def run_all_ones(
     near_zero: List[int] = []
     max_err = max(errs)
 
-    if trace is not None:
-        trace.write(_TRACE_HEADER + "\n")
-        for i in range(6):
-            trace.write(_trace_line(i, bs[i], _INIT_C[i], 0.0, errs[i]) + "\n")
-
     window = bs[1:]   # b_{n-5}..b_{n-1} entering n = 6
     ewin = errs[1:]
     outcome: Optional[SimOutcome] = None
@@ -230,8 +235,6 @@ def run_all_ones(
         if collect:
             series.append(bn)
             eseries.append(en)
-        if trace is not None:
-            trace.write(_trace_line(n, bn, 1, 0.0, en) + "\n")
         if abs(bn) <= _ZERO_THRESHOLD and len(near_zero) < 32:
             near_zero.append(n)
         if -bn > en:
@@ -240,11 +243,6 @@ def run_all_ones(
     if outcome is None:
         outcome = NoViolationUpTo(config.max_n)
 
-    b = e = None
-    if collect:
-        import numpy as np
-
-        b, e = np.array(series), np.array(eseries)
     return AllOnesResult(
         config=config,
         outcome=outcome,
@@ -252,8 +250,8 @@ def run_all_ones(
         near_zero=tuple(near_zero),
         error_bound_at_stop=ewin[-1],
         max_error_bound=max_err,
-        b=b,
-        e=e,
+        b=tuple(series) if collect else None,
+        e=tuple(eseries) if collect else None,
     )
 
 
@@ -306,6 +304,15 @@ class CounterfactualResult:
     def y4(self) -> float:
         return self.y_prime[self.N + 4]
 
+    def trace_text(self) -> str:
+        """The trace of the window N-6..N+8: c_N = 0, and d is the deviation
+        stream from N on."""
+        d = deviation_stream(self.config.a)
+        return _trace_text(
+            (self.N + k, self.b[self.N + k], int(k != 0), d[k] if k >= 0 else 0.0, 0.0)
+            for k in range(-6, 9)
+        )
+
     def to_dict(self) -> dict:
         return {
             "mode": "counterfactual",
@@ -323,7 +330,7 @@ class CounterfactualResult:
         }
 
 
-def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> CounterfactualResult:
+def counterfactual_run(config: SimConfig) -> CounterfactualResult:
     """Assemble the vanishing window at the balance index and push it over.
 
     The sequence y_n = b_n - s (s = 1/(2+a)) decomposes over the three
@@ -407,13 +414,6 @@ def counterfactual_run(config: SimConfig, trace: Optional[IO[str]] = None) -> Co
         if b8 < -_VIOLATION_TOLERANCE
         else NoViolationUpTo(N + 8)
     )
-
-    if trace is not None:
-        trace.write(_TRACE_HEADER + "\n")
-        for k in range(-6, 9):
-            c = 0 if k == 0 else 1
-            dk = d[k] if k >= 0 else 0.0
-            trace.write(_trace_line(N + k, b[N + k], c, dk, 0.0) + "\n")
 
     return CounterfactualResult(
         config=config,

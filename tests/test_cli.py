@@ -1,5 +1,6 @@
 """CLI tests: document shape, exit codes, determinism, flag parsing."""
 
+import hashlib
 import json
 import math
 import os
@@ -217,17 +218,32 @@ def test_simulate_trace_file(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "n b c d err"
     assert len(lines) == 41
+    # the bytes the leg wrote while it ran, before the trace was rendered
+    # from its result (test_simulate.py pins the other traces)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8fc31146615d3b8dab55452159ef019dc265b7353afc4a35daa4e9e04b8509bf"
+    )
 
 
 @pytest.mark.parametrize("a", ["0.3", "1e-16"], ids=["out-of-domain", "alpha-rounds-to-minus-one"])
 def test_refused_simulate_leaves_no_trace_file(tmp_path, capsys, a):
-    # exit 2 means no output: the trace file the run opened is removed
+    # exit 2 means no output: the trace is written only after the leg returns
     path = tmp_path / "trace.txt"
     code, doc, err = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual", "--trace", str(path))
     assert code == 2
     assert doc is None
     assert "error" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("a", ["0.3", "1e-16"], ids=["out-of-domain", "alpha-rounds-to-minus-one"])
+def test_refused_simulate_keeps_a_file_at_the_trace_path(tmp_path, capsys, a):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"12345678")
+    code, doc, _ = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual", "--trace", str(path))
+    assert code == 2
+    assert doc is None
+    assert path.read_bytes() == b"12345678"
 
 
 def test_verify_exit_codes(capsys):
@@ -282,6 +298,22 @@ def test_verify_rejects_an_empty_prime_list(capsys, tmp_path, primes):
     assert doc is None
     assert "no primes given" in err
     assert not path.exists()
+
+
+def test_verify_rejects_a_prime_range_past_the_cap():
+    # refused before any integer of the range is tested for primality
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "newmandiv.cli", "verify-resultants", "--max-n", "60", "--primes", "2..3000000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "2^31" in out.stderr
 
 
 def test_verify_parameters_materialize_prime_range(capsys):

@@ -91,9 +91,22 @@ def test_escalating_search_runs_without_mpmath(capsys):
 
 
 def test_all_ones_simulate_runs_without_numpy(capsys):
-    # the all-ones recurrence is plain float arithmetic: only collect needs numpy
+    # the all-ones recurrence is plain float arithmetic
     argv = ["simulate", "--a", "0.3"]
     out = run_cli_isolated(argv, blocked=("numpy", "mpmath"))
     assert out.returncode == main(argv) == 0, out.stderr
     expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
+
+
+def test_all_ones_simulate_trace_runs_without_numpy(capsys, tmp_path):
+    # the trace is rendered from the tuples of floats that collect keeps
+    path = tmp_path / "trace.txt"
+    argv = ["simulate", "--a", "0.3", "--trace", str(path)]
+    out = run_cli_isolated(argv, blocked=("numpy", "mpmath"))
+    assert out.returncode == 0, out.stderr
+    isolated = path.read_bytes()
+    assert main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
+    assert json.loads(out.stdout)["manifest"]["digest"] == expected
+    assert path.read_bytes() == isolated

@@ -6,16 +6,18 @@ a digest drift in the test suite before the benchmark runs; the full
 profile takes a few seconds. The file is only read.
 """
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+from newmandiv import search
 from newmandiv.cli import main
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 # verify-resume reads the checkpoint verify-parallel leaves, so it runs after it
 KEYS = [
@@ -43,3 +45,41 @@ def test_reference_outcomes_replay(profile, tmp_path, monkeypatch, capsys):
         code = main(list(ref["argv"]))
         doc = json.loads(capsys.readouterr().out)
         assert (code, doc["manifest"]["digest"]) == (ref["exit_code"], ref["digest"]), key
+
+
+# ----------------------------------------------------------------------
+# the hooks the traced benchmark (perfbench/run.py --trace 1) relies on
+# ----------------------------------------------------------------------
+
+
+def _wrap_targets():
+    """(module, attribute) of every rec.wrap(module, "attribute", ...) call
+    in perfbench/tracer.py, which is parsed, not imported."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    return [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "rec"
+    ]
+
+
+def test_tracer_wrap_targets_exist():
+    targets = _wrap_targets()
+    assert ("search", "split_survey") in targets
+    for module, attr in targets:
+        value = getattr(importlib.import_module(f"newmandiv.{module}"), attr, None)
+        assert callable(value), f"{module}.{attr}"
+
+
+def test_scan_surveys_each_mask_once(monkeypatch):
+    # perfbench/layers.py divides the escalation share by the number of
+    # traced split_survey calls: one per mask, 2^(d-1) masks of degree d
+    calls = []
+    survey = search.split_survey
+    monkeypatch.setattr(search, "split_survey", lambda r: calls.append(r) or survey(r))
+    search.scan(8, jobs=1)
+    assert len(calls) == 255 == len(set(calls))

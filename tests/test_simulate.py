@@ -1,7 +1,7 @@
 """Tests for the cofactor simulation: all-ones runs, the counterfactual
 window, the deviation stream, and the closed-form cross-check."""
 
-import io
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -171,7 +171,7 @@ def test_all_ones_tracks_shifted_homogeneous_sequence(a):
     for n in range(5, n_max + 1):
         y[n] = -a * y[n - 2] - y[n - 5]
     shifted = y[3 : len(r.b) + 3] + s
-    assert np.max(np.abs(r.b - shifted)) < 1e-10
+    assert np.max(np.abs(np.asarray(r.b) - shifted)) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +180,8 @@ def test_all_ones_tracks_shifted_homogeneous_sequence(a):
 
 
 def test_trace_all_ones_format():
-    buf = io.StringIO()
-    r = run_all_ones(SimConfig(a=0.3), trace=buf)
-    lines = buf.getvalue().splitlines()
+    r = run_all_ones(SimConfig(a=0.3), collect=True)
+    lines = r.trace_text().splitlines()
     assert lines[0] == "n b c d err"
     rows = [ln.split() for ln in lines[1:]]
     assert len(rows) == r.outcome.n + 1
@@ -196,9 +195,8 @@ def test_trace_all_ones_format():
 
 
 def test_trace_counterfactual_format():
-    buf = io.StringIO()
-    c = counterfactual_run(SimConfig(a=0.003), trace=buf)
-    lines = buf.getvalue().splitlines()
+    c = counterfactual_run(SimConfig(a=0.003))
+    lines = c.trace_text().splitlines()
     assert lines[0] == "n b c d err"
     rows = [ln.split() for ln in lines[1:]]
     assert len(rows) == 15  # N-6 .. N+8
@@ -213,6 +211,30 @@ def test_trace_counterfactual_format():
     b_column = {int(row[0]): float(row[1]) for row in rows}
     for n, v in b_column.items():
         assert v == pytest.approx(c.b[n], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, a, max_n, lines, sha256",
+    [
+        ("all-ones", 0.3, 10000, 41, "8fc31146615d3b8dab55452159ef019dc265b7353afc4a35daa4e9e04b8509bf"),
+        ("all-ones", 0.005, 10000, 7653, "77d744a1c2e9317850b824c1f0960b26a4343a71c56f3c9f026702a0ed62b9d3"),
+        ("all-ones", 0.0, 100, 102, "b27207d0ece258c70386e920af0aa6aae49984341b9491b63d7132648c622487"),
+        ("counterfactual", 0.003, 10000, 16, "6403c953e83145d4f0c390dce42072c897df1411b1881c1c54701349c36a830e"),
+    ],
+)
+def test_trace_bytes(mode, a, max_n, lines, sha256):
+    # byte for byte the traces the legs wrote while they ran, before the
+    # trace was rendered from the finished result
+    config = SimConfig(a=a, max_n=max_n)
+    r = run_all_ones(config, collect=True) if mode == "all-ones" else counterfactual_run(config)
+    text = r.trace_text()
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_trace_needs_a_collected_run():
+    with pytest.raises(ValueError, match="collect"):
+        run_all_ones(SimConfig(a=0.3)).trace_text()
 
 
 # ----------------------------------------------------------------------
