@@ -15,7 +15,8 @@ the asymptotic argument needs lives here:
   beta mode exchange dominance;
 * a battery of interval checks, each a quantitative inequality the
   asymptotic argument leans on, re-verified on dense grids with explicit
-  margins.
+  margins.  _BATTERY declares each check once; its function returns only
+  the margin, and check_estimates builds every CheckResult from the entry.
 """
 
 from __future__ import annotations
@@ -404,8 +405,9 @@ def vandermonde_inverse(nodes: Sequence[complex]) -> np.ndarray:
 class CheckResult:
     """One verified inequality: its statement, sample set, and margin.
 
-    worst_margin is (bound - observed) in the check's own scaling; the
-    check holds iff the margin is strictly positive.
+    worst_margin is (bound - observed) in the check's own scaling, as its
+    function in _BATTERY returns it; check_estimates sets passed for every
+    check alike: the check holds iff the margin is strictly positive.
     """
 
     check_id: str
@@ -469,41 +471,22 @@ def _grid(spec: Tuple[float, float, float]) -> np.ndarray:
     return start + step * np.arange(_grid_size(start, stop, step))
 
 
-def _result(check_id, name, statement, grid_desc, margin) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        name=name,
-        statement=statement,
-        grid=grid_desc,
-        worst_margin=float(margin),
-        passed=bool(margin > 0),
-    )
-
-
 #: step of the finite-difference cross-check in (l)
 _FD_STEP = 1e-6
 
-#: the root tables each check reads
-_TABLES = {
-    "a": ("unit",),
-    "b": ("large",),
-    "c": ("large",),
-    "e": ("large",),
-    "f": ("unit",),
-    "g": ("small",),
-    "h": ("small",),
-    "j": ("small",),
-    "k": ("unit",),
-    "l": ("small", "small±h"),
-    "m": ("unit",),
-}
+
+def _fd_inner(grids: EstimateGrids) -> np.ndarray:
+    """Mask of the small-grid points t that check (l) cross-checks by finite
+    differences: h <= t <= stop - h, so that t - h >= 0 and t + h <= stop."""
+    ts = _grid(grids.small)
+    return (_FD_STEP <= ts) & (ts <= grids.small[1] - _FD_STEP)
 
 
 def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[QuinticRoots]]:
-    """One root table per grid that the checks ids read.
+    """One root table per grid that the checks ids read (_BATTERY names them).
 
-    "small±h" holds the roots at t - h for every small-grid t of the
-    finite-difference check in (l), then those at t + h.
+    "small±h" holds the roots at t - h for every small-grid point t that
+    _fd_inner marks, then those at t + h.
 
     Every table is solved here, before the first check runs, and not on
     its first read: root_table's temporary arrays are then freed before
@@ -512,10 +495,9 @@ def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[Qui
     but about 1.2 MB more peak RSS for `newmandiv estimates`.
     """
     tables = {}
-    for name in sorted({g for cid in ids for g in _TABLES.get(cid, ())}):
+    for name in sorted({g for cid in ids for g in _BATTERY[cid]["reads"]}):
         if name == "small±h":
-            ts = _grid(grids.small)
-            ts = ts[(_FD_STEP <= ts) & (ts <= grids.small[1] - _FD_STEP)]
+            ts = _grid(grids.small)[_fd_inner(grids)]
             ts = np.concatenate([ts - _FD_STEP, ts + _FD_STEP])
         else:
             ts = _grid(getattr(grids, name))
@@ -523,44 +505,26 @@ def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[Qui
     return tables
 
 
+def _moduli(rr: Sequence[QuinticRoots]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|alpha|, |beta| and |gamma| along a root table."""
+    return tuple(np.array([abs(getattr(r, key)) for r in rr]) for key in ("alpha", "beta", "gamma"))
+
+
 def _check_a(grids, tables):
-    rr = tables["unit"]
-    aa = np.array([abs(r.alpha) for r in rr])
-    bb = np.array([abs(r.beta) for r in rr])
-    gg = np.array([abs(r.gamma) for r in rr])
-    margin = min(
+    aa, bb, gg = _moduli(tables["unit"])
+    return min(
         float(np.min(aa[:-1] - aa[1:])),  # |alpha| strictly decreasing
         float(np.min(bb[1:] - bb[:-1])),  # |beta| strictly increasing
         float(np.min(gg[:-1] - gg[1:])),  # |gamma| strictly decreasing
     )
-    return _result(
-        "a",
-        "moduli-monotonic",
-        "|alpha|, |gamma| strictly decrease and |beta| strictly increases in t",
-        f"t in [{grids.unit[0]}, {grids.unit[1]}] step {grids.unit[2]}",
-        margin,
-    )
 
 
 def _check_b(grids, tables):
-    rr = tables["large"]
-    aa = np.array([abs(r.alpha) for r in rr])
-    bb = np.array([abs(r.beta) for r in rr])
-    gg = np.array([abs(r.gamma) for r in rr])
-    margin = min(
-        float(np.min(aa - 0.8375)),
-        float(np.min(0.999002 - aa)),
-        float(np.min(bb - 1.000809)),
-        float(np.min(1.1872 - bb)),
-        float(np.min(gg - 0.9203)),
-        float(np.min(0.999692 - gg)),
-    )
-    return _result(
-        "b",
-        "moduli-range",
-        "0.8375<=|alpha|<=0.999002, 1.000809<=|beta|<=1.1872, 0.9203<=|gamma|<=0.999692",
-        f"a in [{grids.large[0]}, {grids.large[1]}] step {grids.large[2]}",
-        margin,
+    aa, bb, gg = _moduli(tables["large"])
+    return min(
+        float(np.min(aa - 0.8375)), float(np.min(0.999002 - aa)),
+        float(np.min(bb - 1.000809)), float(np.min(1.1872 - bb)),
+        float(np.min(gg - 0.9203)), float(np.min(0.999692 - gg)),
     )
 
 
@@ -568,19 +532,8 @@ def _check_c(grids, tables):
     margin = math.inf
     for r in tables["large"]:
         res = _residues(r)
-        margin = min(
-            margin,
-            2.0 - abs(res.c_alpha),
-            abs(res.c_beta) - 1.0 / 2007.0,
-            1.0 - abs(res.c_gamma),
-        )
-    return _result(
-        "c",
-        "residue-bounds",
-        "|c_alpha| <= 2, |c_beta| >= 1/2007, |c_gamma| <= 1",
-        f"a in [{grids.large[0]}, {grids.large[1]}] step {grids.large[2]}",
-        margin,
-    )
+        margin = min(margin, 2.0 - abs(res.c_alpha), abs(res.c_beta) - 1.0 / 2007.0, 1.0 - abs(res.c_gamma))
+    return margin
 
 
 def _check_d(grids, tables):
@@ -594,26 +547,12 @@ def _check_d(grids, tables):
     w = wr * np.exp(1j * wth)
     lhs = np.maximum(2 * np.abs(z.real), 2 * np.abs((z * w).real))
     rhs = np.abs(z) * np.abs(w.imag) / np.abs(w)
-    margin = float(np.min(lhs - rhs))
-    return _result(
-        "d",
-        "projection-bound",
-        "max(2|Re z|, 2|Re zw|) >= |z| |Im w| / |w| for |w| >= 1",
-        f"{n} seeded random samples, |z| in [0.1,2], |w| in [1,2], arg w in [0.05, pi-0.05]",
-        margin,
-    )
+    return float(np.min(lhs - rhs))
 
 
 def _check_e(grids, tables):
     ib = np.array([r.beta.imag for r in tables["large"]])
-    margin = min(float(np.min(ib[1:] - ib[:-1])), float(np.min(ib - 0.95)))
-    return _result(
-        "e",
-        "beta-imag",
-        "Im beta strictly increases in t and stays >= 0.95",
-        f"a in [{grids.large[0]}, {grids.large[1]}] step {grids.large[2]}",
-        margin,
-    )
+    return min(float(np.min(ib[1:] - ib[:-1])), float(np.min(ib - 0.95)))
 
 
 def _check_f(grids, tables):
@@ -623,22 +562,12 @@ def _check_f(grids, tables):
         roots = np.array(r.all_roots())
         d = np.min(np.abs(roots[:, None] - fifth[None, :]))
         margin = min(margin, d - 0.1, abs(r.gamma - 1) - 0.2)
-    return _result(
-        "f",
-        "unity-separation",
-        "every root stays >= 1/10 from all fifth roots of unity; |gamma - 1| >= 0.2",
-        f"t in [{grids.unit[0]}, {grids.unit[1]}] step {grids.unit[2]}",
-        margin,
-    )
+    return margin
 
 
 def _track_from_zero(r: QuinticRoots) -> List[Tuple[complex, complex]]:
     """(rho(0), rho(t)) matched by angular sector."""
-    pairs = []
-    for r0 in _FIFTH_ROOTS_OF_MINUS_ONE:
-        rt = min(r.all_roots(), key=lambda x: abs(x - r0))
-        pairs.append((r0, rt))
-    return pairs
+    return [(r0, min(r.all_roots(), key=lambda x: abs(x - r0))) for r0 in _FIFTH_ROOTS_OF_MINUS_ONE]
 
 
 def _small_positive(grids, tables) -> List[Tuple[float, QuinticRoots]]:
@@ -667,13 +596,7 @@ def _check_g(grids, tables):
             err2 = abs(rt - r0 + t / (5 * r0)) / t**2
             err1 = abs(rt - r0) / t
             margin = min(margin, 0.04065 - err2, 0.2009 - err1)
-    return _result(
-        "g",
-        "taylor-root",
-        "|rho(t) - rho(0) + t/(5 rho(0))| <= 0.04065 t^2 and |rho(t)-rho(0)| <= 0.2009 t",
-        f"t in ({0}, {grids.small[1]}] step {grids.small[2]}, all five branches (t^2-scaled margin)",
-        margin,
-    )
+    return margin
 
 
 def _check_h(grids, tables):
@@ -682,27 +605,14 @@ def _check_h(grids, tables):
         for r0, rt in _track_from_zero(r):
             err = abs(abs(rt) ** 2 - 1 - (2 * t / 5) * (r0**3).real) / t**2
             margin = min(margin, 0.13 - err)
-    return _result(
-        "h",
-        "modulus-taylor",
-        "| |rho(t)|^2 - 1 - (2t/5) Re(rho(0)^3) | <= 0.13 t^2",
-        f"t in (0, {grids.small[1]}] step {grids.small[2]}, all five branches (t^2-scaled margin)",
-        margin,
-    )
+    return margin
 
 
 def _check_i(grids, tables):
     xs = np.concatenate([-_grid((1e-5, 0.01, 1e-5)), _grid((1e-5, 0.01, 1e-5))])
     log_err = np.abs(np.log1p(xs) - xs) / xs**2
     inv_err = np.abs(1.0 / (1.0 + xs) - 1.0) / np.abs(xs)
-    margin = min(float(np.min(0.512 - log_err)), float(np.min(1.02 - inv_err)))
-    return _result(
-        "i",
-        "scalar-taylor",
-        "|log(1+x) - x| <= 0.512 x^2 and |1/(1+x) - 1| <= 1.02 |x| for |x| <= 0.01",
-        "x in ±[1e-5, 0.01] step 1e-5 (x^2- and |x|-scaled margins)",
-        margin,
-    )
+    return min(float(np.min(0.512 - log_err)), float(np.min(1.02 - inv_err)))
 
 
 def _check_j(grids, tables):
@@ -711,18 +621,8 @@ def _check_j(grids, tables):
         lb = math.log(abs(r.beta))
         ra = math.log(abs(r.alpha)) / lb
         rg = math.log(abs(r.gamma)) / lb
-        margin = min(
-            margin,
-            0.008 - abs(ra - (-1.236)),
-            0.005 - abs(rg - (-0.382)),
-        )
-    return _result(
-        "j",
-        "exponent-ratio",
-        "ln|alpha|/ln|beta| in -1.236±0.008 and ln|gamma|/ln|beta| in -0.382±0.005",
-        f"a in (0, {grids.small[1]}] step {grids.small[2]}",
-        margin,
-    )
+        margin = min(margin, 0.008 - abs(ra - (-1.236)), 0.005 - abs(rg - (-0.382)))
+    return margin
 
 
 def _check_k(grids, tables):
@@ -732,13 +632,7 @@ def _check_k(grids, tables):
             lhs = rho**10 - 1
             rhs = 2 * t * rho**3 + t**2 * rho**6
             margin = min(margin, 1e-10 - abs(lhs - rhs))
-    return _result(
-        "k",
-        "root-identity",
-        "rho^10 - 1 = 2t rho^3 + t^2 rho^6 on every branch (residual < 1e-10)",
-        f"t in [{grids.unit[0]}, {grids.unit[1]}] step {grids.unit[2]}",
-        margin,
-    )
+    return margin
 
 
 def _check_l(grids, tables):
@@ -746,9 +640,9 @@ def _check_l(grids, tables):
     h = _FD_STEP
     fd_tol = 1e-4
     shifted = tables["small±h"]
-    minus = iter(shifted[: len(shifted) // 2])
-    plus = iter(shifted[len(shifted) // 2:])
-    for t, r in zip(_grid(grids.small), tables["small"]):
+    half = len(shifted) // 2
+    neighbours = iter(zip(shifted[:half], shifted[half:]))  # (t - h, t + h) roots of each _fd_inner point
+    for t, r, fd in zip(_grid(grids.small), tables["small"], _fd_inner(grids)):
         t = float(t)
         for rho in (complex(r.alpha), r.beta, r.gamma):
             margin = min(
@@ -759,14 +653,10 @@ def _check_l(grids, tables):
                 0.0813 - abs(root_acceleration(rho, t)),
             )
         # three-point finite-difference cross-check of both derivative formulas
-        if h <= t <= grids.small[1] - h:
-            rm, r0, rp = next(minus), r, next(plus)
+        if fd:
+            rm, rp = next(neighbours)
             for key in ("alpha", "beta", "gamma"):
-                a_, b_, c_ = (
-                    complex(getattr(rm, key)),
-                    complex(getattr(r0, key)),
-                    complex(getattr(rp, key)),
-                )
+                a_, b_, c_ = (complex(getattr(x, key)) for x in (rm, r, rp))
                 fd1 = (c_ - a_) / (2 * h)
                 fd2 = (c_ - 2 * b_ + a_) / h**2
                 margin = min(
@@ -774,43 +664,62 @@ def _check_l(grids, tables):
                     fd_tol - abs(fd1 - root_velocity(b_, t)),
                     fd_tol * 50 - abs(fd2 - root_acceleration(b_, t)),
                 )
-    return _result(
-        "l",
-        "derivative-bounds",
-        "0.9990009<=|rho|<=1.0008097, |rho'|<=0.2009, |rho''|<=0.0813; "
-        "closed forms agree with finite differences",
-        f"t in [{grids.small[0]}, {grids.small[1]}] step {grids.small[2]}",
-        margin,
-    )
+    return margin
 
 
 def _check_m(grids, tables):
     margin = math.inf
     for t, r in zip(_grid(grids.unit), tables["unit"]):
         margin = min(margin, (5 * r.gamma**2 + 3 * t).real)
-    return _result(
-        "m",
-        "gamma-denominator",
-        "Re(5 gamma^2 + 3t) > 0 (the gamma-branch derivative denominator never degenerates)",
-        f"t in [{grids.unit[0]}, {grids.unit[1]}] step {grids.unit[2]}",
-        margin,
-    )
+    return margin
 
 
-_CHECKS = {
-    "a": _check_a,
-    "b": _check_b,
-    "c": _check_c,
-    "d": _check_d,
-    "e": _check_e,
-    "f": _check_f,
-    "g": _check_g,
-    "h": _check_h,
-    "i": _check_i,
-    "j": _check_j,
-    "k": _check_k,
-    "l": _check_l,
-    "m": _check_m,
+#: the battery in report order.  Each check id maps to its margin function
+#: check(grids, tables), its name and statement, the root tables it reads
+#: (_root_tables solves them) and its sample set: a str.format template
+#: filled with the (start, stop, step) of the grid of the first table read.
+_BATTERY = {
+    "a": dict(check=_check_a, name="moduli-monotonic",
+              statement="|alpha|, |gamma| strictly decrease and |beta| strictly increases in t",
+              reads=("unit",), sample="t in [{0}, {1}] step {2}"),
+    "b": dict(check=_check_b, name="moduli-range",
+              statement="0.8375<=|alpha|<=0.999002, 1.000809<=|beta|<=1.1872, 0.9203<=|gamma|<=0.999692",
+              reads=("large",), sample="a in [{0}, {1}] step {2}"),
+    "c": dict(check=_check_c, name="residue-bounds",
+              statement="|c_alpha| <= 2, |c_beta| >= 1/2007, |c_gamma| <= 1",
+              reads=("large",), sample="a in [{0}, {1}] step {2}"),
+    "d": dict(check=_check_d, name="projection-bound",
+              statement="max(2|Re z|, 2|Re zw|) >= |z| |Im w| / |w| for |w| >= 1",
+              reads=(), sample="20000 seeded random samples, |z| in [0.1,2], |w| in [1,2], "
+                                "arg w in [0.05, pi-0.05]"),
+    "e": dict(check=_check_e, name="beta-imag",
+              statement="Im beta strictly increases in t and stays >= 0.95",
+              reads=("large",), sample="a in [{0}, {1}] step {2}"),
+    "f": dict(check=_check_f, name="unity-separation",
+              statement="every root stays >= 1/10 from all fifth roots of unity; |gamma - 1| >= 0.2",
+              reads=("unit",), sample="t in [{0}, {1}] step {2}"),
+    "g": dict(check=_check_g, name="taylor-root",
+              statement="|rho(t) - rho(0) + t/(5 rho(0))| <= 0.04065 t^2 and |rho(t)-rho(0)| <= 0.2009 t",
+              reads=("small",), sample="t in (0, {1}] step {2}, all five branches (t^2-scaled margin)"),
+    "h": dict(check=_check_h, name="modulus-taylor",
+              statement="| |rho(t)|^2 - 1 - (2t/5) Re(rho(0)^3) | <= 0.13 t^2",
+              reads=("small",), sample="t in (0, {1}] step {2}, all five branches (t^2-scaled margin)"),
+    "i": dict(check=_check_i, name="scalar-taylor",
+              statement="|log(1+x) - x| <= 0.512 x^2 and |1/(1+x) - 1| <= 1.02 |x| for |x| <= 0.01",
+              reads=(), sample="x in ±[1e-5, 0.01] step 1e-5 (x^2- and |x|-scaled margins)"),
+    "j": dict(check=_check_j, name="exponent-ratio",
+              statement="ln|alpha|/ln|beta| in -1.236±0.008 and ln|gamma|/ln|beta| in -0.382±0.005",
+              reads=("small",), sample="a in (0, {1}] step {2}"),
+    "k": dict(check=_check_k, name="root-identity",
+              statement="rho^10 - 1 = 2t rho^3 + t^2 rho^6 on every branch (residual < 1e-10)",
+              reads=("unit",), sample="t in [{0}, {1}] step {2}"),
+    "l": dict(check=_check_l, name="derivative-bounds",
+              statement="0.9990009<=|rho|<=1.0008097, |rho'|<=0.2009, |rho''|<=0.0813; "
+                        "closed forms agree with finite differences",
+              reads=("small", "small±h"), sample="t in [{0}, {1}] step {2}"),
+    "m": dict(check=_check_m, name="gamma-denominator",
+              statement="Re(5 gamma^2 + 3t) > 0 (the gamma-branch derivative denominator never degenerates)",
+              reads=("unit",), sample="t in [{0}, {1}] step {2}"),
 }
 
 
@@ -822,12 +731,20 @@ def check_estimates(
 
     grids overrides the sample densities; only restricts to a subset of
     check ids (letters a..m).  Each grid the selected checks read is solved
-    once, by root_table, and the checks share its table.
+    once, by root_table, before the first check runs, and the checks share
+    its table.
     """
     grids = grids or EstimateGrids()
-    ids = list(_CHECKS) if only is None else list(only)
+    ids = list(_BATTERY) if only is None else list(only)
     for cid in ids:
-        if cid not in _CHECKS:
-            raise ValueError(f"unknown check id {cid!r}; valid: {sorted(_CHECKS)}")
+        if cid not in _BATTERY:
+            raise ValueError(f"unknown check id {cid!r}; valid: {sorted(_BATTERY)}")
     tables = _root_tables(grids, ids)
-    return [_CHECKS[cid](grids, tables) for cid in ids]
+    results = []
+    for cid in ids:
+        entry = _BATTERY[cid]
+        margin = float(entry["check"](grids, tables))
+        spec = getattr(grids, entry["reads"][0]) if entry["reads"] else ()
+        results.append(CheckResult(cid, entry["name"], entry["statement"], grid=entry["sample"].format(*spec),
+                                   worst_margin=margin, passed=margin > 0))
+    return results

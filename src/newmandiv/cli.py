@@ -83,6 +83,11 @@ def _usable_cpus() -> int:
 # --------------------------------------------------------------------------
 
 
+#: integers a --primes lo..hi range may span: _parse_primes tests each for
+#: primality, well under a second for the 9,592 primes of 2..100001
+_MAX_PRIME_SPAN = 10**5
+
+
 def _parse_primes(text: str) -> List[int]:
     """Either an explicit list "2,3,5" or an inclusive range "2..17"
 
@@ -93,8 +98,11 @@ def _parse_primes(text: str) -> List[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty prime range {text!r}")
-        if hi >= 2**31:  # before the primality loop, which would run for hours
+        # both before the primality loop, which tests every integer of the range
+        if hi >= 2**31:
             raise ValueError(f"prime range {text!r} passes the cap: primes must be in [2, 2^31)")
+        if hi - lo + 1 > _MAX_PRIME_SPAN:
+            raise ValueError(f"prime range {text!r} spans more than {_MAX_PRIME_SPAN} integers")
         from .modpoly import _is_prime  # verify-resultants loads modpoly anyway
 
         return [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]

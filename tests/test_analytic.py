@@ -516,6 +516,32 @@ def test_battery_subset_and_validation():
         check_estimates(COARSE, only=["z"])
 
 
+@pytest.fixture(scope="module")
+def coarse_battery():
+    return {c.check_id: c for c in check_estimates(COARSE)}
+
+
+@pytest.mark.parametrize("cid", list("abcdefghijklm"))
+def test_each_check_alone_equals_its_battery_row(cid, coarse_battery):
+    # a check run alone solves only the tables its _BATTERY entry reads,
+    # so a missing or wrong entry there fails here
+    assert check_estimates(COARSE, only=[cid]) == [coarse_battery[cid]]
+    margin = analytic._BATTERY[cid]["check"](COARSE, _root_tables(COARSE, [cid]))
+    assert isinstance(margin, float)
+
+
+def test_every_table_is_solved_before_check_d_draws(monkeypatch):
+    """The root tables' temporaries must be freed before check (d) first
+    loads numpy.random: solving a table lazily, on its first read, raises
+    the peak RSS of `newmandiv estimates`."""
+    events = []
+    solve, default_rng = analytic.root_table, np.random.default_rng
+    monkeypatch.setattr(analytic, "root_table", lambda ts: events.append("table") or solve(ts))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: events.append("draw") or default_rng(seed))
+    assert all(c.passed for c in check_estimates(COARSE))
+    assert events == ["table"] * 4 + ["draw"]
+
+
 def test_battery_margins_scale_free():
     """The Taylor-window checks report t^2-scaled margins: coarsening the
     grid must not collapse them toward zero."""

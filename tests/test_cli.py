@@ -316,6 +316,28 @@ def test_verify_rejects_a_prime_range_past_the_cap():
     assert "2^31" in out.stderr
 
 
+def test_verify_rejects_a_prime_range_of_more_than_1e5_integers():
+    # under the 2^31 cap, but listing its primes would take over an hour
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "newmandiv.cli", "verify-resultants", "--max-n", "20", "--primes", "2..2147483647"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "spans more than 100000 integers" in out.stderr
+
+
+def test_parse_primes_span_limit():
+    assert len(_parse_primes("2..100001")) == 9592  # 10^5 integers: at the limit
+    with pytest.raises(ValueError, match="spans more than 100000 integers"):
+        _parse_primes("2..100002")
+
+
 def test_verify_parameters_materialize_prime_range(capsys):
     code, doc, _ = run_cli(capsys, "verify-resultants", "--max-n", "60", "--primes", "2..13", "--jobs", "1")
     assert code == 0

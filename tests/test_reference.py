@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from newmandiv import search
+from newmandiv import analytic, search
 from newmandiv.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,6 +73,19 @@ def test_tracer_wrap_targets_exist():
     for module, attr in targets:
         value = getattr(importlib.import_module(f"newmandiv.{module}"), attr, None)
         assert callable(value), f"{module}.{attr}"
+
+
+def test_layers_check_ids_are_the_battery():
+    # perfbench/layers.py (parsed, not imported) times each check id alone
+    # and reads one metric per id, in report order
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    values = [
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CHECK_IDS"]
+    ]
+    assert values == ["".join(analytic._BATTERY)]
 
 
 def test_scan_surveys_each_mask_once(monkeypatch):
