@@ -21,12 +21,12 @@ for every prime.  Euclid is skipped where it is certain to fail: a pair
 that shares a root c in GF(p)* has (t - c) in its gcd, and one walk of the
 values B_n(c) at every such c (``bseq.b_values``) marks those n first.  c = 0 is
 never a shared root, since exactly one member of each pair has constant
-term 1.  The marking walk costs (p - 1) * max(ns) scalar steps, so it runs
-only when p - 1 <= len(ns); a large prime skips it and runs Euclid on every
-case.  ``resultant_mod`` (the remainder-sequence resultant on
-the same walk's pair, unpacked) and ``verify_exact_small`` (exact Sylvester
-determinant on the exact walk) are the independent single-case paths the
-tests hold it to.
+term 1.  The marking walk costs (p - 1) * max(ns) scalar steps, so a pass
+runs it once, and only when its admissible cases ns number at least p - 1;
+a large prime skips it and runs Euclid on every case.  ``resultant_mod``
+(the remainder-sequence resultant on the same walk's pair, unpacked) and
+``verify_exact_small`` (exact Sylvester determinant on the exact walk) are
+the independent single-case paths the tests hold it to.
 
 Cases n = 5..10 are handled directly: one member of each pair is the zero
 polynomial or has no root in (0, 1) at all, so no common root can exist.
@@ -222,20 +222,19 @@ def _shared_roots(p: int, ns: Sequence[int]) -> Set[int]:
     return {n for n, f, g in b_values(Prime(p), max(ns)) if n in want and 0 in map(max, f, g)}
 
 
-def _run_chunk(p: int, ns: Sequence[int]) -> List[int]:
+def _run_chunk(p: int, ns: Sequence[int], marked: Set[int]) -> List[int]:
     """Decide the admissible cases in ns for prime p; returns those proved.
 
     Walks the packed window once (``b_pairs``), up through max(ns).  At each
     requested n the pair (B_{n-2}, B_{n-5}) is checked against the leading
     law and proved when the two are coprime over GF(p); with both leading
-    coefficients intact that is exactly R_n != 0 mod p.  When p - 1 <=
-    len(ns), the n whose pair shares a root in GF(p)* are marked first
-    (``_shared_roots``) and fail without Euclid; the verdicts are the same.
+    coefficients intact that is exactly R_n != 0 mod p.  The n in marked
+    (the pass's ``_shared_roots``) fail without Euclid; the verdicts are the
+    same.
     """
     if not ns:
         return []
     want = set(ns)
-    marked = _shared_roots(p, ns) if p - 1 <= len(ns) else set()
     proved: List[int] = []
     for n, f, g in b_pairs(Prime(p), max(ns)):
         if n in want:
@@ -243,47 +242,6 @@ def _run_chunk(p: int, ns: Sequence[int]) -> List[int]:
             if n not in marked and coprime(f, g):
                 proved.append(n)
     return proved
-
-
-#: measured growth of one certificate's cost with n (fits over n = 500..8000:
-#: about 1.1 for the GF(3) planes, 1.35 for the lanes of p = 5 and 7)
-_COST_EXPONENT = 1.3
-
-
-def _chunk_by_weight(ns: Sequence[int], k: int) -> List[List[int]]:
-    """Split a sorted case list into <= k contiguous chunks of roughly equal
-    total cost, weighting each case by n ** _COST_EXPONENT."""
-    weights = [n**_COST_EXPONENT for n in ns]
-    target = sum(weights) / k if k > 0 else sum(weights)
-    chunks: List[List[int]] = []
-    cur: List[int] = []
-    acc = 0.0
-    for n, wt in zip(ns, weights):
-        cur.append(n)
-        acc += wt
-        if acc >= target and len(chunks) < k - 1:
-            chunks.append(cur)
-            cur = []
-            acc = 0.0
-    if cur:
-        chunks.append(cur)
-    return chunks
-
-
-def _needs_pool(ns: List[int], jobs: int) -> bool:
-    return jobs > 1 and len(ns) >= 32
-
-
-def _compute_pass(p: int, ns: List[int], jobs: int, pool) -> List[int]:
-    """The cases of ns that p proves; pool is the run's ProcessPoolExecutor,
-    which must exist when _needs_pool(ns, jobs)."""
-    if not _needs_pool(ns, jobs):
-        return _run_chunk(p, ns)
-    chunks = _chunk_by_weight(ns, jobs)
-    proved: List[int] = []
-    for part in pool.map(_run_chunk, [p] * len(chunks), chunks):
-        proved.extend(part)
-    return sorted(proved)
 
 
 def resultant_mod(n: int, prime: Prime) -> int:
@@ -446,6 +404,10 @@ class VerifyReport:
         }
 
 
+#: largest max_n: the case list alone is about 36 MB, the sweep weeks long
+_MAX_N = 10**6
+
+
 def verify_range(
     max_n: int,
     primes: Sequence[int] = DEFAULT_PRIMES,
@@ -458,10 +420,12 @@ def verify_range(
 
     One pass per prime: resultants are computed only for cases no earlier
     prime settled and the skip rule admits, so later (more expensive) primes
-    see only the stragglers.  With jobs > 1 each pass is split into
-    contiguous n-ranges balanced by the measured cost model; passes themselves
-    are barriers, so witnesses match the sequential run exactly.  progress
-    gets each pass's PrimePass once the pass is recorded.
+    see only the stragglers.  Each pass marks its shared roots here, once;
+    with jobs > 1 a pass of at least 32 cases ns is dealt to k = min(jobs,
+    len(ns)) workers, every k-th case to each, which balances them because
+    consecutive cases cost nearly the same.  Passes are barriers, so
+    witnesses match the sequential run exactly.  progress gets each pass's
+    PrimePass once the pass is recorded.
 
     A checkpoint file's claims and completed passes are loaded first, and
     the file is replaced whole after the base cases and after each pass.
@@ -469,6 +433,8 @@ def verify_range(
     t0 = time.perf_counter()
     if max_n < 5:
         raise ValueError("max_n must be at least 5")
+    if max_n > _MAX_N:
+        raise CapacityError(f"max_n must be at most {_MAX_N}, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     plist = [int(p) for p in primes]
@@ -502,13 +468,17 @@ def verify_range(
             t1 = time.perf_counter()
             cands = [n for n in table.unproven() if n >= FIRST_RESULTANT_INDEX]
             ns = [n for n in cands if not skip_rule(n, p)]
-            if pool is None and _needs_pool(ns, jobs):
+            marked = _shared_roots(p, ns) if p - 1 <= len(ns) else set()
+            k = min(jobs, len(ns)) if jobs > 1 and len(ns) >= 32 else 1
+            if k > 1 and pool is None:
                 from concurrent.futures import ProcessPoolExecutor
 
                 # every later pass's cases are a subset of cands, so no pass
                 # has work for more workers than this
                 pool = ProcessPoolExecutor(max_workers=min(jobs, len(cands)))
-            proved = _compute_pass(p, ns, jobs, pool)
+            chunks = [ns[i::k] for i in range(k)]
+            parts = (map if k == 1 else pool.map)(_run_chunk, [p] * k, chunks, [marked] * k)
+            proved = sorted(n for part in parts for n in part)
             for n in proved:
                 table.mark(n, p)
             rest = table.unproven()

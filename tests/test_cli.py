@@ -332,6 +332,23 @@ def test_verify_rejects_a_prime_range_of_more_than_1e5_integers():
     assert "spans more than 100000 integers" in out.stderr
 
 
+def test_verify_rejects_max_n_above_the_cap():
+    # refused before the case list is built; one job, so a run that got past
+    # the check and was killed at the timeout would leave no worker behind
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "newmandiv.cli", "verify-resultants", "--max-n", "1000001", "--jobs", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "max_n must be at most 1000000" in out.stderr
+
+
 def test_parse_primes_span_limit():
     assert len(_parse_primes("2..100001")) == 9592  # 10^5 integers: at the limit
     with pytest.raises(ValueError, match="spans more than 100000 integers"):

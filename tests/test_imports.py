@@ -51,8 +51,8 @@ def test_importing_the_cli_loads_no_numpy_or_mpmath():
 def test_verify_resultants_runs_without_numpy_or_mpmath():
     out = run_isolated(
         "from newmandiv.cli import main\n"
-        "code = main(['verify-resultants', '--max-n', '60'])\n"
-        "assert 'concurrent.futures' not in sys.modules  # no pass needs a pool\n"
+        "code = main(['verify-resultants', '--max-n', '60', '--jobs', '2'])\n"
+        "assert 'concurrent.futures' not in sys.modules  # no pass has 32 cases\n"
         "sys.exit(code)\n",
         blocked=("numpy", "mpmath"),
     )

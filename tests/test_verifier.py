@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,6 @@ from newmandiv.verifier import (
     DEFAULT_PRIMES,
     CheckpointMismatch,
     ClaimTable,
-    _COST_EXPONENT,
-    _chunk_by_weight,
     _run_chunk,
     _shared_roots,
     base_cases,
@@ -162,7 +162,7 @@ def test_gcd2_divides_both_and_is_maximal(f, g):
 def test_bitmask_agrees_with_generic_path_mod2():
     """The p=2 bitmask decision must match the generic PRS decision."""
     ns = [n for n in range(11, 301) if not skip_rule(n, 2)]
-    proved_fast = set(_run_chunk(2, ns))
+    proved_fast = set(_run_chunk(2, ns, _shared_roots(2, ns)))
     for n in ns:
         assert (resultant_mod(n, Prime(2)) != 0) == (n in proved_fast), n
 
@@ -171,7 +171,7 @@ def test_bitmask_agrees_with_generic_path_mod2():
 def test_window_pass_agrees_with_single_case_path(p):
     """The packed batch walk and the one-shot bseq walk must agree, n <= 300."""
     ns = [n for n in range(11, 301) if not skip_rule(n, p)]
-    proved_fast = set(_run_chunk(p, ns))
+    proved_fast = set(_run_chunk(p, ns, _shared_roots(p, ns)))
     for n in ns[::7] + ns[-3:]:
         assert (resultant_mod(n, Prime(p)) != 0) == (n in proved_fast), n
 
@@ -182,7 +182,7 @@ def test_band_near_2000_agrees_with_prs(p):
     remainder-sequence resultant does, on the unpacked pairs of one walk."""
     prime = Prime(p)
     ns = [n for n in range(1990, 2011) if not skip_rule(n, p)]
-    proved = set(_run_chunk(p, ns))
+    proved = set(_run_chunk(p, ns, _shared_roots(p, ns)))
     for n, f, g in b_pairs(prime, ns[-1]):
         if n in ns:
             nonzero = resultant_prs(f.unpack(), g.unpack()) != 0
@@ -195,7 +195,7 @@ def test_leading_law_guard_rejects_corrupted_pair(monkeypatch):
     from newmandiv.modpoly import ModPoly, pack
 
     assert not skip_rule(12, 3) and b_leading(10) == (5, -1)
-    clean = _run_chunk(3, [11, 14])
+    clean = _run_chunk(3, [11, 14], set())
     real = verifier.b_pairs
 
     def corrupted(prime, hi):
@@ -205,16 +205,16 @@ def test_leading_law_guard_rejects_corrupted_pair(monkeypatch):
             yield n, f, g
 
     monkeypatch.setattr(verifier, "b_pairs", corrupted)
-    assert _run_chunk(3, [11, 14]) == clean  # cases that read no bad pair pass
+    assert _run_chunk(3, [11, 14], set()) == clean  # cases that read no bad pair pass
     with pytest.raises(ArithmeticError):
-        _run_chunk(3, [11, 12])
+        _run_chunk(3, [11, 12], set())
 
 
 def test_leading_law_guard_rejects_inadmissible_case():
     """An inadmissible n reaching the kernel is an error, not a verdict."""
     assert skip_rule(16, 3)
     with pytest.raises(ArithmeticError):
-        _run_chunk(3, [16])
+        _run_chunk(3, [16], set())
 
 
 # --------------------------------------------------------------------------
@@ -246,31 +246,36 @@ def test_shared_roots_have_zero_resultant(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_marking_changes_no_verdict(p, monkeypatch):
-    """With the marker marking nothing, Euclid proves the same cases, for
-    every admissible n <= 1500."""
-    from newmandiv import verifier
-
+def test_marking_changes_no_verdict(p):
+    """With nothing marked, Euclid proves the same cases, for every
+    admissible n <= 1500."""
     ns = [n for n in range(11, 1501) if not skip_rule(n, p)]
-    proved = _run_chunk(p, ns)
-    assert _shared_roots(p, ns)
-    monkeypatch.setattr(verifier, "_shared_roots", lambda p, ns: set())
-    assert _run_chunk(p, ns) == proved
+    marked = _shared_roots(p, ns)
+    assert marked
+    assert _run_chunk(p, ns, marked) == _run_chunk(p, ns, set())
 
 
-def test_marking_runs_only_when_p_minus_1_fits_the_cases(monkeypatch):
-    """The value walk costs (p - 1) * max(ns) scalar steps: it runs for a
-    chunk of at least p - 1 cases, never for 2^31 - 1."""
+@pytest.fixture
+def marking_walks(monkeypatch):
+    """The case list of every ``_shared_roots`` call, in call order."""
     from newmandiv import verifier
 
     calls = []
     real = verifier._shared_roots
-    monkeypatch.setattr(verifier, "_shared_roots", lambda p, ns: calls.append(len(ns)) or real(p, ns))
-    ns = [n for n in range(11, 200) if not skip_rule(n, 7)]
-    _run_chunk(7, ns[:5])
-    assert calls == []
-    _run_chunk(7, ns[:6])
-    assert calls == [6]
+    monkeypatch.setattr(verifier, "_shared_roots", lambda p, ns: calls.append(list(ns)) or real(p, ns))
+    return calls
+
+
+def test_marking_runs_only_when_p_minus_1_fits_the_cases(marking_walks, monkeypatch):
+    """The value walk costs (p - 1) * max(ns) scalar steps: it runs for a
+    pass of at least p - 1 cases, never for 2^31 - 1.  At p = 7 every n in
+    11..16 is admissible, so max_n = 15 gives 5 cases and 16 gives 6."""
+    from newmandiv import verifier
+
+    verify_range(15, primes=(7,))
+    assert marking_walks == []
+    verify_range(16, primes=(7,))
+    assert marking_walks == [list(range(11, 17))]
 
     def refuse(p, ns):
         raise AssertionError(f"value walk at p = {p}")
@@ -488,43 +493,85 @@ def test_parallel_run_starts_one_pool(monkeypatch):
     assert par.table.witness == verify_range(600, jobs=1).table.witness
 
 
-def test_pool_has_no_more_workers_than_cases(monkeypatch):
-    # the pool is sized by the first pass that needs it: every later pass
-    # works on a subset of its cases.  The fake pool records its size and
-    # maps in process, so no worker is started
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that maps in process, so
+    no worker is started.  It records each pool's size in .started and each
+    pass it maps as (p, chunks) in .maps."""
     import concurrent.futures
 
-    started = []
+    record = SimpleNamespace(started=[], maps=[])
 
     class InProcessPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record.started.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, ps, chunks, marks):
+            record.maps.append((ps[0], chunks))
+            return map(fn, ps, chunks, marks)
 
         def shutdown(self, **kwargs):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return record
+
+
+def test_pool_has_no_more_workers_than_cases(in_process_pool):
+    # the pool is sized by the first pass that needs it: every later pass
+    # works on a subset of its cases
     par = verify_range(300, jobs=5000)
+    started = in_process_pool.started
     assert started == [par.passes[0].candidates] and started[0] < 5000
     assert par.table.witness == verify_range(300, jobs=1).table.witness
 
 
-def test_chunk_by_weight_partitions():
-    ns = list(range(11, 400))
-    chunks = _chunk_by_weight(ns, 4)
-    assert len(chunks) <= 4
-    flat = [n for c in chunks for n in c]
-    assert flat == ns  # contiguous, order-preserving, complete
-    weights = [sum(n**_COST_EXPONENT for n in c) for c in chunks]
-    assert max(weights) < 2 * (sum(weights) / len(weights))
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_one_marking_walk_per_pass_whatever_jobs(jobs, in_process_pool, marking_walks):
+    """The pass marks its shared roots once, on its whole case list, in the
+    calling process: all 136 admissible n <= 150 at p = 29, for any jobs."""
+    verify_range(150, primes=(29,), jobs=jobs)
+    ns = [n for n in range(11, 151) if not skip_rule(n, 29)]
+    assert len(ns) == 136 and marking_walks == [ns]
+    assert len(in_process_pool.maps) == (jobs > 1)
+
+
+def test_chunks_partition_each_pass_and_leave_the_report_alone(in_process_pool):
+    """A pooled pass is dealt to min(jobs, len(ns)) ascending chunks, sizes
+    within one of each other, that partition its cases ns; the pass rows
+    (duration aside) and the witnesses are those of the serial run."""
+
+    def rows(rep):
+        return [{k: v for k, v in asdict(ps).items() if k != "duration_seconds"} for ps in rep.passes]
+
+    serial = verify_range(600, jobs=1)
+    assert in_process_pool.maps == []
+    w = serial.table.witness
+    for jobs in (2, 3, 5):
+        in_process_pool.maps.clear()
+        rep = verify_range(600, jobs=jobs)
+        assert rows(rep) == rows(serial) and rep.table.witness == w
+        assert [p for p, _ in in_process_pool.maps] == [ps.prime for ps in rep.passes if ps.computed >= 32]
+        for p, chunks in in_process_pool.maps:
+            ns = [n for n in range(11, 601) if w[n] >= p and not skip_rule(n, p)]
+            sizes = [len(c) for c in chunks]
+            assert len(chunks) == min(jobs, len(ns)) and max(sizes) - min(sizes) <= 1
+            assert all(c == sorted(c) for c in chunks)
+            assert sorted(n for c in chunks for n in c) == ns
 
 
 # --------------------------------------------------------------------------
 # checkpointing
 # --------------------------------------------------------------------------
+
+
+def test_max_n_above_the_cap_is_refused_before_the_checkpoint_is_read(tmp_path):
+    path = tmp_path / "ck.txt"
+    path.write_text("not a checkpoint\n")
+    with pytest.raises(CapacityError, match="at most 1000000"):
+        verify_range(10**6 + 1, checkpoint=str(path))
+    with pytest.raises(CheckpointMismatch):  # below the cap the file is read
+        verify_range(60, checkpoint=str(path))
 
 
 def test_checkpoint_roundtrip(tmp_path):
