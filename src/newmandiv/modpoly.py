@@ -12,10 +12,13 @@ diagnostic paths:
 
 The certificate kernel is ``coprime`` on ``PackedPoly``: GF(p)[t] held in
 Python ints, so one big-int operation acts on every coefficient at once.
-p = 2 uses a bitmask, p = 3 two bit planes and p >= 5 W-bit lanes.  Only
-Euclid runs, because over a field Res(f, g) != 0 iff gcd(f, g) = 1; that
-the reduced pair still has the integer pair's degrees is the caller's
-check.
+p = 2 uses a bitmask, p = 3 two bit planes and p >= 5 W-bit lanes, each
+lane holding its coefficient in [0, p): after every subtraction and every
+Euclid pass one multiply-shift quotient (division by the invariant p)
+brings every lane back, and W is the narrowest width in which that is
+exact (9 bits for p = 5, 12 for 7, 16 for 11).  Only Euclid runs, because
+over a field Res(f, g) != 0 iff gcd(f, g) = 1; that the reduced pair still
+has the integer pair's degrees is the caller's check.
 
 Over Z there is a primitive-remainder-sequence gcd, ``ip_gcd``, and Yun's
 squarefree decomposition, ``squarefree_decomposition``, in exact integer
@@ -607,14 +610,13 @@ class _Planes:
 
 
 class _Lanes:
-    """GF(p), p >= 5: one int of W-bit lanes; lane k holds a nonnegative
-    value congruent to the coefficient of t^k and is only ever read mod p.
+    """GF(p), p >= 5: one int of W-bit lanes; lane k holds the coefficient
+    of t^k in [0, p).
 
-    Every polynomial at rest has lanes <= ``rest`` and a top lane that is
-    nonzero mod p, so its degree is exact.  Lane sums are tracked as upper
-    bounds; before a sum could carry into the next lane the lanes are
-    folded with 2^h = r (mod p):  x -> (x & LO) + r * ((x >> h) & HI),
-    which maps any W-bit lane back to <= rest.
+    Every polynomial at rest is canonical, so its top lane is nonzero and its
+    degree is its bit length.  A step that leaves lanes up to X = (p - 1) +
+    2(p - 1)^2 (a ``sub``, or one Euclid pass adding two products to a lane)
+    is brought back to [0, p) in one multiply-shift quotient, ``_reduce``.
 
     Euclid divides in passes of one Kronecker product: each subtracts the
     quotient's top two terms (its last once the degrees are equal) times g
@@ -623,71 +625,62 @@ class _Lanes:
 
     def __init__(self, p: int):
         self.p = p
-        self.w, self.h = _lane_shape(p)
-        self.r = pow(2, self.h, p)
+        self.w, self.s, self.m = _lane_shape(p)
         self.lane = (1 << self.w) - 1
-        self.cap = 1 << self.w  # every lane must stay below this
-        # folding a lane <= b leaves it <= 2^h - 1 + r * (b >> h)
-        self.rest = (1 << self.h) - 1 + self.r * (self.lane >> self.h)
-        self._lo = self._hi = 0
+        self._mask = 0
 
-    def _masks(self, nbits: int):
-        if self._lo.bit_length() < nbits:
+    def _quotient_mask(self, nbits: int) -> int:
+        """The low W - s bits of every lane, over at least nbits bits."""
+        if self._mask.bit_length() < nbits:
             lanes = 2 * (nbits // self.w + 1)
             rep = ((1 << (lanes * self.w)) - 1) // self.lane  # 1 in every lane
-            self._lo = ((1 << self.h) - 1) * rep
-            self._hi = ((1 << (self.w - self.h)) - 1) * rep
-        return self._lo, self._hi
+            self._mask = ((1 << (self.w - self.s)) - 1) * rep
+        return self._mask
 
-    def _fold(self, x: int) -> int:
-        lo, hi = self._masks(x.bit_length())
-        top = (x >> self.h) & hi
-        return (x & lo) + (top if self.r == 1 else self.r * top)
-
-    def _trim(self, x: int) -> int:
-        """Cut top lanes that are 0 mod p (x has no garbage above its top)."""
-        w, p = self.w, self.p
-        d = (x.bit_length() - 1) // w
-        while d >= 0 and (x >> (d * w)) % p == 0:
-            x &= (1 << (d * w)) - 1
-            d = (x.bit_length() - 1) // w
-        return x
+    def _reduce(self, x: int, mask: int) -> int:
+        """Every lane of x, each at most X, reduced to [0, p): lane by lane
+        x - p * floor(x * m / 2^s), with no carry between lanes since X*m <
+        2^W; mask is ``_quotient_mask`` over at least x's bits.  A lane that
+        is 0 mod p becomes 0, so the degree is the bit length again."""
+        return x - self.p * ((x * self.m >> self.s) & mask)
 
     def pack(self, cs) -> int:
         x = 0
         for c in reversed(cs):
             x = (x << self.w) | (c % self.p)
-        return self._trim(x)
+        return x
 
     def unpack(self, x: int) -> list:
-        w, lane, p = self.w, self.lane, self.p
-        return [((x >> (k * w)) & lane) % p for k in range(self.degree(x) + 1)]
+        w, lane = self.w, self.lane
+        return [(x >> (k * w)) & lane for k in range(self.degree(x) + 1)]
 
     def degree(self, x: int) -> int:
         return (x.bit_length() - 1) // self.w
 
     def leading(self, x: int) -> int:
-        return (x >> (self.degree(x) * self.w)) % self.p
+        return x >> (self.degree(x) * self.w)
 
     def sub(self, x: int, y: int) -> int:
-        return self._trim(self._fold(x + (self.p - 1) * y))
+        z = x + (self.p - 1) * y
+        return self._reduce(z, self._quotient_mask(z.bit_length()))
 
     def shift(self, x: int, k: int) -> int:
         return x << (k * self.w)
 
     def coprime(self, f: int, g: int) -> bool:
-        p, w, lane, cap, rest = self.p, self.w, self.lane, self.cap, self.rest
-        h, r, low = self.h, self.r, (1 << self.h) - 1
+        p, w, lane, reduce = self.p, self.w, self.lane, self._reduce
         df, dg = self.degree(f), self.degree(g)
         if df < dg:
             f, g, df, dg = g, f, dg, df
         if dg < 0:
             return df == 0
-        self._masks(f.bit_length())
-        bf = bg = rest
+        mask = self._quotient_mask(f.bit_length())
+        inv = {}  # the inverses of the leading lanes met in this call
         while dg > 0:
             u = g >> ((dg - 1) * w)  # g's top two lanes
-            ig = pow(u >> w, -1, p)
+            ig = inv.get(u >> w)
+            if ig is None:
+                ig = inv[u >> w] = pow(u >> w, -1, p)
             while df >= dg:
                 # f -= q * g, shifted to f's top, as one product: q is the
                 # quotient's top two terms (k = 2), or its last term (k = 1)
@@ -699,42 +692,32 @@ class _Lanes:
                     qneg = ((p - q1) << w) | ((q1 * (u & lane) - (t & lane)) * ig % p)
                 else:
                     k, qneg = 1, -(f >> (df * w)) * ig % p
-                step = k * (p - 1) * bg  # k products summed into one lane
-                if bf + step >= cap:
-                    # after a fold a lane bound b becomes low + r * (b >> h)
-                    if bg > rest:
-                        g, bg = self._fold(g), low + r * (bg >> h)
-                        step = k * (p - 1) * bg
-                    if bf + step >= cap:
-                        f, bf = self._fold(f), low + r * (bf >> h)
-                s = (df - dg + 1 - k) * w
-                f += qneg * g << s if s else qneg * g  # a shift by 0 still copies
-                bf += step
-                # f's top k lanes now hold multiples of p: cut them and any
-                # further top lanes that vanish mod p
-                while df >= 0 and (x := f >> (df * w)) % p == 0:
-                    f ^= x << (df * w)
-                    df -= 1
+                sh = (df - dg + 1 - k) * w
+                f += qneg * g << sh if sh else qneg * g  # a shift by 0 still copies
+                f = reduce(f, mask)  # f's top k lanes are now 0
+                df = (f.bit_length() - 1) // w
             if df < 0:
                 return False
-            f, g, df, dg, bf, bg = g, f, dg, df, bg, bf
+            f, g, df, dg = g, f, dg, df
         return True
 
 
 def _lane_shape(p: int):
-    """(W, h) for the lane form of GF(p): the narrowest W from 16 up, with
-    the h that gives it the smallest lane bound at rest, that holds a sum of
-    four products at rest.  Narrow lanes keep every big-int pass short:
-    measured per call at n = 1000..8000, W = 16 was no slower than 20, 24
-    or 32 for p = 5, 7 and 17."""
-    w = 16
+    """(W, s, m) for the lane form of GF(p): the smallest s for which
+    m = ceil(2^s / p) gives floor(x * m / 2^s) = floor(x / p) for every
+    lane value x <= X = (p - 1) + 2(p - 1)^2, and W = bit length of X*m.
+
+    Division by an invariant integer (Granlund & Montgomery, PLDI 1994):
+    with e = m*p - 2^s in [0, p) and x = q*p + r, x*m/2^s = q + (r + x*e/2^s)/p,
+    and r + x*e/2^s < (p - 1) + 1 = p whenever X*e < 2^s, so the floor is q.
+    W = 9, 12, 16, 15 and 17 bits for p = 5, 7, 11, 13 and 17."""
+    x = (p - 1) + 2 * (p - 1) ** 2
+    s = 1
     while True:
-        rest, h = min(
-            ((1 << h) - 1 + pow(2, h, p) * ((1 << (w - h)) - 1), h) for h in range(w // 2, w)
-        )
-        if 4 * p * rest < 1 << w:
-            return w, h
-        w += 4
+        m = -(-(1 << s) // p)
+        if x * (m * p - (1 << s)) < 1 << s:
+            return (x * m).bit_length(), s, m
+        s += 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,8 @@ from newmandiv.bseq import (
 from newmandiv.modpoly import CapacityError, IntPoly, ModPoly, Prime
 from newmandiv.verifier import DEFAULT_PRIMES
 
-#: the verifier's primes and one prime of each wider lane form (W up to 96)
+#: the verifier's primes (lanes of 9 to 17 bits from p = 5) and wider lanes:
+#: W = 20, 33, 65 and 126 bits
 WALK_PRIMES = DEFAULT_PRIMES + (19, 257, 65537, 2**31 - 1)
 
 

@@ -375,20 +375,47 @@ def coeff_list(max_deg):
     return st.lists(st.integers(min_value=0, max_value=10**6), max_size=max_deg + 1)
 
 
-#: the sweep's primes and wider lanes: W = 20, 28, 52 and 96 (W = 16 below 19)
+#: the sweep's primes and wider lanes: W = 9 to 17 bits for p = 5..17, then
+#: 20, 33, 65 and 126 (the lane must hold (p - 1) + 2(p - 1)^2 times m)
 KERNEL_PRIMES = DEFAULT_PRIMES + (19, 257, 65537, 2**31 - 1)
+
+#: (W, s, m) of every lane prime in KERNEL_PRIMES
+LANE_SHAPES = {
+    5: (9, 6, 13),
+    7: (12, 8, 37),
+    11: (16, 11, 187),
+    13: (15, 10, 79),
+    17: (17, 12, 241),
+    19: (20, 14, 863),
+    257: (33, 24, 65281),
+    65537: (65, 48, 4294901761),
+    2**31 - 1: (126, 94, 9223372041149743107),
+}
 
 
 def test_kernel_primes_span_the_lane_widths():
-    widths = {p: modpoly._lane_shape(p)[0] for p in KERNEL_PRIMES if p >= 5}
-    assert widths == {5: 16, 7: 16, 11: 16, 13: 16, 17: 16, 19: 20, 257: 28, 65537: 52, 2**31 - 1: 96}
+    assert {p: modpoly._lane_shape(p) for p in KERNEL_PRIMES if p >= 5} == LANE_SHAPES
+
+
+@pytest.mark.parametrize("p", [p for p in KERNEL_PRIMES if p >= 5])
+def test_lane_quotient_is_exact(p):
+    """floor(x * m / 2^s) = floor(x / p) and x * m fits in W bits for every
+    lane value x up to X = (p - 1) + 2(p - 1)^2: checked at every x up to
+    p = 257, at the end points and by the sufficient inequality beyond."""
+    w, s, m = modpoly._lane_shape(p)
+    top = (p - 1) + 2 * (p - 1) ** 2
+    assert top * m < 2**w and top * (m * p - 2**s) < 2**s
+    xs = range(top + 1) if p <= 257 else [0, 1, p - 1, p, top - 1, top]
+    for x in xs:
+        assert (x * m) >> s == x // p, x
+        assert x * m < 2**w
 
 
 @st.composite
 def packed_pairs(draw):
     """(p, f, g) as ModPolys: random pairs, pairs given a common factor h,
-    and pairs whose Euclid quotients span many terms, so that the lane folds
-    and the many passes of a long quotient both run."""
+    and pairs whose Euclid quotients span many terms, so that the many
+    passes of a long quotient run."""
     prime = Prime(draw(st.sampled_from(KERNEL_PRIMES)))
     f = ModPoly(prime, draw(coeff_list(40)))
     g = ModPoly(prime, draw(coeff_list(40)))
@@ -422,12 +449,9 @@ def test_coprime_iff_gcd_is_constant(case):
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_coprime_long_quotient(p, monkeypatch):
-    """A quotient of 301 terms takes about 150 passes: at every p >= 5 the
-    lane sums outgrow W bits, so the kernel folds in between."""
-    folds = []
-    fold = modpoly._Lanes._fold
-    monkeypatch.setattr(modpoly._Lanes, "_fold", lambda self, x: folds.append(x) or fold(self, x))
+def test_coprime_long_quotient(p):
+    """A quotient of 301 terms takes about 150 passes, each reduced back to
+    canonical lanes before the next."""
     prime = Prime(p)
     g = ModPoly(prime, [3, 1, 4, 1, 5, 9, 2, 6, 1])
     q = ModPoly(prime, [(7 * k * k + 3) % p for k in range(300)] + [1])
@@ -435,31 +459,41 @@ def test_coprime_long_quotient(p, monkeypatch):
         f = _add(mp_mul(q, g), r)
         expect = mp_gcd(f, g).degree() == 0
         assert coprime(pack(f), pack(g)) is expect
-    assert (len(folds) > 0) is (p >= 5)
 
 
 @pytest.mark.parametrize("p", [p for p in KERNEL_PRIMES if p >= 5])
 def test_coprime_lanes_at_their_bound(p):
-    """Lanes may hold any value up to the rest bound, as ``sub`` leaves
-    them.  With every lane of f and g at that bound and every quotient term
-    1 against a g of -1s, each pass adds close to the most its bound
-    allows: one product too many per pass, or a fold one pass late, carries
+    """Passes whose lanes reach X = (p - 1) + 2(p - 1)^2, the most the
+    reduction is exact for.  g is all p - 1 and f is all p - 1 but its
+    second-top coefficient, p - 2: the first pass's quotient terms are then
+    1, held as p - 1 in the kernel's lanes, and it adds (p - 1)^2 twice to
+    lanes that hold p - 1.  The pairs f = q*g + r with every quotient term 1
+    keep the quotient lanes at p - 1 on every pass; with r = 0 they are not
+    coprime.  A product too many per pass, or a lane one bit short, carries
     into the next lane."""
-    form = modpoly._Lanes(p)
-
-    def packed(cs):  # each coefficient as its largest representative <= rest
-        x = 0
-        for c in reversed(cs):
-            x = (x << form.w) | (form.rest - (form.rest - c) % p)
-        return x
-
     prime = Prime(p)
     g = ModPoly(prime, [p - 1] * 9)
+    fs = []
+    for low in ([p - 1, p - 1], [p - 1, 0], [0]):
+        cs = low + [p - 1] * 300
+        cs[-2] = p - 2
+        fs.append(ModPoly(prime, cs))
     for r in ([1, 1], [2, 0, 1], []):
-        f = _add(mp_mul(ModPoly(prime, [1] * 300), g), ModPoly(prime, r))
+        fs.append(_add(mp_mul(ModPoly(prime, [1] * 300), g), ModPoly(prime, r)))
+    for f in fs:
         expect = mp_gcd(f, g).degree() == 0
-        assert form.coprime(packed(f.coeffs), packed(g.coeffs)) is expect
-        assert form.coprime(packed(g.coeffs), packed(f.coeffs)) is expect
+        assert coprime(pack(f), pack(g)) is expect
+        assert coprime(pack(g), pack(f)) is expect
+
+
+def _canonical(f) -> bool:
+    """Every lane of a packed f is below p (p >= 5 only; planes and bits
+    are canonical by construction)."""
+    form = f._form
+    if form.p < 5:
+        return True
+    x = f._x
+    return all((x >> (k * form.w)) & form.lane < form.p for k in range(x.bit_length() // form.w + 1))
 
 
 @given(st.sampled_from(KERNEL_PRIMES), coeff_list(30), coeff_list(30), st.integers(0, 5))
@@ -473,6 +507,7 @@ def test_packed_ring_ops_match_modpoly(p, a, b, k):
     assert (pf - pg).unpack() == ModPoly(prime, diff)
     shifted = [0] * k + list(f.coeffs) if not f.is_zero() else []
     assert pf.shift(k).unpack() == ModPoly(prime, shifted)
+    assert all(_canonical(x) for x in (pf, pg, pf - pg, pg - pf, pf.shift(k)))
     assert pf.degree() == f.degree()
     if not f.is_zero():
         assert pf.leading() == f.leading()

@@ -176,7 +176,7 @@ def test_window_pass_agrees_with_single_case_path(p):
         assert (resultant_mod(n, Prime(p)) != 0) == (n in proved_fast), n
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_band_near_2000_agrees_with_prs(p):
     """n in 1990..2010: the packed pass decides each admissible case as the
     remainder-sequence resultant does, on the unpacked pairs of one walk."""
