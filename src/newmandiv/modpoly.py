@@ -553,7 +553,9 @@ class _Planes:
     of t^k and bit k of s (a subset of m) marks that it equals 2 = -1.
 
     Addition is seven word operations: r_m = (m1^m2) | (m1^s1^s2) and
-    r_s = (m1&m2) ^ (s1|s2); negation flips the sign of the nonzeros."""
+    r_s = (m1&m2) ^ (s1|s2); negation flips the sign of the nonzeros.
+    A Euclid pass that does not lower f's degree, which only malformed
+    planes can cause, raises AssertionError rather than loop forever."""
 
     def __init__(self):
         self.p = 3
@@ -602,7 +604,10 @@ class _Planes:
                 # the two leading coefficients agree, -g when they differ
                 ys = (gneg if fs >> df == gsign else gs) << k
                 fm, fs = (fm ^ ym) | (fm ^ fs ^ ys), (fm & ym) ^ (fs | ys)
-                df = fm.bit_length() - 1
+                top = fm.bit_length() - 1
+                if top >= df:
+                    raise AssertionError(f"GF(3) Euclid pass left deg f at {top}, from {df}, against deg g {dg}")
+                df = top
             if df < 0:
                 return False
             fm, fs, gm, gs, df, dg = gm, gs, fm, fs, dg, df
@@ -620,7 +625,9 @@ class _Lanes:
 
     Euclid divides in passes of one Kronecker product: each subtracts the
     quotient's top two terms (its last once the degrees are equal) times g
-    from f's top, so a lane gains at most two products per pass.
+    from f's top, so a lane gains at most two products per pass.  A pass
+    that does not lower f's degree, which only a faulty lane shape or
+    reduction can cause, raises AssertionError rather than loop forever.
     """
 
     def __init__(self, p: int):
@@ -695,7 +702,10 @@ class _Lanes:
                 sh = (df - dg + 1 - k) * w
                 f += qneg * g << sh if sh else qneg * g  # a shift by 0 still copies
                 f = reduce(f, mask)  # f's top k lanes are now 0
-                df = (f.bit_length() - 1) // w
+                top = (f.bit_length() - 1) // w
+                if top >= df:
+                    raise AssertionError(f"GF({p}) Euclid pass left deg f at {top}, from {df}, against deg g {dg}")
+                df = top
             if df < 0:
                 return False
             f, g, df, dg = g, f, dg, df

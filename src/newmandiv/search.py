@@ -31,10 +31,16 @@ planes, in the float operations of the per-split product loop and in
 their order, so every coefficient is that loop's to the last bit.  When
 split_survey first asks for a mask of a block, the block is solved and
 surveyed; the survey, not the roots, is the one thing kept, until the next
-block, and each mask's SplitCandidates are built from it on each call.
-The retry expands the splits of its one mask on the same planes.  Both
-passes then reach their verdicts, and their imaginary-residue failures, by
-the same masked reductions, in _classify.
+block.  The retry expands the splits of its one mask on the same planes.
+Both passes then reach their verdicts, and their imaginary-residue
+failures, by the same masked reductions, in _classify.
+
+Each pass returns a mask's survey as a SplitSurvey, a read-only view of
+the mask's row of those arrays.  Its verdicts are counted on the arrays,
+for all rows of a _classify call at once, and its SplitCandidates are
+built only when a caller reads the view: the scan counts every mask off
+the tallies and builds candidates only for a retried mask that keeps an
+unfair or indeterminate split.
 
 The scan is one task per block, _scan_block, which surveys and retries
 the block's masks and returns its counts, offenders and retry failures.
@@ -49,6 +55,7 @@ from __future__ import annotations
 import enum
 import functools
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -63,6 +70,7 @@ __all__ = [
     "Classification",
     "Newman01",
     "SplitCandidate",
+    "SplitSurvey",
     "NumericFailure",
     "enumerate_01",
     "split_survey",
@@ -379,8 +387,7 @@ _PLANE_ELEMENTS = 1 << 14
 @functools.lru_cache(maxsize=1)
 def _block_survey(degree: int, block: int) -> List[object]:
     """The double pass of every mask of a _block_roots block, one entry per
-    mask: the message of its NumericFailure, None when it has fewer than two
-    units, or (arrays, i) when it is mask i of a _classify call.
+    mask: the message of its NumericFailure, or its SplitSurvey.
 
     This is the double pass's one cache: each block is solved once, by one
     _block_roots call, and units come from _units mask by mask; the masks
@@ -388,7 +395,7 @@ def _block_survey(degree: int, block: int) -> List[object]:
     group is expanded and classified on shared planes.
     """
     rows = _block_roots(degree, block)
-    entries: List[object] = [None] * len(rows)
+    entries: List[object] = [_NO_SPLITS] * len(rows)
     shapes: Dict[Tuple[int, ...], List[Tuple[int, list]]] = {}
     for row, roots in enumerate(rows):
         if isinstance(roots, str):
@@ -407,8 +414,8 @@ def _block_survey(degree: int, block: int) -> List[object]:
         for at in range(0, len(members), step):
             run = members[at : at + step]
             arrays, failures = _classify(*_expand_group([units for _, units in run]), DEFAULT_TOL)
-            for i, ((row, _), failure) in enumerate(zip(run, failures)):
-                entries[row] = failure or (arrays, i)
+            for (row, _), failure, survey in zip(run, failures, _surveys(degree, arrays)):
+                entries[row] = failure or survey
     return entries
 
 
@@ -423,15 +430,18 @@ def _bit_positions(start: int, stop: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[SplitCandidate]:
-    """The SplitCandidates of mask i of a _classify call at this degree."""
+def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int, ks) -> List[SplitCandidate]:
+    """The SplitCandidates of splits ks (a slice, or a list of split indices)
+    of mask i of a _classify call at this degree."""
     p_re, q_re, p_len, q_len, verdict, low, dev, root_bits = arrays
     # a subset is its root bitmask's low and high halves looked up apart, so
     # the tables stay at 2^12 entries up to MAX_DEGREE
     half = (degree + 1) // 2
     lows, highs, cut = _bit_positions(0, half), _bit_positions(half, degree), (1 << half) - 1
     rows = zip(
-        *(a[i].tolist() for a in (p_re, q_re, verdict, low, dev, root_bits)), p_len.tolist(), q_len.tolist()
+        *(a[i, ks].tolist() for a in (p_re, q_re, verdict, low, dev, root_bits)),
+        p_len[ks].tolist(),
+        q_len[ks].tolist(),
     )
     return [
         SplitCandidate(
@@ -446,12 +456,67 @@ def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int) -> List[Spl
     ]
 
 
-def split_survey(r: Newman01) -> List[SplitCandidate]:
+class SplitSurvey(Sequence[SplitCandidate]):
+    """One mask's splits, a read-only view of its row of a _classify call.
+
+    tally holds the mask's (fair, unfair, indeterminate) split counts, in
+    _VERDICTS order; they are counted on the verdict array, for every row of
+    a _classify call at once.  A SplitCandidate is built only when the view
+    is indexed or iterated.  The view compares equal to the list of its
+    candidates, and its repr is that list's.
+
+    The view keeps the arrays of its whole _classify call alive, as many as
+    _PLANE_ELEMENTS per plane: a caller that keeps the surveys of many
+    blocks should list() them.
+    """
+
+    __slots__ = ("_degree", "_arrays", "_row", "tally")
+
+    def __init__(self, degree: int, arrays: Optional[Tuple[np.ndarray, ...]], row: int, tally: Tuple[int, int, int]):
+        self._degree, self._arrays, self._row, self.tally = degree, arrays, row, tally
+
+    def _build(self, ks) -> List[SplitCandidate]:
+        return [] if self._arrays is None else _candidates(self._degree, self._arrays, self._row, ks)
+
+    def __len__(self) -> int:
+        return sum(self.tally)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self._build(list(range(len(self))[k]))
+        return self._build([range(len(self))[k]])[0]
+
+    def __iter__(self) -> Iterator[SplitCandidate]:
+        return iter(self._build(slice(None)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SplitSurvey, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+#: the survey of a mask with fewer than two units, which has no split
+_NO_SPLITS = SplitSurvey(0, None, 0, (0, 0, 0))
+
+
+def _surveys(degree: int, arrays: Tuple[np.ndarray, ...]) -> List[SplitSurvey]:
+    """A SplitSurvey for every mask of a _classify call at this degree, each
+    with its row's verdict counts."""
+    verdict = arrays[4]
+    counts = np.stack([np.count_nonzero(verdict == v, axis=1) for v in range(len(_VERDICTS))], axis=1)
+    return [SplitSurvey(degree, arrays, i, tuple(tally)) for i, tally in enumerate(counts.tolist())]
+
+
+def split_survey(r: Newman01) -> SplitSurvey:
     """Classify every nontrivial conjugate-closed split of r at DEFAULT_TOL.
 
     Subset/complement pairs are visited once (the lexicographically smaller
-    unit mask is kept).  r's entry of its block's double-precision survey
-    is read and its candidates built from it.
+    unit mask is kept).  Returns r's view of its block's double-precision
+    survey: its verdict counts are read off the block's arrays, and its
+    SplitCandidates are built only when the view is read.
 
     One mask costs its whole block: the first call for a block solves and
     surveys all of its masks and keeps the arrays.  One mask took 12 ms at
@@ -462,10 +527,10 @@ def split_survey(r: Newman01) -> List[SplitCandidate]:
     entry = _block_survey(r.degree, block)[row]
     if isinstance(entry, str):
         raise NumericFailure(entry)
-    return _candidates(r.degree, *entry) if entry is not None else []
+    return entry
 
 
-def _retry_survey(r: Newman01) -> List[SplitCandidate]:
+def _retry_survey(r: Newman01) -> SplitSurvey:
     """split_survey's verdicts for r from the roots of its squarefree factors,
     at _RETRY_TOL.
 
@@ -476,11 +541,11 @@ def _retry_survey(r: Newman01) -> List[SplitCandidate]:
     """
     units = _units(_roots_squarefree(r), _RETRY_TOL)
     if len(units) < 2:
-        return []
+        return _NO_SPLITS
     arrays, (failure,) = _classify(*_expand_group([units]), _RETRY_TOL)
     if failure is not None:
         raise NumericFailure(failure)
-    return _candidates(r.degree, arrays, 0)
+    return _surveys(r.degree, arrays)[0]
 
 
 # --------------------------------------------------------------------------
@@ -560,9 +625,11 @@ def _scan_block(degree: int, block: int):
 
     First-pass indeterminates (and any first-pass unfair verdict, which at
     these degrees only ever comes from a root-finder artifact) are retried
-    by _retry_survey at _RETRY_TOL.  split_survey and _retry_survey are
-    looked up as module globals on each call, so a wrapped or patched one is
-    the one a pool worker calls too.
+    by _retry_survey at _RETRY_TOL.  Both passes are counted off their
+    surveys' tallies, so a SplitCandidate is built only for a retried mask
+    that keeps an unfair or indeterminate split.  split_survey and
+    _retry_survey are looked up as module globals on each call, so a wrapped
+    or patched one is the one a pool worker calls too.
     """
     n_poly = n_split = n_fair = n_unfair = n_ind = n_esc = n_r_unf = n_r_ind = 0
     offenders: List[Tuple[Newman01, SplitCandidate]] = []
@@ -572,44 +639,36 @@ def _scan_block(degree: int, block: int):
         r = Newman01(degree, 1 | (inner << 1) | top)
         n_poly += 1
         try:
-            survey = split_survey(r)
+            survey, lost = split_survey(r), False
         except NumericFailure:
             # double-precision pass lost the mask (typically repeated
             # roots blowing the imaginary-residue budget): escalate it
-            survey, flagged = [], True
-        else:
-            flagged = False
-        n_split += len(survey)
-        for c in survey:
-            if c.classification is Classification.FAIR:
-                n_fair += 1
-            elif c.classification is Classification.UNFAIR:
-                n_unfair += 1
-                flagged = True
-            else:
-                n_ind += 1
-                flagged = True
-        if flagged:
-            n_esc += 1
-            try:
-                retry = _retry_survey(r)
-            except NumericFailure as exc:
-                # the retry lost the mask as well: its splits stay
-                # undecided, so the scan cannot report that the conjecture holds
-                n_r_ind += 1
-                retry_failures.append((r, str(exc)))
-                continue
-            if not survey:
-                # first pass produced nothing; the retry is the record
-                n_split += len(retry)
-                n_fair += sum(1 for c in retry if c.classification is Classification.FAIR)
-            for c in retry:
-                if c.classification is Classification.UNFAIR:
-                    n_r_unf += 1
-                    offenders.append((r, c))
-                elif c.classification is Classification.INDETERMINATE:
-                    n_r_ind += 1
-                    offenders.append((r, c))
+            survey, lost = _NO_SPLITS, True
+        fair, unfair, ind = survey.tally
+        n_split += fair + unfair + ind
+        n_fair += fair
+        n_unfair += unfair
+        n_ind += ind
+        if not (lost or unfair or ind):
+            continue
+        n_esc += 1
+        try:
+            retry = _retry_survey(r)
+        except NumericFailure as exc:
+            # the retry lost the mask as well: its splits stay
+            # undecided, so the scan cannot report that the conjecture holds
+            n_r_ind += 1
+            retry_failures.append((r, str(exc)))
+            continue
+        fair, unfair, ind = retry.tally
+        if lost:
+            # first pass produced nothing; the retry is the record
+            n_split += fair + unfair + ind
+            n_fair += fair
+        n_r_unf += unfair
+        n_r_ind += ind
+        if unfair or ind:
+            offenders.extend((r, c) for c in retry if c.classification is not Classification.FAIR)
     counts = (n_poly, n_split, n_fair, n_unfair, n_ind, n_esc, n_r_unf, n_r_ind)
     return counts, offenders, retry_failures
 

@@ -486,6 +486,40 @@ def test_coprime_lanes_at_their_bound(p):
         assert coprime(pack(g), pack(f)) is expect
 
 
+def _broken_lanes(p, fault):
+    """A lane form of GF(p) with a faulty shape: m one below ceil(2^s / p),
+    or lanes one bit narrower than the reduction needs."""
+    lanes = modpoly._Lanes(p)
+    if fault == "m - 1":
+        lanes.m -= 1
+    else:
+        lanes.w -= 1
+        lanes.lane >>= 1
+    return lanes
+
+
+@pytest.mark.parametrize("fault", ["m - 1", "W - 1"])
+@pytest.mark.parametrize("p", [p for p in DEFAULT_PRIMES if p >= 5])
+def test_coprime_lanes_fail_on_a_faulty_shape(p, fault):
+    """The first pair of test_coprime_lanes_at_their_bound on a broken lane
+    shape: a pass leaves f's top lane nonzero, and Euclid raises at once
+    instead of repeating that pass forever."""
+    lanes = _broken_lanes(p, fault)
+    f = [p - 1] * 302
+    f[-2] = p - 2
+    with pytest.raises(AssertionError, match=rf"GF\({p}\) Euclid pass left deg f at \d+, from \d+, against deg g 8"):
+        lanes.coprime(lanes.pack(f), lanes.pack([p - 1] * 9))
+
+
+def test_coprime_planes_fail_on_malformed_planes():
+    """f = 1 + t^3 against a g = 1 + t whose sign plane has a stray bit at
+    t^2, which no pack or sub makes: the sign of g's top then never matches,
+    each pass raises f's degree, and Euclid raises instead of spinning."""
+    f, g = (0b1001, 0), (0b11, 0b100)
+    with pytest.raises(AssertionError, match=r"GF\(3\) Euclid pass left deg f at 4, from 3, against deg g 1"):
+        modpoly._Planes().coprime(f, g)
+
+
 def _canonical(f) -> bool:
     """Every lane of a packed f is below p (p >= 5 only; planes and bits
     are canonical by construction)."""

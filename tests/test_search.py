@@ -18,6 +18,7 @@ from newmandiv.search import (
     Newman01,
     NumericFailure,
     SplitCandidate,
+    SplitSurvey,
     enumerate_01,
     scan,
     split_survey,
@@ -131,6 +132,53 @@ def test_survey_subsets_are_conjugate_closed_index_sets():
         assert len(c.q_coeffs) == n_roots - len(c.subset) + 1
         assert c.p_coeffs[-1] == pytest.approx(1.0, abs=1e-9)
         assert c.q_coeffs[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_survey_view_reads_like_the_list_of_its_candidates():
+    # 1+x+...+x^11: the real root -1 and five conjugate pairs, 31 splits
+    survey = split_survey(Newman01(11, 0b111111111111))
+    assert isinstance(survey, SplitSurvey)
+    cands = list(survey)
+    assert len(survey) == len(cands) == 31
+    assert all(isinstance(c, SplitCandidate) for c in cands)
+    assert [survey[k] for k in range(len(survey))] == cands
+    assert survey[-1] == cands[-1] and survey[-31] == cands[0]
+    assert survey[1:4] == cands[1:4] and survey[::-3] == cands[::-3] and survey[5:2] == []
+    for k in (31, -32):
+        with pytest.raises(IndexError):
+            survey[k]
+    assert survey == cands and cands == survey and repr(survey) == repr(cands)
+    assert survey != cands[:-1] and survey != tuple(cands)
+    assert list(reversed(survey)) == cands[::-1]
+    assert cands[3] in survey and survey.index(cands[3]) == 3
+
+
+def test_survey_of_a_mask_without_splits_is_empty():
+    survey = split_survey(Newman01(2, 0b111))
+    assert isinstance(survey, SplitSurvey)
+    assert survey.tally == (0, 0, 0) and len(survey) == 0 and not survey
+    assert list(survey) == [] and survey[:] == [] and repr(survey) == "[]"
+    with pytest.raises(IndexError):
+        survey[0]
+
+
+def _tally_of_list(survey):
+    # the reference: each verdict counted over the built candidates, in the
+    # order of SplitSurvey.tally
+    counts = _verdict_counts(list(survey))
+    return tuple(counts[c] for c in (Classification.FAIR, Classification.UNFAIR, Classification.INDETERMINATE))
+
+
+def test_tally_counts_the_verdicts_of_every_mask_to_degree_nine():
+    indeterminate = 0
+    for r in (r for d in range(1, 10) for r in enumerate_01(d)):
+        try:
+            survey = split_survey(r)
+        except NumericFailure:
+            continue
+        assert survey.tally == _tally_of_list(survey), str(r)
+        indeterminate += survey.tally[2]
+    assert indeterminate > 0
 
 
 # ----------------------------------------------------------------------
@@ -644,6 +692,15 @@ def test_retry_splits_match_the_200_bit_oracle():
     assert exact > 0
 
 
+def test_retry_tally_counts_its_verdicts():
+    # every mask the scan escalates to degree 11
+    for (degree, bits), n_splits in ESCALATED_TO_DEGREE_12.items():
+        if degree <= 11:
+            retry = _retry_survey(Newman01(degree, bits))
+            assert isinstance(retry, SplitSurvey)
+            assert retry.tally == _tally_of_list(retry) == (n_splits, 0, 0), (degree, bits)
+
+
 def test_retry_solves_each_factor_once_in_double_precision(monkeypatch):
     # through the module's aberth_roots, one 1-D solve per squarefree factor
     # of degree >= 2, so a wrapper of search.aberth_roots sees each one
@@ -785,12 +842,26 @@ fork_only = pytest.mark.skipif(
 )
 
 
+def _all_retries_indeterminate(monkeypatch):
+    # every split of every retry comes out indeterminate, so each split of a
+    # retried mask is an offender
+    real_classify = search._classify
+
+    def classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol):
+        arrays, failures = real_classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol)
+        if tol == search._RETRY_TOL:
+            verdict = arrays[4]
+            verdict[:] = search._VERDICTS.index(Classification.INDETERMINATE)
+        return arrays, failures
+
+    monkeypatch.setattr(search, "_classify", classify)
+
+
 @fork_only
 def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch):
     # retries fail on masks 297 and 495 (degree 8, blocks 0 and 1) and 891
     # (degree 9, block 2); every other retry leaves its splits indeterminate
     # and so lists them as offenders, from blocks of both degrees
-    real_retry = search._retry_survey
     lost = {(1, -2, 3, -3, 3, -2, 1), (1, -1, 2, -2, 2, -1, 1)}
 
     def factor_solve(coeffs, seeds, *args, **kwargs):
@@ -798,11 +869,8 @@ def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch
             raise ArithmeticError("root iteration did not converge")
         return aberth_roots(coeffs, seeds, *args, **kwargs)
 
-    def retry(r):
-        return [c._replace(classification=Classification.INDETERMINATE) for c in real_retry(r)]
-
     monkeypatch.setattr(search, "aberth_roots", factor_solve)
-    monkeypatch.setattr(search, "_retry_survey", retry)
+    _all_retries_indeterminate(monkeypatch)
     serial, pooled = scan(9, jobs=1), scan(9, jobs=2)
     assert [(r.degree, r.bits) for r, _ in pooled.retry_failures] == [(8, 297), (8, 495), (9, 891)]
     assert sorted({(r.degree, r.bits) for r, _ in pooled.offenders}) == [
@@ -811,6 +879,29 @@ def test_pool_keeps_the_serial_order_of_offenders_and_retry_failures(monkeypatch
     assert pooled.offenders == serial.offenders
     assert pooled.retry_failures == serial.retry_failures
     assert pooled.to_dict() == serial.to_dict()
+
+
+def test_scan_builds_candidates_only_for_the_offenders_of_a_retry(monkeypatch):
+    # the scan counts every mask off its survey's tally: to degree 9 it
+    # builds no SplitCandidate at all, and when the retries are made to keep
+    # their splits open it builds exactly the offenders it reports
+    real_candidates = search._candidates
+    built = []
+
+    def counting(degree, arrays, i, ks):
+        out = real_candidates(degree, arrays, i, ks)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(search, "_candidates", counting)
+    assert scan(9).conjecture_holds()
+    assert built == []
+    _all_retries_indeterminate(monkeypatch)
+    report = scan(9)
+    assert len(report.offenders) == sum(
+        n for (degree, _), n in ESCALATED_TO_DEGREE_12.items() if degree <= 9
+    )
+    assert built == [c for _, c in report.offenders]
 
 
 class _Recorded(Exception):
