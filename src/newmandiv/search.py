@@ -35,12 +35,11 @@ block.  The retry expands the splits of its one mask on the same planes.
 Both passes then reach their verdicts, and their imaginary-residue
 failures, by the same masked reductions, in _classify.
 
-Each pass returns a mask's survey as a SplitSurvey, a read-only view of
-the mask's row of those arrays.  Its verdicts are counted on the arrays,
-for all rows of a _classify call at once, and its SplitCandidates are
-built only when a caller reads the view: the scan counts every mask off
-the tallies and builds candidates only for a retried mask that keeps an
-unfair or indeterminate split.
+Each pass returns a mask's survey as a SplitSurvey: its verdict tally,
+counted on those arrays for all masks of a _classify call at once, and
+its units and row, from which candidates() builds its SplitCandidates.
+The scan counts every mask off the tallies and builds candidates only for
+a retried mask that keeps an unfair or indeterminate split.
 
 The scan is one task per block, _scan_block, which surveys and retries
 the block's masks and returns its counts, offenders and retry failures.
@@ -55,7 +54,6 @@ from __future__ import annotations
 import enum
 import functools
 import time
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -312,33 +310,29 @@ def _expand_group(group) -> Tuple[np.ndarray, ...]:
     m, n = len(group), 1 << (len(lengths) - 1)
     width = sum(lengths) - len(lengths) + 1
     factors = [np.array([units[k][1] for units in group], dtype=complex) for k in range(len(lengths))]
-    # each unit's roots as a bitmask, so that a split's subset is one lookup
-    unit_bits = np.array([[sum(1 << i for i in idx) for idx, _ in units] for units in group])
     re, im = np.zeros((m, n, width)), np.zeros((m, n, width))
     re[:, 0, 0] = 1.0
-    root_bits = np.zeros((m, n), dtype=unit_bits.dtype)
     degree = np.zeros(n, dtype=int)
     for k in range(len(lengths) - 1):
         half = 1 << k
         with_k = _expand_planes(re[:, :half], im[:, :half], factors[k])
         re[:, half : 2 * half], im[:, half : 2 * half] = with_k
-        root_bits[:, half : 2 * half] = root_bits[:, :half] | unit_bits[:, k, None]
         degree[half : 2 * half] = degree[:half] + lengths[k] - 1
     # split k of every array below is the split picked = k + 1, whose
     # complement (n - 1) ^ picked = n - 2 - k is row k of the reversed table
     q_re, q_im = _expand_planes(re[:, -2::-1], im[:, -2::-1], factors[-1])
-    return re[:, 1:], im[:, 1:], q_re, q_im, degree[1:] + 1, root_bits[:, 1:]
+    return re[:, 1:], im[:, 1:], q_re, q_im, degree[1:] + 1
 
 
-def _classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol: float):
-    """The verdict rule, for every split of masks laid out on planes.
+def _classify(group, tol: float) -> List[object]:
+    """The verdict rule, for every split of masks whose units have equal
+    factor lengths, expanded together by _expand_group.
 
-    p_re + i p_im and q_re + i q_im (masks x splits x width) hold each split's
-    factors P and Q, ascending and zero past their lengths; p_len (splits)
-    is the length of P, and root_bits (masks x splits) the split's roots as
-    a bitmask.  Returns the arrays _candidates reads each mask's splits
-    from, and per mask the message of its NumericFailure, or None.
+    Returns one entry per mask: the message of its NumericFailure, or its
+    SplitSurvey, whose tally is counted on the verdict array for every mask
+    at once.
     """
+    p_re, p_im, q_re, q_im, p_len = _expand_group(group)
     im_limit = _REAL_AXIS_FACTOR * tol
     width = p_re.shape[2]
     q_len = width + 1 - p_len
@@ -351,7 +345,7 @@ def _classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol: float):
     p_worst = np.where(in_p, np.abs(p_im), 0.0).max(axis=2)
     q_worst = np.where(in_q, np.abs(q_im), 0.0).max(axis=2)
     over = (p_worst > im_limit) | (q_worst > im_limit)
-    failures: List[Optional[str]] = [None] * len(p_re)
+    failures: Dict[int, str] = {}
     for i in np.flatnonzero(over.any(axis=1)).tolist():
         k = int(np.argmax(over[i]))
         worst = p_worst[i, k] if p_worst[i, k] > im_limit else q_worst[i, k]
@@ -373,7 +367,12 @@ def _classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol: float):
     )
     # imaginary noise above tol defers a split to the escalation pass
     verdict[np.maximum(p_worst, q_worst) > tol] = indeterminate
-    return (p_re, q_re, p_len, q_len, verdict, low, dev, root_bits), failures
+    arrays = (p_re, q_re, p_len, q_len, verdict, low, dev)
+    counts = np.stack([np.count_nonzero(verdict == v, axis=1) for v in range(len(_VERDICTS))], axis=1)
+    return [
+        failures.get(i) or SplitSurvey(tuple(tally), units, arrays, i)
+        for i, (units, tally) in enumerate(zip(group, counts.tolist()))
+    ]
 
 
 #: float64 elements per plane of one _expand_group call (128 KB): a block's
@@ -413,110 +412,59 @@ def _block_survey(degree: int, block: int) -> List[object]:
         step = max(1, _PLANE_ELEMENTS // size)
         for at in range(0, len(members), step):
             run = members[at : at + step]
-            arrays, failures = _classify(*_expand_group([units for _, units in run]), DEFAULT_TOL)
-            for (row, _), failure, survey in zip(run, failures, _surveys(degree, arrays)):
-                entries[row] = failure or survey
+            for (row, _), entry in zip(run, _classify([units for _, units in run], DEFAULT_TOL)):
+                entries[row] = entry
     return entries
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_positions(start: int, stop: int) -> Tuple[Tuple[int, ...], ...]:
-    """Entry b lists start + i for every set bit i of b, ascending, for each
-    b < 2^(stop - start); each doubling appends the next position to a copy
-    of every entry so far."""
-    table: List[Tuple[int, ...]] = [()]
-    for i in range(start, stop):
-        table += [t + (i,) for t in table]
-    return tuple(table)
-
-
-def _candidates(degree: int, arrays: Tuple[np.ndarray, ...], i: int, ks) -> List[SplitCandidate]:
-    """The SplitCandidates of splits ks (a slice, or a list of split indices)
-    of mask i of a _classify call at this degree."""
-    p_re, q_re, p_len, q_len, verdict, low, dev, root_bits = arrays
-    # a subset is its root bitmask's low and high halves looked up apart, so
-    # the tables stay at 2^12 entries up to MAX_DEGREE
-    half = (degree + 1) // 2
-    lows, highs, cut = _bit_positions(0, half), _bit_positions(half, degree), (1 << half) - 1
-    rows = zip(
-        *(a[i, ks].tolist() for a in (p_re, q_re, verdict, low, dev, root_bits)),
-        p_len[ks].tolist(),
-        q_len[ks].tolist(),
-    )
-    return [
-        SplitCandidate(
-            subset=lows[b & cut] + highs[b >> half],
-            p_coeffs=tuple(p[:lp]),
-            q_coeffs=tuple(q[:lq]),
-            classification=_VERDICTS[v],
-            min_coefficient=mc,
-            deviation_01=d,
-        )
-        for p, q, v, mc, d, b, lp, lq in rows
-    ]
-
-
-class SplitSurvey(Sequence[SplitCandidate]):
-    """One mask's splits, a read-only view of its row of a _classify call.
+class SplitSurvey:
+    """One mask's splits, as its row of a _classify call.
 
     tally holds the mask's (fair, unfair, indeterminate) split counts, in
-    _VERDICTS order; they are counted on the verdict array, for every row of
-    a _classify call at once.  A SplitCandidate is built only when the view
-    is indexed or iterated.  The view compares equal to the list of its
-    candidates, and its repr is that list's.
-
-    The view keeps the arrays of its whole _classify call alive, as many as
+    _VERDICTS order, counted on the verdict array for every mask of the
+    _classify call at once; candidates() builds the SplitCandidates.  The
+    survey keeps the arrays of its whole _classify call alive, as many as
     _PLANE_ELEMENTS per plane: a caller that keeps the surveys of many
-    blocks should list() them.
+    blocks should keep their candidates() instead.
     """
 
-    __slots__ = ("_degree", "_arrays", "_row", "tally")
+    __slots__ = ("tally", "_units", "_arrays", "_row")
 
-    def __init__(self, degree: int, arrays: Optional[Tuple[np.ndarray, ...]], row: int, tally: Tuple[int, int, int]):
-        self._degree, self._arrays, self._row, self.tally = degree, arrays, row, tally
+    def __init__(self, tally: Tuple[int, int, int], units: list, arrays: Optional[Tuple[np.ndarray, ...]], row: int):
+        self.tally, self._units, self._arrays, self._row = tally, units, arrays, row
 
-    def _build(self, ks) -> List[SplitCandidate]:
-        return [] if self._arrays is None else _candidates(self._degree, self._arrays, self._row, ks)
-
-    def __len__(self) -> int:
-        return sum(self.tally)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return self._build(list(range(len(self))[k]))
-        return self._build([range(len(self))[k]])[0]
-
-    def __iter__(self) -> Iterator[SplitCandidate]:
-        return iter(self._build(slice(None)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (SplitSurvey, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    def candidates(self) -> List[SplitCandidate]:
+        """Every split in order: split k picks the units in the bits of k + 1,
+        and its subset is the sorted union of their root indices."""
+        if self._arrays is None:
+            return []
+        p_re, q_re, p_len, q_len, verdict, low, dev = self._arrays
+        i = self._row
+        rows = zip(*(a[i].tolist() for a in (p_re, q_re, verdict, low, dev)), p_len.tolist(), q_len.tolist())
+        return [
+            SplitCandidate(
+                subset=tuple(sorted(j for b, (idx, _) in enumerate(self._units) if (k + 1) >> b & 1 for j in idx)),
+                p_coeffs=tuple(p[:lp]),
+                q_coeffs=tuple(q[:lq]),
+                classification=_VERDICTS[v],
+                min_coefficient=mc,
+                deviation_01=d,
+            )
+            for k, (p, q, v, mc, d, lp, lq) in enumerate(rows)
+        ]
 
 
 #: the survey of a mask with fewer than two units, which has no split
-_NO_SPLITS = SplitSurvey(0, None, 0, (0, 0, 0))
-
-
-def _surveys(degree: int, arrays: Tuple[np.ndarray, ...]) -> List[SplitSurvey]:
-    """A SplitSurvey for every mask of a _classify call at this degree, each
-    with its row's verdict counts."""
-    verdict = arrays[4]
-    counts = np.stack([np.count_nonzero(verdict == v, axis=1) for v in range(len(_VERDICTS))], axis=1)
-    return [SplitSurvey(degree, arrays, i, tuple(tally)) for i, tally in enumerate(counts.tolist())]
+_NO_SPLITS = SplitSurvey((0, 0, 0), [], None, 0)
 
 
 def split_survey(r: Newman01) -> SplitSurvey:
     """Classify every nontrivial conjugate-closed split of r at DEFAULT_TOL.
 
     Subset/complement pairs are visited once (the lexicographically smaller
-    unit mask is kept).  Returns r's view of its block's double-precision
-    survey: its verdict counts are read off the block's arrays, and its
-    SplitCandidates are built only when the view is read.
+    unit mask is kept).  Returns r's SplitSurvey from its block's
+    double-precision survey: its tally of verdicts, and candidates() to
+    build its SplitCandidates.
 
     One mask costs its whole block: the first call for a block solves and
     surveys all of its masks and keeps the arrays.  One mask took 12 ms at
@@ -542,10 +490,10 @@ def _retry_survey(r: Newman01) -> SplitSurvey:
     units = _units(_roots_squarefree(r), _RETRY_TOL)
     if len(units) < 2:
         return _NO_SPLITS
-    arrays, (failure,) = _classify(*_expand_group([units]), _RETRY_TOL)
-    if failure is not None:
-        raise NumericFailure(failure)
-    return _surveys(r.degree, arrays)[0]
+    (entry,) = _classify([units], _RETRY_TOL)
+    if isinstance(entry, str):
+        raise NumericFailure(entry)
+    return entry
 
 
 # --------------------------------------------------------------------------
@@ -668,7 +616,7 @@ def _scan_block(degree: int, block: int):
         n_r_unf += unfair
         n_r_ind += ind
         if unfair or ind:
-            offenders.extend((r, c) for c in retry if c.classification is not Classification.FAIR)
+            offenders.extend((r, c) for c in retry.candidates() if c.classification is not Classification.FAIR)
     counts = (n_poly, n_split, n_fair, n_unfair, n_ind, n_esc, n_r_unf, n_r_ind)
     return counts, offenders, retry_failures
 

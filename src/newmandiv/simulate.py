@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from . import CapacityError
+
 # numpy and the analytic layer are imported by the functions that use them,
 # so that an all-ones run loads neither
 
@@ -67,6 +69,11 @@ _FORCED_RESIDUAL_LIMIT = 0.05
 #: the all-ones run lists (the first 32) indices with |b_n| at most this
 _ZERO_THRESHOLD = 1e-6
 
+#: largest max_n: a traced all-ones run keeps about 300 bytes per step, so
+#: 10^6 steps peak near 300 MB; the first violation is still found at this
+#: cap down to about a = 7e-5
+_MAX_N = 10**6
+
 #: the counterfactual leg reports b_{N+8} < 0 only below -_VIOLATION_TOLERANCE;
 #: an absolute cut, so it hides the window for a <= 1e-12
 _VIOLATION_TOLERANCE = 1e-12
@@ -94,6 +101,8 @@ class SimConfig:
             raise ValueError(f"a must satisfy 0 <= a < 1, got {self.a}")
         if self.max_n < 6:
             raise ValueError("max_n must be at least 6")
+        if self.max_n > _MAX_N:
+            raise CapacityError(f"max_n must be at most {_MAX_N}, got {self.max_n}")
 
 
 # --------------------------------------------------------------------------

@@ -236,6 +236,19 @@ def test_refused_simulate_leaves_no_trace_file(tmp_path, capsys, a):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("mode", ["all-ones", "counterfactual"])
+def test_simulate_rejects_max_n_above_the_cap(tmp_path, capsys, mode):
+    # refused before the first step, so no trace file is written
+    path = tmp_path / "trace.txt"
+    code, doc, err = run_cli(
+        capsys, "simulate", "--a", "0.003", "--mode", mode, "--max-n", "100000000", "--trace", str(path)
+    )
+    assert code == 2
+    assert doc is None
+    assert "max_n must be at most 1000000, got 100000000" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("a", ["0.3", "1e-16"], ids=["out-of-domain", "alpha-rounds-to-minus-one"])
 def test_refused_simulate_keeps_a_file_at_the_trace_path(tmp_path, capsys, a):
     path = tmp_path / "trace.txt"

@@ -88,13 +88,13 @@ def test_reciprocal_reverses_and_involutes():
 
 
 def test_single_pair_has_no_splits():
-    assert split_survey(Newman01(2, 0b111)) == []
+    assert split_survey(Newman01(2, 0b111)).candidates() == []
 
 
 def test_two_factor_cube():
     # 1+x+x^2+x^3 = (1+x)(1+x^2): one unit pair and one real root, so one
     # canonical nontrivial split, and it is fair with exactly those factors
-    survey = split_survey(Newman01(3, 0b1111))
+    survey = split_survey(Newman01(3, 0b1111)).candidates()
     assert len(survey) == 1
     c = survey[0]
     assert c.classification is Classification.FAIR
@@ -107,22 +107,22 @@ def test_repeated_real_root_mask():
     # near-coincident approximations; every split must come out fair or
     # indeterminate at double precision, and all fair after escalation
     r = Newman01(4, 0b11011)
-    for c in split_survey(r):
+    for c in split_survey(r).candidates():
         assert c.classification in (Classification.FAIR, Classification.INDETERMINATE)
-    retry = _retry_survey(r)
+    retry = _retry_survey(r).candidates()
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
 def test_repeated_complex_pair_mask_escalates_clean():
     # 1+x^2+x^6+x^8 = (1+x^2)^2 (x^4-x^2+1): double roots at +-i
     r = Newman01(8, 0b101000101)
-    retry = _retry_survey(r)
+    retry = _retry_survey(r).candidates()
     assert retry and all(c.classification is Classification.FAIR for c in retry)
 
 
 def test_survey_subsets_are_conjugate_closed_index_sets():
     r = Newman01(6, 0b1111111)  # 1+x+...+x^6, roots are 7th roots of unity but 1
-    survey = split_survey(r)
+    survey = split_survey(r).candidates()
     assert survey
     n_roots = r.degree
     for c in survey:
@@ -134,38 +134,16 @@ def test_survey_subsets_are_conjugate_closed_index_sets():
         assert c.q_coeffs[-1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_survey_view_reads_like_the_list_of_its_candidates():
-    # 1+x+...+x^11: the real root -1 and five conjugate pairs, 31 splits
-    survey = split_survey(Newman01(11, 0b111111111111))
-    assert isinstance(survey, SplitSurvey)
-    cands = list(survey)
-    assert len(survey) == len(cands) == 31
-    assert all(isinstance(c, SplitCandidate) for c in cands)
-    assert [survey[k] for k in range(len(survey))] == cands
-    assert survey[-1] == cands[-1] and survey[-31] == cands[0]
-    assert survey[1:4] == cands[1:4] and survey[::-3] == cands[::-3] and survey[5:2] == []
-    for k in (31, -32):
-        with pytest.raises(IndexError):
-            survey[k]
-    assert survey == cands and cands == survey and repr(survey) == repr(cands)
-    assert survey != cands[:-1] and survey != tuple(cands)
-    assert list(reversed(survey)) == cands[::-1]
-    assert cands[3] in survey and survey.index(cands[3]) == 3
-
-
 def test_survey_of_a_mask_without_splits_is_empty():
     survey = split_survey(Newman01(2, 0b111))
     assert isinstance(survey, SplitSurvey)
-    assert survey.tally == (0, 0, 0) and len(survey) == 0 and not survey
-    assert list(survey) == [] and survey[:] == [] and repr(survey) == "[]"
-    with pytest.raises(IndexError):
-        survey[0]
+    assert survey.tally == (0, 0, 0) and survey.candidates() == []
 
 
 def _tally_of_list(survey):
     # the reference: each verdict counted over the built candidates, in the
     # order of SplitSurvey.tally
-    counts = _verdict_counts(list(survey))
+    counts = _verdict_counts(survey.candidates())
     return tuple(counts[c] for c in (Classification.FAIR, Classification.UNFAIR, Classification.INDETERMINATE))
 
 
@@ -197,7 +175,7 @@ def test_reconstruction_bound(degree, rng):
         survey = _retry_survey(r)
     budget = degree * (2**degree) * DEFAULT_TOL
     want = r.coeffs()
-    for c in survey:
+    for c in survey.candidates():
         got = np.convolve(c.p_coeffs, c.q_coeffs)
         assert np.max(np.abs(got - want)) <= budget
 
@@ -302,7 +280,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
             split_survey(r)
         assert str(info.value) == want
         return
-    survey = split_survey(r)
+    survey = split_survey(r).candidates()
     assert len(survey) == (1 << (len(units) - 1)) - 1
     assert repr(survey) == repr(want)
 
@@ -350,7 +328,7 @@ def _outcomes(degree):
     out = {}
     for r in enumerate_01(degree):
         try:
-            out[r.bits] = split_survey(r)
+            out[r.bits] = split_survey(r).candidates()
         except NumericFailure as exc:
             out[r.bits] = str(exc)
     return out
@@ -397,7 +375,7 @@ def _list_outcome(r):
 
 def _block_outcome(r):
     try:
-        return split_survey(r)
+        return split_survey(r).candidates()
     except NumericFailure as exc:
         return str(exc)
 
@@ -542,8 +520,8 @@ def test_reciprocal_metamorphic_full_degree_seven():
     # 1+x^2+x^3+x^4+x^5+x^7 = (x^2-x+1)^2 (x^3+2x^2+2x+1), is palindromic,
     # so it is its own reversal and both sides see the same survey
     for r in enumerate_01(7):
-        a = _verdict_counts(split_survey(r))
-        b = _verdict_counts(split_survey(_reversed(r)))
+        a = _verdict_counts(split_survey(r).candidates())
+        b = _verdict_counts(split_survey(_reversed(r)).candidates())
         assert a == b, str(r)
         assert a[Classification.UNFAIR] == 0
 
@@ -555,8 +533,8 @@ def test_monotone_refinement_sample():
     rng = np.random.default_rng(20260817)
     masks = [Newman01(9, 1 | (int(rng.integers(0, 1 << 8)) << 1) | (1 << 9)) for _ in range(8)]
     for r in masks:
-        lo = split_survey(r)
-        hi = _retry_survey(r)
+        lo = split_survey(r).candidates()
+        hi = _retry_survey(r).candidates()
         hi_by_coeffs = {
             tuple(np.round(c.p_coeffs, 5)): c.classification for c in hi
         } | {tuple(np.round(c.q_coeffs, 5)): c.classification for c in hi}
@@ -616,7 +594,7 @@ def _flagged(r):
         survey = split_survey(r)
     except NumericFailure:
         return True
-    return any(c.classification is not Classification.FAIR for c in survey)
+    return any(c.classification is not Classification.FAIR for c in survey.candidates())
 
 
 def test_escalated_masks_have_repeated_factors_and_fair_retries():
@@ -626,7 +604,7 @@ def test_escalated_masks_have_repeated_factors_and_fair_retries():
         r = Newman01(degree, bits)
         _, factors = squarefree_decomposition(IntPoly([(bits >> k) & 1 for k in range(degree + 1)]))
         assert max(k for _, k in factors) >= 2, str(r)
-        retry = _retry_survey(r)
+        retry = _retry_survey(r).candidates()
         assert len(retry) == n_splits, str(r)
         assert all(c.classification is Classification.FAIR for c in retry), str(r)
 
@@ -677,7 +655,7 @@ def test_retry_splits_match_the_200_bit_oracle():
                 k = min(free, key=lambda k: abs(oracle[k] - z))
                 free.remove(k)
                 match.append(oracle[k])
-            retry = _retry_survey(r)
+            retry = _retry_survey(r).candidates()
             assert len(retry) == n_splits, str(r)
             for c in retry:
                 rest = [i for i in range(degree) if i not in c.subset]
@@ -725,7 +703,7 @@ def test_retry_equals_the_loop_survey():
     for degree, bits in ESCALATED_TO_DEGREE_12:
         r = Newman01(degree, bits)
         want = _survey_by_loop(_units(search._roots_squarefree(r), retry_tol), retry_tol)
-        assert repr(_retry_survey(r)) == repr(want), str(r)
+        assert repr(_retry_survey(r).candidates()) == repr(want), str(r)
 
 
 #: a mask whose first split fails on Q, with real roots in the units before
@@ -847,12 +825,14 @@ def _all_retries_indeterminate(monkeypatch):
     # retried mask is an offender
     real_classify = search._classify
 
-    def classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol):
-        arrays, failures = real_classify(p_re, p_im, q_re, q_im, p_len, root_bits, tol)
+    def classify(group, tol):
+        entries = real_classify(group, tol)
         if tol == search._RETRY_TOL:
-            verdict = arrays[4]
-            verdict[:] = search._VERDICTS.index(Classification.INDETERMINATE)
-        return arrays, failures
+            for survey in entries:
+                if isinstance(survey, SplitSurvey):
+                    survey._arrays[4][survey._row] = search._VERDICTS.index(Classification.INDETERMINATE)
+                    survey.tally = (0, 0, sum(survey.tally))
+        return entries
 
     monkeypatch.setattr(search, "_classify", classify)
 
@@ -885,15 +865,15 @@ def test_scan_builds_candidates_only_for_the_offenders_of_a_retry(monkeypatch):
     # the scan counts every mask off its survey's tally: to degree 9 it
     # builds no SplitCandidate at all, and when the retries are made to keep
     # their splits open it builds exactly the offenders it reports
-    real_candidates = search._candidates
+    real_candidates = SplitSurvey.candidates
     built = []
 
-    def counting(degree, arrays, i, ks):
-        out = real_candidates(degree, arrays, i, ks)
+    def counting(survey):
+        out = real_candidates(survey)
         built.extend(out)
         return out
 
-    monkeypatch.setattr(search, "_candidates", counting)
+    monkeypatch.setattr(SplitSurvey, "candidates", counting)
     assert scan(9).conjecture_holds()
     assert built == []
     _all_retries_indeterminate(monkeypatch)

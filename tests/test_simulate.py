@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from newmandiv import CapacityError
 from newmandiv.simulate import (
     AllOnesResult,
     CounterfactualNegative,
@@ -49,6 +50,14 @@ def test_config_boundary_a_zero_allowed():
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         SimConfig(a=0.3, **kwargs)
+
+
+def test_config_caps_max_n():
+    # a traced run keeps about 300 bytes per step; above 10^6 steps it is
+    # refused before any step is taken
+    assert SimConfig(a=0.3, max_n=10**6).max_n == 10**6
+    with pytest.raises(CapacityError, match="max_n must be at most 1000000, got 1000001"):
+        SimConfig(a=0.3, max_n=10**6 + 1)
 
 
 # ----------------------------------------------------------------------
