@@ -373,9 +373,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # one BLAS thread, set before the first numpy import: OpenBLAS otherwise
+    # starts a worker per extra core when numpy loads, which spins about
+    # 0.1 s of CPU before it sleeps. The only BLAS calls, v @ m and m @ v in
+    # vandermonde-check, are at most 12x12, far below the size at which
+    # OpenBLAS splits work across threads. A value the caller set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # bind the layer's names before the clock starts, so that
-    # duration_seconds times the work and not the imports; a name already
-    # bound (wrapped or patched) is kept
+    # duration_seconds times the work and not the imports (the counterfactual
+    # leg still imports analytic, and with it numpy, inside its run); a name
+    # already bound (wrapped or patched) is kept
     module = sys.modules[__name__]
     for name in _LAYERS[args.layer]:
         getattr(module, name)

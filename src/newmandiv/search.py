@@ -648,7 +648,7 @@ def scan(
         raise CapacityError(f"max_degree must be in 1..{MAX_DEGREE}, got {max_degree}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     n_blocks = {d: ((1 << (d - 1)) + _BLOCK - 1) // _BLOCK for d in range(1, max_degree + 1)}
     blocks = [(d, b) for d, n in n_blocks.items() for b in range(n)]
     summaries: List[DegreeSummary] = []
@@ -677,6 +677,6 @@ def scan(
         max_degree=max_degree,
         summaries=tuple(summaries),
         offenders=tuple(offenders),
-        duration_seconds=time.monotonic() - t0,
+        duration_seconds=time.perf_counter() - t0,
         retry_failures=tuple(retry_failures),
     )

@@ -74,8 +74,9 @@ _ZERO_THRESHOLD = 1e-6
 #: cap down to about a = 7e-5
 _MAX_N = 10**6
 
-#: the counterfactual leg reports b_{N+8} < 0 only below -_VIOLATION_TOLERANCE;
-#: an absolute cut, so it hides the window for a <= 1e-12
+#: the counterfactual leg reports b_{N+8} < 0 only below -_VIOLATION_TOLERANCE
+#: and refuses to tell the sign of a smaller |b_{N+8}|; an absolute cut, so
+#: it refuses every a up to about 1.6e-12
 _VIOLATION_TOLERANCE = 1e-12
 
 
@@ -358,6 +359,9 @@ def counterfactual_run(config: SimConfig) -> CounterfactualResult:
     the *unforced* closed form sits from the pins at the chosen N — it is
     order one, which is precisely why the hypothetical path has to be
     solved rather than sampled.
+
+    A b_{N+8} within _VIOLATION_TOLERANCE of 0 has no sign the run can
+    tell: it raises ArithmeticError, naming the value and the tolerance.
     """
     a = config.a
     if not 0.0 < a <= 0.005:
@@ -418,10 +422,13 @@ def counterfactual_run(config: SimConfig) -> CounterfactualResult:
         )
 
     b8 = b[N + 8]
+    if abs(b8) <= _VIOLATION_TOLERANCE:
+        raise ArithmeticError(
+            f"cannot tell the sign of b_{{N+8}} = {b8:.6g} at a = {a}: "
+            f"|b_{{N+8}}| is within the tolerance {_VIOLATION_TOLERANCE:g}"
+        )
     outcome: SimOutcome = (
-        CounterfactualNegative(N, dict(b))
-        if b8 < -_VIOLATION_TOLERANCE
-        else NoViolationUpTo(N + 8)
+        CounterfactualNegative(N, dict(b)) if b8 < 0 else NoViolationUpTo(N + 8)
     )
 
     return CounterfactualResult(

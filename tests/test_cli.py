@@ -181,17 +181,31 @@ def test_residues_where_alpha_rounds_to_minus_one_exit_2_naming_a(capsys, argv, 
     assert "alpha rounds to -1" in err
 
 
-@pytest.mark.parametrize("a", ["1e-7", "1e-9"])
+@pytest.mark.parametrize("a", ["1e-7", "1e-9", "1e-11"])
 def test_simulate_counterfactual_summary_shows_the_digits(capsys, a):
-    # b_{N+8} is of the order of -a: six decimals printed it as -0.000000
+    # b_{N+8} is of the order of -a: six decimals printed it as -0.000000;
+    # at 1e-11 it is still beyond the tolerance 1e-12
     code, doc, err = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual")
     assert code == 0
     report = doc["report"]
+    assert report["outcome"]["kind"] == "counterfactual-negative"
     value = report["b"][str(report["N"] + 8)]
     (line,) = err.splitlines()
     shown = float(line.split("b_{N+8} = ")[1].split()[0])
     assert shown < 0
     assert math.isclose(shown, value, rel_tol=1e-5)
+
+
+@pytest.mark.parametrize("a", ["1e-12", "1e-15"])
+def test_simulate_counterfactual_refuses_a_sign_within_the_tolerance(capsys, a):
+    # |b_{N+8}| is about 0.618 a, within the absolute tolerance 1e-12: these
+    # exited 1 with "no violation", although the window closes below 0
+    code, doc, err = run_cli(capsys, "simulate", "--a", a, "--mode", "counterfactual")
+    assert code == 2
+    assert doc is None
+    assert "cannot tell the sign of b_{N+8} = -" in err
+    assert f"at a = {a}: " in err
+    assert "within the tolerance 1e-12" in err
 
 
 def test_simulate_no_violation_exit_one(capsys):

@@ -18,11 +18,16 @@ import newmandiv
 from newmandiv.cli import main
 
 
-def run_isolated(code, blocked=()):
-    """Run code in a fresh interpreter with the blocked modules unimportable."""
+def run_isolated(code, blocked=(), openblas_threads=None):
+    """Run code in a fresh interpreter with the blocked modules unimportable
+    and OPENBLAS_NUM_THREADS set to openblas_threads, or unset with None (an
+    in-process main call sets it in this process)."""
     prelude = "import sys\n" + "".join(f"sys.modules[{m!r}] = None\n" for m in blocked)
     src = str(Path(newmandiv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     return subprocess.run(
         [sys.executable, "-c", prelude + code], capture_output=True, text=True, env=env, timeout=120
     )
@@ -110,3 +115,26 @@ def test_all_ones_simulate_trace_runs_without_numpy(capsys, tmp_path):
     expected = json.loads(capsys.readouterr().out)["manifest"]["digest"]
     assert json.loads(out.stdout)["manifest"]["digest"] == expected
     assert path.read_bytes() == isolated
+
+
+@pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")], ids=["unset", "caller-set"])
+def test_main_loads_numpy_with_one_blas_thread_unless_the_caller_chose(given, kept):
+    # OpenBLAS starts one worker thread per extra core when numpy loads,
+    # unless OPENBLAS_NUM_THREADS says otherwise; main says 1, and keeps a
+    # value the caller set
+    out = run_isolated(
+        "import os\n"
+        "from newmandiv.cli import main\n"
+        "assert main(['roots', '--t', '0.5']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks, file=sys.stderr)\n",
+        openblas_threads=given,
+    )
+    assert out.returncode == 0, out.stderr
+    value, tasks = out.stderr.splitlines()[-1].split()
+    assert value == kept, f"OPENBLAS_NUM_THREADS {value}, {tasks} threads"
+    if given is None:
+        if tasks == "None":
+            pytest.skip("no /proc/self/task to count the process's threads")
+        assert int(tasks) == 1

@@ -2,17 +2,22 @@
 window, the deviation stream, and the closed-form cross-check."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newmandiv import CapacityError
+from newmandiv.bseq import b_pairs
+from newmandiv.modpoly import IntPoly
 from newmandiv.simulate import (
+    _INIT_C,
     AllOnesResult,
     CounterfactualNegative,
     NegativeCoefficient,
@@ -84,6 +89,38 @@ def test_all_ones_a03_early_values():
     assert r.b[9] == pytest.approx(0.12, abs=1e-12)
     assert len(r.b) == r.outcome.n + 1
     assert len(r.e) == len(r.b)
+
+
+def _negative_on_open_unit_interval(q: IntPoly) -> bool:
+    """q < 0 on all of (0, 1), decided exactly: q(1/2) < 0 and no root in
+    (0, 1), counted by Sturm's theorem on [0, 1] less the roots at the ends."""
+    if not q(Fraction(1, 2)) < 0:
+        return False
+    t = sympy.Symbol("t")
+    inside = sympy.Poly(list(reversed(q.coeffs)), t).count_roots(0, 1) - (q(0) == 0) - (q(1) == 0)
+    return inside == 0
+
+
+def test_forced_prefix():
+    # a cofactor with coefficients Q_n >= 0 of a 0-1 dividend r has
+    # Q_n = r_n - t Q_{n-2} - Q_{n-5} (r_0 = 1); of the 32 prefixes
+    # r_1..r_5, every one but the all-ones leg's start values makes some
+    # Q_n (n <= 5) negative on all of (0, 1)
+    one, t = IntPoly.one(), IntPoly([0, 1])
+    survivors = []
+    for tail in itertools.product((0, 1), repeat=5):
+        r = (1,) + tail
+        q = []
+        for n, rn in enumerate(r):
+            qn = IntPoly([rn]) - (t * q[n - 2] if n >= 2 else IntPoly.zero())
+            q.append(qn - q[n - 5] if n >= 5 else qn)
+        if not any(_negative_on_open_unit_interval(qn) for qn in q):
+            survivors.append((r, q))
+    ((r, q),) = survivors
+    assert r == _INIT_C
+    # the survivor's Q_0..Q_5 are B_0..B_5: 1, 0, 1 - t, 0, 1 - t + t^2, 0
+    assert q == [one, IntPoly.zero(), IntPoly([1, -1]), IntPoly.zero(), IntPoly([1, -1, 1]), IntPoly.zero()]
+    assert q == [b5 for _, _, b5 in b_pairs(None, 10)]
 
 
 def test_all_ones_boundary_a_zero_never_violates():
