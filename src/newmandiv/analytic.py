@@ -6,7 +6,9 @@ the asymptotic argument needs lives here:
 
 * the five roots, tracked by angular sector from their t = 0 positions
   (the fifth roots of -1): one real root alpha < 0, and two conjugate
-  pairs represented by their upper-half members beta and gamma;
+  pairs represented by their upper-half members beta and gamma; at one t
+  as a QuinticRoots (find_roots), along a grid as the columns of a
+  RootTable (root_table);
 * residue coefficients c_alpha, c_beta, c_gamma of the closed form
   y_n = c_alpha alpha^n + 2 Re(c_beta beta^n) + 2 Re(c_gamma gamma^n);
 * an exact inverse for small Vandermonde systems (used to re-solve for
@@ -17,13 +19,16 @@ the asymptotic argument needs lives here:
   asymptotic argument leans on, re-verified on dense grids with explicit
   margins.  _BATTERY declares each check once; its function returns only
   the margin, and check_estimates builds every CheckResult from the entry.
+  Each check is a set of array expressions over root-table columns, written
+  to round as the per-point scalar arithmetic did (see _mul), so every
+  margin is the one a loop over QuinticRoots would give, to the bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +38,7 @@ from . import CapacityError
 __all__ = [
     "N_ESTIMATE_CONSTANT",
     "QuinticRoots",
+    "RootTable",
     "ResidueCoeffs",
     "CheckResult",
     "EstimateGrids",
@@ -179,6 +185,95 @@ class QuinticRoots:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RootTable:
+    """Roots of x^5 + t x^3 + 1 at many t, as columns: row i holds the
+    QuinticRoots fields at t[i].  t, alpha and residual are float64 columns;
+    beta and gamma are complex128 columns."""
+
+    t: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    residual: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def rows(self, select) -> "RootTable":
+        """The rows that select (a mask or an index array) picks."""
+        return RootTable(*(getattr(self, f.name)[select] for f in fields(self)))
+
+    def five(self) -> np.ndarray:
+        """All five roots of each row, shape (rows, 5), in all_roots order."""
+        return np.stack([self.alpha.astype(complex), self.beta, self.beta.conj(),
+                         self.gamma, self.gamma.conj()], axis=1)
+
+
+# Complex arithmetic on columns that rounds as the scalar arithmetic does.
+# Sums, differences and negations are exact per part, so numpy's complex
+# arrays give them as scalars do.  Products, moduli and CPython's quotient
+# are written out on the real and imaginary float64 planes: numpy's array
+# loops may fuse a product's multiply and add (AVX-512 FMA), compute np.abs
+# and z**2 otherwise, and numpy divides by multiplying with the reciprocal
+# of the denominator where CPython divides by it.  numpy's array division
+# is its scalar division, so columns that were numpy scalars use "/".
+
+
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _abs(z) -> np.ndarray:
+    """|z| as abs() of a complex scalar: hypot of the parts."""
+    return np.hypot(z.real, z.imag)
+
+
+def _scale(s, z) -> np.ndarray:
+    """s * z for real s, one product per part."""
+    return _complex(s * z.real, s * z.imag)
+
+
+def _mul(a, b) -> np.ndarray:
+    """a * b with the four products and two sums of the scalar product."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _pow(z, n: int) -> np.ndarray:
+    """z ** n for 1 <= n < 100 by the binary powering of CPython's complex
+    power and numpy's scalar one: the same squares and products, in order."""
+    r, p = None, z
+    while True:
+        if n & 1:
+            r = p if r is None else _mul(r, p)
+        n >>= 1
+        if not n:
+            return r
+        p = _mul(p, p)
+
+
+def _py_div(a, b) -> np.ndarray:
+    """a / b as CPython divides complex numbers: Smith's method, which
+    divides by the scaled denominator.  A real b gives each part over b."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return _complex(re, im)
+
+
+def _sq(x) -> np.ndarray:
+    """x ** 2 of each float as Python rounds it: libm's pow, which differs
+    from x * x in the last place for about 1 value in 1,000."""
+    return np.array([v**2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
 def _polish(z: np.ndarray, t) -> np.ndarray:
     """Two Newton sweeps on x^5 + t x^3 + 1; they tighten the residual floor.
 
@@ -191,39 +286,54 @@ def _polish(z: np.ndarray, t) -> np.ndarray:
     return z
 
 
-def _sectors(t: float, z: np.ndarray) -> QuinticRoots:
-    """Sort one row of polished double-precision roots into alpha, beta, gamma."""
-    by_sector: Dict[str, complex] = {}
-    for r in z:
-        ang = cmath.phase(r)
-        if abs(ang) > 4 * math.pi / 5:
-            by_sector["alpha"] = r
-        elif 2 * math.pi / 5 < ang < 4 * math.pi / 5:
-            by_sector["beta"] = r
-        elif 0 < ang < 2 * math.pi / 5:
-            by_sector["gamma"] = r
-    if set(by_sector) != {"alpha", "beta", "gamma"}:
-        raise ArithmeticError(f"sector classification failed at t={t}: {z}")
-    alpha_c, beta, gamma = by_sector["alpha"], by_sector["beta"], by_sector["gamma"]
-    if abs(alpha_c.imag) > 1e-12:
-        raise ArithmeticError(f"real root drifted off the axis at t={t}: {alpha_c}")
+_ALPHA_EDGE, _BETA_EDGE = 4 * math.pi / 5, 2 * math.pi / 5
+
+
+def _sectors(ts: np.ndarray, z: np.ndarray) -> RootTable:
+    """Sort rows of polished double-precision roots into alpha, beta, gamma.
+
+    A root with |arg| > 4 pi/5 is alpha, one with arg in (2 pi/5, 4 pi/5)
+    beta and one with arg in (0, 2 pi/5) gamma; where a row holds two roots
+    in a sector, the later column is kept.  The first row in order that
+    leaves a sector empty, or whose alpha is more than 1e-12 off the real
+    axis, raises ArithmeticError.
+    """
+    ang = np.arctan2(z.imag, z.real)
+    # np.arctan2 may differ from cmath.phase in the last place, which
+    # could move a root across an edge: near one, take cmath's angle
+    near = np.min(np.abs(np.abs(ang)[..., None] - (0.0, _BETA_EDGE, _ALPHA_EDGE)), axis=-1) < 1e-9
+    ang[near] = [cmath.phase(r) for r in z[near]]
+    masks = (np.abs(ang) > _ALPHA_EDGE, (_BETA_EDGE < ang) & (ang < _ALPHA_EDGE), (0 < ang) & (ang < _BETA_EDGE))
+    found = np.logical_and.reduce([m.any(axis=1) for m in masks])
+    rows, last = np.arange(len(z)), z.shape[1] - 1
+    alpha_c, beta, gamma = (z[rows, last - np.argmax(m[:, ::-1], axis=1)] for m in masks)
+    bad = np.flatnonzero(~found | (np.abs(alpha_c.imag) > 1e-12))
+    if len(bad):
+        i = bad[0]
+        if not found[i]:
+            raise ArithmeticError(f"sector classification failed at t={float(ts[i])}: {z[i]}")
+        raise ArithmeticError(f"real root drifted off the axis at t={float(ts[i])}: {alpha_c[i]}")
     alpha = alpha_c.real
-    resid = max(abs(r**5 + t * r**3 + 1) for r in (complex(alpha), beta, gamma))
-    return QuinticRoots(t=t, alpha=alpha, beta=beta, gamma=gamma, residual=resid)
+    three = np.stack([alpha.astype(complex), beta, gamma], axis=1)
+    value = _pow(three, 5) + _scale(ts[:, None], _pow(three, 3)) + 1
+    return RootTable(t=ts, alpha=alpha, beta=beta, gamma=gamma, residual=np.max(_abs(value), axis=1))
 
 
 def find_roots(t: float) -> QuinticRoots:
     """Roots of x^5 + t x^3 + 1 for 0 <= t <= 1: root_table at one point."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return root_table([t])[0]
+    table = root_table([t])
+    return QuinticRoots(t=float(table.t[0]), alpha=table.alpha[0], beta=table.beta[0],
+                        gamma=table.gamma[0], residual=table.residual[0])
 
 
-def root_table(ts: Sequence[float]) -> List[QuinticRoots]:
-    """Roots of x^5 + t x^3 + 1 for every t in ts, in double precision.
+def root_table(ts: Sequence[float]) -> RootTable:
+    """Roots of x^5 + t x^3 + 1 for every t in ts, in double precision, as
+    the columns of a RootTable.
 
     One batched Aberth solve, seeded at the exact t = 0 roots (fifth roots of
-    -1), then two Newton sweeps over the whole table.
+    -1), then two Newton sweeps over the whole table, then _sectors.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all((0.0 <= ts) & (ts <= 1.0)):
@@ -232,8 +342,7 @@ def root_table(ts: Sequence[float]) -> List[QuinticRoots]:
     coeffs[:, 0] = coeffs[:, 5] = 1.0
     coeffs[:, 3] = ts
     seeds = np.broadcast_to(_FIFTH_ROOTS_OF_MINUS_ONE, (len(ts), 5))
-    z = _polish(aberth_roots(coeffs, seeds), ts[:, None])
-    return [_sectors(float(t), row) for t, row in zip(ts, z)]
+    return _sectors(ts, _polish(aberth_roots(coeffs, seeds), ts[:, None]))
 
 
 def root_velocity(rho: complex, t: float) -> complex:
@@ -261,35 +370,47 @@ class ResidueCoeffs:
     c_gamma: complex
 
 
-def _residue(rho, a):
-    return -a / (2 * rho**5 - 3) * rho**2 / (rho**2 - 1)
+def _residue(rho, a, div):
+    """-a / (2 rho^5 - 3) * rho^2 / (rho^2 - 1) on columns, dividing by div:
+    _py_div for the real root, numpy's "/" for beta and gamma, as the scalar
+    residue divided a Python complex and numpy complex scalars."""
+    rho2 = _pow(rho, 2)
+    return div(_mul(div(-a, _scale(2, _pow(rho, 5)) - 3), rho2), rho2 - 1)
 
 
-def _residues(roots: QuinticRoots) -> ResidueCoeffs:
-    """Residues from the roots at a = roots.t, for the start values
-    y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
+def _residue_table(table: RootTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns c_alpha, c_beta, c_gamma of the residues at a = table.t, for
+    the start values y_0..y_4 = (-s, 1-s, -s, 1-s, -s), s = 1/(2+a).
 
     Requires a > 0: at a = 0 all roots sit on the unit circle and alpha = -1
     makes rho^2 - 1 vanish — the expansion degenerates.  So it does in
-    double precision once alpha rounds to -1, below about a = 4e-16.
+    double precision once alpha rounds to -1, below about a = 4e-16.  The
+    first row in order that breaks either is a ValueError naming its a.
+    The real root's residue keeps an imaginary part of exactly 0 in this
+    arithmetic, so c_alpha is its real part, a float64 column.
     """
-    a = roots.t
-    if not a > 0.0:
-        raise ValueError(f"residues need 0 < a <= 1, got {a}")
-    if roots.alpha**2 == 1.0:
+    a = table.t
+    bad = np.flatnonzero(~(a > 0.0) | (table.alpha * table.alpha == 1.0))
+    if len(bad):
+        a = float(a[bad[0]])
+        if not a > 0.0:
+            raise ValueError(f"residues need 0 < a <= 1, got {a}")
         raise ValueError(
             f"residues at a = {a:g} are out of reach in double precision: the real root alpha"
             f" rounds to -1, where the residue divides by alpha^2 - 1 = 0"
         )
-    c_alpha = _residue(complex(roots.alpha), a)
-    if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
-        raise ArithmeticError(f"real residue drifted complex at a={a}")
-    return ResidueCoeffs(
-        a=a,
-        c_alpha=c_alpha.real,
-        c_beta=_residue(roots.beta, a),
-        c_gamma=_residue(roots.gamma, a),
+    return (
+        _residue(table.alpha.astype(complex), a, _py_div).real,
+        _residue(table.beta, a, np.divide),
+        _residue(table.gamma, a, np.divide),
     )
+
+
+def _residues(roots: QuinticRoots) -> ResidueCoeffs:
+    """Residues from the roots at a = roots.t: _residue_table at one row."""
+    table = RootTable(*(np.array([getattr(roots, f.name)]) for f in fields(roots)))
+    c_alpha, c_beta, c_gamma = _residue_table(table)
+    return ResidueCoeffs(a=roots.t, c_alpha=float(c_alpha[0]), c_beta=c_beta[0], c_gamma=c_gamma[0])
 
 
 def residue_coeffs(a: float) -> ResidueCoeffs:
@@ -482,8 +603,8 @@ def _fd_inner(grids: EstimateGrids) -> np.ndarray:
     return (_FD_STEP <= ts) & (ts <= grids.small[1] - _FD_STEP)
 
 
-def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[QuinticRoots]]:
-    """One root table per grid that the checks ids read (_BATTERY names them).
+def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, RootTable]:
+    """One RootTable per grid that the checks ids read (_BATTERY names them).
 
     "small±h" holds the roots at t - h for every small-grid point t that
     _fd_inner marks, then those at t + h.
@@ -505,35 +626,30 @@ def _root_tables(grids: EstimateGrids, ids: Sequence[str]) -> Dict[str, List[Qui
     return tables
 
 
-def _moduli(rr: Sequence[QuinticRoots]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|alpha|, |beta| and |gamma| along a root table."""
-    return tuple(np.array([abs(getattr(r, key)) for r in rr]) for key in ("alpha", "beta", "gamma"))
+def _least(*margins: np.ndarray) -> float:
+    """The least entry of the margin arrays; inf when they are all empty."""
+    return min((float(np.min(m)) for m in margins if np.size(m)), default=math.inf)
 
 
 def _check_a(grids, tables):
-    aa, bb, gg = _moduli(tables["unit"])
-    return min(
-        float(np.min(aa[:-1] - aa[1:])),  # |alpha| strictly decreasing
-        float(np.min(bb[1:] - bb[:-1])),  # |beta| strictly increasing
-        float(np.min(gg[:-1] - gg[1:])),  # |gamma| strictly decreasing
+    unit = tables["unit"]
+    aa, bb, gg = np.abs(unit.alpha), _abs(unit.beta), _abs(unit.gamma)
+    return _least(
+        aa[:-1] - aa[1:],  # |alpha| strictly decreasing
+        bb[1:] - bb[:-1],  # |beta| strictly increasing
+        gg[:-1] - gg[1:],  # |gamma| strictly decreasing
     )
 
 
 def _check_b(grids, tables):
-    aa, bb, gg = _moduli(tables["large"])
-    return min(
-        float(np.min(aa - 0.8375)), float(np.min(0.999002 - aa)),
-        float(np.min(bb - 1.000809)), float(np.min(1.1872 - bb)),
-        float(np.min(gg - 0.9203)), float(np.min(0.999692 - gg)),
-    )
+    large = tables["large"]
+    aa, bb, gg = np.abs(large.alpha), _abs(large.beta), _abs(large.gamma)
+    return _least(aa - 0.8375, 0.999002 - aa, bb - 1.000809, 1.1872 - bb, gg - 0.9203, 0.999692 - gg)
 
 
 def _check_c(grids, tables):
-    margin = math.inf
-    for r in tables["large"]:
-        res = _residues(r)
-        margin = min(margin, 2.0 - abs(res.c_alpha), abs(res.c_beta) - 1.0 / 2007.0, 1.0 - abs(res.c_gamma))
-    return margin
+    c_alpha, c_beta, c_gamma = _residue_table(tables["large"])
+    return _least(2.0 - np.abs(c_alpha), _abs(c_beta) - 1.0 / 2007.0, 1.0 - _abs(c_gamma))
 
 
 def _check_d(grids, tables):
@@ -551,61 +667,126 @@ def _check_d(grids, tables):
 
 
 def _check_e(grids, tables):
-    ib = np.array([r.beta.imag for r in tables["large"]])
-    return min(float(np.min(ib[1:] - ib[:-1])), float(np.min(ib - 0.95)))
+    ib = tables["large"].beta.imag
+    return _least(ib[1:] - ib[:-1], ib - 0.95)
 
 
 def _check_f(grids, tables):
+    unit = tables["unit"]
     fifth = np.exp(2j * math.pi * np.arange(5) / 5)
-    margin = math.inf
-    for r in tables["unit"]:
-        roots = np.array(r.all_roots())
-        d = np.min(np.abs(roots[:, None] - fifth[None, :]))
-        margin = min(margin, d - 0.1, abs(r.gamma - 1) - 0.2)
-    return margin
+    # np.abs here, as the scalar check took it of each row's 5 x 5 array
+    d = np.abs(unit.five()[:, :, None] - fifth)
+    return _least(d - 0.1, _abs(unit.gamma - 1) - 0.2)
 
 
-def _track_from_zero(r: QuinticRoots) -> List[Tuple[complex, complex]]:
-    """(rho(0), rho(t)) matched by angular sector."""
-    return [(r0, min(r.all_roots(), key=lambda x: abs(x - r0))) for r0 in _FIFTH_ROOTS_OF_MINUS_ONE]
+#: the five roots at t = 0, the 5 rho(0) of (g), and Re(rho(0)^3) of (h)
+_R0 = np.array(_FIFTH_ROOTS_OF_MINUS_ONE)
+_FIVE_R0 = np.array([5 * r0 for r0 in _FIFTH_ROOTS_OF_MINUS_ONE])
+_RE_R0_CUBED = np.array([(r0**3).real for r0 in _FIFTH_ROOTS_OF_MINUS_ONE])
+
+_EPS = np.finfo(float).eps
 
 
-def _small_positive(grids, tables) -> List[Tuple[float, QuinticRoots]]:
-    """(t, roots) over the small grid without t = 0, where t-scaled margins exist.
+def _tracked(table: RootTable) -> np.ndarray:
+    """rho(t) of each branch, shape (rows, 5): the root of the row nearest
+    to rho(0) = _R0[k] (the first of all_roots on a tie)."""
+    five = table.five()
+    nearest = np.argmin(_abs(five[:, :, None] - _R0), axis=1)
+    return np.take_along_axis(five, nearest, axis=1)
+
+
+def _root_error(table: RootTable, rho: np.ndarray) -> np.ndarray:
+    """First-order bound on the error of computed roots rho (one row per
+    table row): the row's residual, plus the rounding of evaluating it,
+    over |p'(rho)| = |5 rho^4 + 3 t rho^2|."""
+    t, m = table.t[:, None], np.abs(rho)
+    noise = 4 * _EPS * (m**5 + t * m**3 + 1)
+    return (table.residual[:, None] + noise) / np.abs(5 * rho**4 + 3 * t * rho**2)
+
+
+def _small_positive(grids, tables) -> RootTable:
+    """The small-grid rows without t = 0, where t-scaled margins exist.
 
     A point too small for them is a ValueError that names the grid and the
     point: (g) and (h) divide by t^2, which is 0 below about 1.5e-162, and
     (j) by ln|beta|, which is 0 once |beta| rounds to 1 (about t < 1e-16).
+    A larger point can still be too small for one of them, where the
+    check's margin there measures rounding: each check refuses it through
+    _decided when the sign of its margin lies inside the rounding bound.
+    The bound is the root error to first order (_root_error: the residual,
+    plus the rounding of evaluating it, over |5 rho^4 + 3 t rho^2|), plus 4
+    eps times the magnitudes the check's expression adds, scaled as the
+    margin: over t^2 in (g) and (h), relative to ln|beta| in (j).  It is at
+    most 2.7e-7 for t >= 1e-4 and 2.2e-5 at t = 1e-5, against least margins
+    of 6.5e-4 or more on the default grid.
     """
-    points = [(t, r) for t, r in zip(_grid(grids.small), tables["small"]) if t > 0]
-    for t, r in points:
-        if t * t == 0 or abs(r.beta) == 1:
-            start, stop, step = grids.small
-            why = "t^2 is 0" if t * t == 0 else "|beta| rounds to 1"
-            raise ValueError(
-                f"grid small={start}:{stop}:{step} has the point t = {t:g}, too small for"
-                f" checks (g), (h) and (j): {why}"
-            )
-    return points
+    small = tables["small"].rows(tables["small"].t > 0)
+    t = small.t
+    bad = np.flatnonzero((t * t == 0) | (_abs(small.beta) == 1))
+    if len(bad):
+        t = t[bad[0]]
+        start, stop, step = grids.small
+        why = "t^2 is 0" if t * t == 0 else "|beta| rounds to 1"
+        raise ValueError(
+            f"grid small={start}:{stop}:{step} has the point t = {t:g}, too small for"
+            f" checks (g), (h) and (j): {why}"
+        )
+    return small
+
+
+def _decided(grids, cid: str, t: np.ndarray, *terms: Tuple[np.ndarray, np.ndarray]) -> float:
+    """The margin of small-grid check cid, once rounding decides its sign at
+    every point t.
+
+    Each term is a pair of arrays with one row per point: margins and the
+    bounds on their rounding error.  A point's margin is the least margin of
+    its rows, so its exact value lies in [lo, hi], the least of margin -
+    bound and of margin + bound.  The first point where lo <= 0 < hi, so
+    that double precision cannot tell whether the check holds there, is a
+    ValueError naming the grid, the point and the check.
+    """
+    def by_point(x):
+        return np.min(np.reshape(x, (len(t), -1)), axis=1)
+
+    lo = np.min([by_point(m - b) for m, b in terms], axis=0)
+    hi = np.min([by_point(m + b) for m, b in terms], axis=0)
+    undecided = np.flatnonzero((lo <= 0) & (0 < hi))
+    if len(undecided):
+        i = undecided[0]
+        start, stop, step = grids.small
+        raise ValueError(
+            f"grid small={start}:{stop}:{step} has the point t = {t[i]:g}, too small for check ({cid}):"
+            f" rounding puts its margin anywhere in [{lo[i]:.3g}, {hi[i]:.3g}]"
+        )
+    return _least(*(m for m, _ in terms))
 
 
 def _check_g(grids, tables):
-    margin = math.inf
-    for t, r in _small_positive(grids, tables):
-        for r0, rt in _track_from_zero(r):
-            err2 = abs(rt - r0 + t / (5 * r0)) / t**2
-            err1 = abs(rt - r0) / t
-            margin = min(margin, 0.04065 - err2, 0.2009 - err1)
-    return margin
+    """Bound: the root error, plus 4 eps times the moduli that the numerator
+    adds, over t^2 (err2) and over t (err1)."""
+    small = _small_positive(grids, tables)
+    rt, t = _tracked(small), small.t[:, None]
+    step = rt - _R0
+    t2 = _sq(t)
+    err2 = _abs(step + t / _FIVE_R0) / t2
+    err1 = _abs(step) / t
+    delta, m = _root_error(small, rt), np.abs(rt)
+    return _decided(
+        grids, "g", small.t,
+        (0.04065 - err2, (delta + 4 * _EPS * (m + 1 + t / 5)) / t2),
+        (0.2009 - err1, (delta + 4 * _EPS * (m + 1)) / t),
+    )
 
 
 def _check_h(grids, tables):
-    margin = math.inf
-    for t, r in _small_positive(grids, tables):
-        for r0, rt in _track_from_zero(r):
-            err = abs(abs(rt) ** 2 - 1 - (2 * t / 5) * (r0**3).real) / t**2
-            margin = min(margin, 0.13 - err)
-    return margin
+    """Bound: 2 |rho| times the root error, plus 4 eps times the terms that
+    the numerator adds, over t^2."""
+    small = _small_positive(grids, tables)
+    rt, t = _tracked(small), small.t[:, None]
+    m, t2 = _abs(rt), _sq(t)
+    err = np.abs(_sq(m) - 1 - (2 * t / 5) * _RE_R0_CUBED) / t2
+    bound = 2 * m * _root_error(small, rt) + 4 * _EPS * (m * m + 1 + t)
+    return _decided(grids, "h", small.t, (0.13 - err, bound / t2))
 
 
 def _check_i(grids, tables):
@@ -615,63 +796,80 @@ def _check_i(grids, tables):
     return min(float(np.min(0.512 - log_err)), float(np.min(1.02 - inv_err)))
 
 
+def _logs(x: np.ndarray) -> np.ndarray:
+    """math.log of each entry: np.log may differ from it in the last place."""
+    return np.array([math.log(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
 def _check_j(grids, tables):
-    margin = math.inf
-    for _, r in _small_positive(grids, tables):
-        lb = math.log(abs(r.beta))
-        ra = math.log(abs(r.alpha)) / lb
-        rg = math.log(abs(r.gamma)) / lb
-        margin = min(margin, 0.008 - abs(ra - (-1.236)), 0.005 - abs(rg - (-0.382)))
-    return margin
+    """Bound: each logarithm is off by at most e = root error / |rho| +
+    4 eps (1 + |ln|rho||); a ratio r = ln|rho| / ln|beta| by at most
+    (e_rho + |r| e_beta) / |ln|beta|| + 4 eps |r|."""
+    small = _small_positive(grids, tables)
+    three = np.stack([small.alpha.astype(complex), small.beta, small.gamma], axis=1)
+    m = _abs(three)
+    logs = _logs(m)
+    e = _root_error(small, three) / m + 4 * _EPS * (1 + np.abs(logs))
+    lb = logs[:, 1]
+    ra, rg = logs[:, 0] / lb, logs[:, 2] / lb
+
+    def bound(r, k):
+        return (e[:, k] + np.abs(r) * e[:, 1]) / np.abs(lb) + 4 * _EPS * np.abs(r)
+
+    return _decided(
+        grids, "j", small.t,
+        (0.008 - np.abs(ra - (-1.236)), bound(ra, 0)),
+        (0.005 - np.abs(rg - (-0.382)), bound(rg, 2)),
+    )
 
 
 def _check_k(grids, tables):
-    margin = math.inf
-    for t, r in zip(_grid(grids.unit), tables["unit"]):
-        for rho in r.all_roots():
-            lhs = rho**10 - 1
-            rhs = 2 * t * rho**3 + t**2 * rho**6
-            margin = min(margin, 1e-10 - abs(lhs - rhs))
-    return margin
+    unit = tables["unit"]
+    five, t = unit.five(), unit.t[:, None]
+    lhs = _pow(five, 10) - 1
+    rhs = _scale(2 * t, _pow(five, 3)) + _scale(_sq(t), _pow(five, 6))
+    return _least(1e-10 - _abs(lhs - rhs))
+
+
+def _velocity(rho, t, div):
+    """root_velocity on columns, dividing by div (see _residue)."""
+    return div(-rho, _scale(5, _pow(rho, 2)) + 3 * t)
+
+
+def _acceleration(rho, t, div):
+    """root_acceleration on columns, dividing by div (see _residue)."""
+    five_rho2 = _scale(5, _pow(rho, 2))
+    return div(_mul(_scale(2, rho), five_rho2 + 6 * t), _pow(five_rho2 + 3 * t, 3))
 
 
 def _check_l(grids, tables):
-    margin = math.inf
     h = _FD_STEP
     fd_tol = 1e-4
+    small = tables["small"]
+    t = small.t
+    margins = []
+    for rho, div in ((small.alpha.astype(complex), _py_div), (small.beta, np.divide), (small.gamma, np.divide)):
+        m = _abs(rho)
+        margins += [m - 0.9990009, 1.0008097 - m,
+                    0.2009 - _abs(_velocity(rho, t, div)), 0.0813 - _abs(_acceleration(rho, t, div))]
+    # three-point finite-difference cross-check of both derivative formulas,
+    # in CPython's complex arithmetic, at the _fd_inner points
+    inner = _fd_inner(grids)
     shifted = tables["small±h"]
     half = len(shifted) // 2
-    neighbours = iter(zip(shifted[:half], shifted[half:]))  # (t - h, t + h) roots of each _fd_inner point
-    for t, r, fd in zip(_grid(grids.small), tables["small"], _fd_inner(grids)):
-        t = float(t)
-        for rho in (complex(r.alpha), r.beta, r.gamma):
-            margin = min(
-                margin,
-                abs(rho) - 0.9990009,
-                1.0008097 - abs(rho),
-                0.2009 - abs(root_velocity(rho, t)),
-                0.0813 - abs(root_acceleration(rho, t)),
-            )
-        # three-point finite-difference cross-check of both derivative formulas
-        if fd:
-            rm, rp = next(neighbours)
-            for key in ("alpha", "beta", "gamma"):
-                a_, b_, c_ = (complex(getattr(x, key)) for x in (rm, r, rp))
-                fd1 = (c_ - a_) / (2 * h)
-                fd2 = (c_ - 2 * b_ + a_) / h**2
-                margin = min(
-                    margin,
-                    fd_tol - abs(fd1 - root_velocity(b_, t)),
-                    fd_tol * 50 - abs(fd2 - root_acceleration(b_, t)),
-                )
-    return margin
+    for key in ("alpha", "beta", "gamma"):
+        a_, c_ = (getattr(shifted, key)[part].astype(complex) for part in (slice(half), slice(half, None)))
+        b_, tb = getattr(small, key)[inner].astype(complex), t[inner]
+        fd1 = _py_div(c_ - a_, 2 * h)
+        fd2 = _py_div(c_ - _scale(2, b_) + a_, h**2)
+        margins += [fd_tol - _abs(fd1 - _velocity(b_, tb, _py_div)),
+                    fd_tol * 50 - _abs(fd2 - _acceleration(b_, tb, _py_div))]
+    return _least(*margins)
 
 
 def _check_m(grids, tables):
-    margin = math.inf
-    for t, r in zip(_grid(grids.unit), tables["unit"]):
-        margin = min(margin, (5 * r.gamma**2 + 3 * t).real)
-    return margin
+    unit = tables["unit"]
+    return _least(5 * _pow(unit.gamma, 2).real + 3 * unit.t)
 
 
 #: the battery in report order.  Each check id maps to its margin function

@@ -1,6 +1,9 @@
 """Tests for the root-level analysis: roots, residues, Vandermonde, battery."""
 
+import cmath
 import math
+import types
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -241,10 +244,20 @@ def test_root_invariants(t):
             assert abs(roots[i] - roots[j]) > 1e-13 * 10
 
 
-def test_root_table_equals_find_roots():
+def _row(table, i):
+    """Row i of a RootTable as the QuinticRoots find_roots builds."""
+    return analytic.QuinticRoots(t=float(table.t[i]), alpha=table.alpha[i], beta=table.beta[i],
+                                 gamma=table.gamma[i], residual=table.residual[i])
+
+
+def test_root_table_columns_are_find_roots():
     ts = [0.0, 1e-5, 0.003, 0.5, 0.999, 1.0]
-    assert root_table(ts) == [find_roots(t) for t in ts]
-    assert root_table([]) == []
+    table = root_table(ts)
+    assert len(table) == len(ts)
+    assert [c.dtype for c in (table.t, table.alpha, table.beta, table.gamma, table.residual)] == [
+        np.float64, np.float64, np.complex128, np.complex128, np.float64]
+    assert [_row(table, i) for i in range(len(ts))] == [find_roots(t) for t in ts]
+    assert len(root_table([])) == 0
     with pytest.raises(ValueError):
         root_table([0.5, 1.1])
     with pytest.raises(ValueError):
@@ -258,12 +271,15 @@ def test_battery_tables_equal_the_find_roots_loop():
     tables = _root_tables(grids, list("abcdefghijklm"))
     assert sorted(tables) == ["large", "small", "small±h", "unit"]
     for name in ("unit", "large", "small"):
-        assert tables[name] == [find_roots(float(t)) for t in _grid(getattr(grids, name))], name
+        table = tables[name]
+        want = [find_roots(float(t)) for t in _grid(getattr(grids, name))]
+        assert [_row(table, i) for i in range(len(table))] == want, name
     h, stop = 1e-6, grids.small[1]
     inner = [float(t) for t in _grid(grids.small) if h <= float(t) <= stop - h]
     assert len(inner) == 499
     want = [find_roots(t - h) for t in inner] + [find_roots(t + h) for t in inner]
-    assert tables["small±h"] == want
+    table = tables["small±h"]
+    assert [_row(table, i) for i in range(len(table))] == want
 
 
 def test_battery_solves_only_the_grids_it_reads():
@@ -293,7 +309,7 @@ def test_roots_high_precision():
     # the double roots sit within 2^-52 (a unit or two in the last place at
     # modulus 1) of the 160-bit roots of an independent solver
     r = find_roots(0.003)
-    assert r == root_table([0.003])[0]
+    assert r == _row(root_table([0.003]), 0)
     modes = _oracle_modes(0.003)
     for z in (r.alpha, r.beta, r.gamma):
         assert abs(_nearest(modes, z)[0] - z) <= 2.0**-52
@@ -542,6 +558,28 @@ def test_every_table_is_solved_before_check_d_draws(monkeypatch):
     assert events == ["table"] * 4 + ["draw"]
 
 
+@pytest.mark.parametrize(
+    "cid, t, old_margin",
+    [("g", 3e-7, -8.2e-4), ("h", 1e-7, -5.3e-3), ("j", 1e-14, -4.2e-2)],
+)
+def test_small_grid_check_refuses_a_point_rounding_cannot_decide(cid, t, old_margin):
+    """Each of (g), (h) and (j) alone refuses the point where its margin was
+    rounding noise (the per-row reference reported old_margin there)."""
+    grids = EstimateGrids(small=(t, t, 1.0))
+    ref = _ref_margins(grids)[cid]
+    assert ref == pytest.approx(old_margin, rel=0.05)
+    with pytest.raises(ValueError, match=rf"has the point t = {t:g}, too small for check \({cid}\): rounding"):
+        check_estimates(grids, only=[cid])
+
+
+def test_small_grid_rounding_bounds_leave_the_default_grids_decided():
+    # the tiny benchmark profile's small grid, and the default one: every
+    # point decided, with the bound far below the margin
+    for small in ((0.0001, 0.005, 0.0001), EstimateGrids().small):
+        results = check_estimates(EstimateGrids(small=small), only=["g", "h", "j"])
+        assert all(c.passed for c in results)
+
+
 def test_battery_margins_scale_free():
     """The Taylor-window checks report t^2-scaled margins: coarsening the
     grid must not collapse them toward zero."""
@@ -551,3 +589,393 @@ def test_battery_margins_scale_free():
         assert fine[cid].passed and coarse[cid].passed
         assert fine[cid].worst_margin > 1e-5
         assert coarse[cid].worst_margin > 1e-5
+
+
+# --------------------------------------------------------------------------
+# the per-row reference: the battery as written before it ran on columns,
+# one QuinticRoots per grid point and CPython or numpy scalar arithmetic on
+# each.  The column code must give its tables, margins and errors exactly.
+# (d) and (i) read no table and are left out.
+# --------------------------------------------------------------------------
+
+_REF_FIFTH = tuple(cmath.exp(1j * math.pi * (2 * k + 1) / 5) for k in range(5))
+
+
+def _ref_sectors(t, z):
+    by_sector = {}
+    for r in z:
+        ang = cmath.phase(r)
+        if abs(ang) > 4 * math.pi / 5:
+            by_sector["alpha"] = r
+        elif 2 * math.pi / 5 < ang < 4 * math.pi / 5:
+            by_sector["beta"] = r
+        elif 0 < ang < 2 * math.pi / 5:
+            by_sector["gamma"] = r
+    if set(by_sector) != {"alpha", "beta", "gamma"}:
+        raise ArithmeticError(f"sector classification failed at t={t}: {z}")
+    alpha_c, beta, gamma = by_sector["alpha"], by_sector["beta"], by_sector["gamma"]
+    if abs(alpha_c.imag) > 1e-12:
+        raise ArithmeticError(f"real root drifted off the axis at t={t}: {alpha_c}")
+    alpha = alpha_c.real
+    resid = max(abs(r**5 + t * r**3 + 1) for r in (complex(alpha), beta, gamma))
+    return analytic.QuinticRoots(t=t, alpha=alpha, beta=beta, gamma=gamma, residual=resid)
+
+
+def _ref_polished(ts):
+    ts = np.asarray(ts, dtype=float)
+    coeffs = np.zeros((len(ts), 6), dtype=complex)
+    coeffs[:, 0] = coeffs[:, 5] = 1.0
+    coeffs[:, 3] = ts
+    seeds = np.broadcast_to(_REF_FIFTH, (len(ts), 5))
+    return ts, analytic._polish(aberth_roots(coeffs, seeds), ts[:, None])
+
+
+def _ref_root_table(ts):
+    ts, z = _ref_polished(ts)
+    return [_ref_sectors(float(t), row) for t, row in zip(ts, z)]
+
+
+def _ref_residue(rho, a):
+    return -a / (2 * rho**5 - 3) * rho**2 / (rho**2 - 1)
+
+
+def _ref_residues(roots):
+    a = roots.t
+    if not a > 0.0:
+        raise ValueError(f"residues need 0 < a <= 1, got {a}")
+    if roots.alpha**2 == 1.0:
+        raise ValueError(
+            f"residues at a = {a:g} are out of reach in double precision: the real root alpha"
+            f" rounds to -1, where the residue divides by alpha^2 - 1 = 0"
+        )
+    c_alpha = _ref_residue(complex(roots.alpha), a)
+    if abs(c_alpha.imag) > 1e-12 * (1 + abs(c_alpha)):
+        raise ArithmeticError(f"real residue drifted complex at a={a}")
+    return analytic.ResidueCoeffs(
+        a=a,
+        c_alpha=c_alpha.real,
+        c_beta=_ref_residue(roots.beta, a),
+        c_gamma=_ref_residue(roots.gamma, a),
+    )
+
+
+def _ref_moduli(rr):
+    return tuple(np.array([abs(getattr(r, key)) for r in rr]) for key in ("alpha", "beta", "gamma"))
+
+
+def _ref_check_a(grids, tables):
+    aa, bb, gg = _ref_moduli(tables["unit"])
+    return min(
+        float(np.min(aa[:-1] - aa[1:])),
+        float(np.min(bb[1:] - bb[:-1])),
+        float(np.min(gg[:-1] - gg[1:])),
+    )
+
+
+def _ref_check_b(grids, tables):
+    aa, bb, gg = _ref_moduli(tables["large"])
+    return min(
+        float(np.min(aa - 0.8375)), float(np.min(0.999002 - aa)),
+        float(np.min(bb - 1.000809)), float(np.min(1.1872 - bb)),
+        float(np.min(gg - 0.9203)), float(np.min(0.999692 - gg)),
+    )
+
+
+def _ref_check_c(grids, tables):
+    margin = math.inf
+    for r in tables["large"]:
+        res = _ref_residues(r)
+        margin = min(margin, 2.0 - abs(res.c_alpha), abs(res.c_beta) - 1.0 / 2007.0, 1.0 - abs(res.c_gamma))
+    return margin
+
+
+def _ref_check_e(grids, tables):
+    ib = np.array([r.beta.imag for r in tables["large"]])
+    return min(float(np.min(ib[1:] - ib[:-1])), float(np.min(ib - 0.95)))
+
+
+def _ref_check_f(grids, tables):
+    fifth = np.exp(2j * math.pi * np.arange(5) / 5)
+    margin = math.inf
+    for r in tables["unit"]:
+        roots = np.array(r.all_roots())
+        d = np.min(np.abs(roots[:, None] - fifth[None, :]))
+        margin = min(margin, d - 0.1, abs(r.gamma - 1) - 0.2)
+    return margin
+
+
+def _ref_track_from_zero(r):
+    return [(r0, min(r.all_roots(), key=lambda x: abs(x - r0))) for r0 in _REF_FIFTH]
+
+
+def _ref_small_positive(grids, tables):
+    points = [(t, r) for t, r in zip(_grid(grids.small), tables["small"]) if t > 0]
+    for t, r in points:
+        if t * t == 0 or abs(r.beta) == 1:
+            start, stop, step = grids.small
+            why = "t^2 is 0" if t * t == 0 else "|beta| rounds to 1"
+            raise ValueError(
+                f"grid small={start}:{stop}:{step} has the point t = {t:g}, too small for"
+                f" checks (g), (h) and (j): {why}"
+            )
+    return points
+
+
+def _ref_check_g(grids, tables):
+    margin = math.inf
+    for t, r in _ref_small_positive(grids, tables):
+        for r0, rt in _ref_track_from_zero(r):
+            err2 = abs(rt - r0 + t / (5 * r0)) / t**2
+            err1 = abs(rt - r0) / t
+            margin = min(margin, 0.04065 - err2, 0.2009 - err1)
+    return margin
+
+
+def _ref_check_h(grids, tables):
+    margin = math.inf
+    for t, r in _ref_small_positive(grids, tables):
+        for r0, rt in _ref_track_from_zero(r):
+            err = abs(abs(rt) ** 2 - 1 - (2 * t / 5) * (r0**3).real) / t**2
+            margin = min(margin, 0.13 - err)
+    return margin
+
+
+def _ref_check_j(grids, tables):
+    margin = math.inf
+    for _, r in _ref_small_positive(grids, tables):
+        lb = math.log(abs(r.beta))
+        ra = math.log(abs(r.alpha)) / lb
+        rg = math.log(abs(r.gamma)) / lb
+        margin = min(margin, 0.008 - abs(ra - (-1.236)), 0.005 - abs(rg - (-0.382)))
+    return margin
+
+
+def _ref_check_k(grids, tables):
+    margin = math.inf
+    for t, r in zip(_grid(grids.unit), tables["unit"]):
+        for rho in r.all_roots():
+            lhs = rho**10 - 1
+            rhs = 2 * t * rho**3 + t**2 * rho**6
+            margin = min(margin, 1e-10 - abs(lhs - rhs))
+    return margin
+
+
+def _ref_check_l(grids, tables):
+    margin = math.inf
+    h = 1e-6
+    fd_tol = 1e-4
+    shifted = tables["small±h"]
+    half = len(shifted) // 2
+    neighbours = iter(zip(shifted[:half], shifted[half:]))
+    for t, r, fd in zip(_grid(grids.small), tables["small"], analytic._fd_inner(grids)):
+        t = float(t)
+        for rho in (complex(r.alpha), r.beta, r.gamma):
+            margin = min(
+                margin,
+                abs(rho) - 0.9990009,
+                1.0008097 - abs(rho),
+                0.2009 - abs(root_velocity(rho, t)),
+                0.0813 - abs(root_acceleration(rho, t)),
+            )
+        if fd:
+            rm, rp = next(neighbours)
+            for key in ("alpha", "beta", "gamma"):
+                a_, b_, c_ = (complex(getattr(x, key)) for x in (rm, r, rp))
+                fd1 = (c_ - a_) / (2 * h)
+                fd2 = (c_ - 2 * b_ + a_) / h**2
+                margin = min(
+                    margin,
+                    fd_tol - abs(fd1 - root_velocity(b_, t)),
+                    fd_tol * 50 - abs(fd2 - root_acceleration(b_, t)),
+                )
+    return margin
+
+
+def _ref_check_m(grids, tables):
+    margin = math.inf
+    for t, r in zip(_grid(grids.unit), tables["unit"]):
+        margin = min(margin, (5 * r.gamma**2 + 3 * t).real)
+    return margin
+
+
+_REF_CHECKS = {
+    "a": _ref_check_a, "b": _ref_check_b, "c": _ref_check_c, "e": _ref_check_e, "f": _ref_check_f,
+    "g": _ref_check_g, "h": _ref_check_h, "j": _ref_check_j, "k": _ref_check_k, "l": _ref_check_l,
+    "m": _ref_check_m,
+}
+
+
+def _table_ts(grids, name):
+    if name == "small±h":
+        ts = _grid(grids.small)[analytic._fd_inner(grids)]
+        return np.concatenate([ts - 1e-6, ts + 1e-6])
+    return _grid(getattr(grids, name))
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and text of what it raised."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _ref_margins(grids):
+    tables = {name: _ref_root_table(_table_ts(grids, name)) for name in ("unit", "large", "small", "small±h")}
+    return {cid: _outcome(lambda: check(grids, tables)) for cid, check in _REF_CHECKS.items()}
+
+
+def _margins(grids):
+    tables = _root_tables(grids, list(_REF_CHECKS))
+    return {cid: _outcome(lambda: analytic._BATTERY[cid]["check"](grids, tables)) for cid in _REF_CHECKS}
+
+
+def _assert_columns_are_reference(table, ref):
+    assert len(table) == len(ref)
+    for key in ("t", "alpha", "beta", "gamma", "residual"):
+        assert getattr(table, key).tolist() == [getattr(r, key) for r in ref], key
+
+
+@pytest.mark.parametrize("grids", [EstimateGrids(), COARSE], ids=["default", "coarse"])
+def test_margins_equal_the_per_row_reference(grids):
+    want = _ref_margins(grids)
+    assert _margins(grids) == want
+    got = {c.check_id: c.worst_margin for c in check_estimates(grids)}
+    assert {cid: got[cid] for cid in want} == want
+    for name in ("unit", "large", "small", "small±h"):
+        ts = _table_ts(grids, name)
+        _assert_columns_are_reference(root_table(ts), _ref_root_table(ts))
+
+
+@st.composite
+def _estimate_grids(draw):
+    """Grids inside the EstimateGrids domain with at most 151 points each;
+    small starts at 1e-5, where rounding decides every small-grid margin."""
+    def spec(lo, hi, min_points):
+        start = draw(st.floats(min_value=lo, max_value=hi - 1e-3))
+        stop = draw(st.floats(min_value=start + 1e-3, max_value=hi))
+        k = draw(st.integers(min_value=min_points - 1, max_value=150))
+        return (start, stop, (stop - start) / max(k, 1))
+
+    return EstimateGrids(unit=spec(0.0, 1.0, 2), large=spec(1e-3, 1.0, 2), small=spec(1e-5, 1.0, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_estimate_grids())
+def test_margins_equal_the_reference_on_drawn_grids(grids):
+    assert _margins(grids) == _ref_margins(grids)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=40))
+def test_root_table_columns_equal_the_reference(ts):
+    _assert_columns_are_reference(root_table(ts), _ref_root_table(ts))
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1e-17, 1e-5, 0.003, 0.3, 0.5, 1.0])
+def test_find_roots_is_the_reference_quintic_roots(t):
+    (want,) = _ref_root_table([t])
+    got = find_roots(t)
+    assert got == want
+    assert [type(x) for x in (got.t, got.alpha, got.beta, got.gamma)] == [float, np.float64, np.complex128,
+                                                                           np.complex128]
+    assert [type(x) for x in (want.alpha, want.beta, want.gamma)] == [np.float64, np.complex128, np.complex128]
+
+
+@pytest.mark.parametrize("a", [1e-15, 1e-5, 0.003, 0.1, 0.5, 1.0])
+def test_residue_coeffs_are_the_reference(a):
+    want = _ref_residues(find_roots(a))
+    got = residue_coeffs(a)
+    assert got == want
+    assert type(got.c_alpha) is float and type(got.c_beta) is np.complex128
+
+
+def test_sector_errors_are_the_reference():
+    ts, z = _ref_polished([0.1, 0.2, 0.3])
+    no_gamma = z.copy()
+    no_gamma[1] = np.where(np.angle(z[1]) > 0, np.conj(z[1]), z[1])  # the upper half emptied
+    off_axis = z.copy()
+    k = int(np.argmin(np.abs(z[2] + 1)))
+    off_axis[2, k] += 1e-10j
+    both = off_axis.copy()
+    both[1] = no_gamma[1]  # the earlier row's error is the one raised
+    # a root whose angle is the edge 2 pi/5 itself lies in neither sector
+    edge = next(z for z in (s * cmath.exp(2j * math.pi / 5) for s in np.linspace(0.9, 1.1, 1001))
+                if cmath.phase(z) == 2 * math.pi / 5)
+    on_edge = z.copy()
+    on_edge[0, np.argmin(np.abs(np.angle(z[0]) - math.pi / 5))] = edge
+    for rows in (no_gamma, off_axis, both, on_edge):
+        with pytest.raises(ArithmeticError) as want:
+            [_ref_sectors(float(t), row) for t, row in zip(ts, rows)]
+        with pytest.raises(ArithmeticError) as got:
+            analytic._sectors(ts, rows)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        EstimateGrids(large=(1e-17, 0.5, 0.1)),  # alpha rounds to -1 in (c)
+        EstimateGrids(small=(1e-17, 1e-17, 1)),  # |beta| rounds to 1
+        EstimateGrids(small=(1e-300, 1e-300, 1)),  # t^2 is 0
+    ],
+    ids=["c-alpha-minus-one", "beta-rounds-to-1", "t-squared-0"],
+)
+def test_error_paths_are_the_reference(grids):
+    want = {cid: m for cid, m in _ref_margins(grids).items() if isinstance(m, tuple)}
+    assert want
+    got = _margins(grids)
+    assert {cid: got[cid] for cid in want} == want
+
+
+def test_residue_columns_equal_the_reference():
+    ts = _grid(EstimateGrids().large)
+    c_alpha, c_beta, c_gamma = analytic._residue_table(root_table(ts))
+    want = [_ref_residues(r) for r in _ref_root_table(ts)]
+    assert c_alpha.tolist() == [w.c_alpha for w in want]
+    assert c_beta.tolist() == [w.c_beta for w in want]
+    assert c_gamma.tolist() == [w.c_gamma for w in want]
+
+
+#: the checks whose margin is a least over points, by the grid they read
+_POINTWISE = {"unit": "fkm", "large": "bc", "small": "ghjl"}
+
+
+def _row_margins(monkeypatch, cid, grids, tables, inner):
+    """Each row's margin of check cid as the column code computes it on the
+    whole table (numpy's loops can round an array otherwise than one row):
+    the row-wise least of the arrays the check hands to _least.  Arrays
+    shorter than the table are (l)'s finite differences, at the inner rows."""
+    seen, least = [], analytic._least
+    monkeypatch.setattr(analytic, "_least", lambda *ms: seen.extend(ms) or least(*ms))
+    analytic._BATTERY[cid]["check"](grids, tables)
+    monkeypatch.setattr(analytic, "_least", least)
+    rows = np.full(len(inner), np.inf)
+    for m in seen:
+        m = np.min(np.reshape(m, (len(m), -1)), axis=1)
+        at = slice(None) if len(m) == len(rows) else inner
+        rows[at] = np.minimum(rows[at], m)
+    return rows.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_pointwise_margins_equal_the_reference(name, monkeypatch):
+    """Every default-grid point's own margin, not just the least: the
+    reference runs each pointwise check on one row (with its t -/+ h
+    neighbours in (l)), the column code on the whole table."""
+    grids = EstimateGrids()
+    ts = _grid(getattr(grids, name))
+    inner = analytic._fd_inner(grids) if name == "small" else np.zeros(len(ts), bool)
+    shifted = _table_ts(grids, "small±h")
+    tables = {name: root_table(ts), "small±h": root_table(shifted)}
+    ref, ref_shifted = _ref_root_table(ts), _ref_root_table(shifted)
+    half = len(ref_shifted) // 2
+    rank = np.cumsum(inner) - 1
+    for cid in _POINTWISE[name]:
+        want = []
+        for i, t in enumerate(ts.tolist()):
+            # a one-point grid; a stop 3h above t keeps t inside (l)'s differences
+            one = types.SimpleNamespace(**{**asdict(grids), name: (t, t + 3e-6 if inner[i] else t, 1.0)})
+            near = [ref_shifted[rank[i]], ref_shifted[half + rank[i]]] if inner[i] else []
+            want.append(_REF_CHECKS[cid](one, {name: [ref[i]], "small±h": near}))
+        assert _row_margins(monkeypatch, cid, grids, tables, inner) == want, cid

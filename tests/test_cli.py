@@ -107,6 +107,18 @@ def test_estimates_small_grid_too_small_names_the_grid_and_point(capsys, spec, p
     assert why in err
 
 
+@pytest.mark.parametrize("spec", ["small=3e-7:3e-7:1", "small=1e-7:1e-7:1", "small=1e-14:1e-14:1"])
+def test_estimates_small_grid_below_rounding_exits_2_naming_the_check(capsys, spec):
+    # at these points (g), (h) or (j) measure rounding, not the inequality:
+    # they reported FAILED (exit 1) with margins -8.2e-4, -5.3e-3 and -4.2e-2
+    code, doc, err = run_cli(capsys, "estimates", "--grid", spec)
+    assert code == 2
+    assert doc is None
+    start, stop, step = (float(x) for x in spec.partition("=")[2].split(":"))
+    assert f"grid small={start}:{stop}:{step} has the point t = {start:g}, too small for check (g):" in err
+    assert "rounding puts its margin anywhere in [" in err
+
+
 def test_parse_nodes():
     assert _parse_nodes("1,-1") == [1 + 0j, -1 + 0j]
     assert _parse_nodes("0.6+0.8j, 0.6-0.8j") == [0.6 + 0.8j, 0.6 - 0.8j]
