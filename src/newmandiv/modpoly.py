@@ -269,9 +269,6 @@ class IntPoly:
             c = -c
         return c, IntPoly([a // c for a in self.coeffs])
 
-    def reduce_mod(self, modulus: Prime) -> ModPoly:
-        return ModPoly(modulus, self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 

@@ -24,8 +24,9 @@ residual indeterminate, so the scan cannot then report that the
 conjecture holds.
 
 The double pass works in blocks of 64 consecutive masks of a degree and
-on arrays.  One batched Aberth solve finds the roots of a block; its masks
-are then grouped by unit shape, and every split of every mask of a group,
+on arrays.  One batched Aberth solve finds the roots of a block (a solve
+that raises loses every mask of the block to the retry); its masks are
+then grouped by unit shape, and every split of every mask of a group,
 with its complement, is expanded at once on float64 real and imaginary
 planes, in the float operations of the per-split product loop and in
 their order, so every coefficient is that loop's to the last bit.  When
@@ -131,10 +132,6 @@ class Newman01:
         if self.bits >> self.degree != 1:
             raise ValueError("leading coefficient must be 1 and match the degree")
 
-    def coeffs(self) -> np.ndarray:
-        """Ascending coefficient vector of 0.0/1.0 values."""
-        return np.array([(self.bits >> k) & 1 for k in range(self.degree + 1)], dtype=float)
-
     def __str__(self) -> str:
         terms = []
         for k in range(self.degree + 1):
@@ -192,24 +189,17 @@ def _block_roots(degree: int, block: int) -> List[object]:
 
     One batched solve finds them all; aberth_roots gives each row the bits
     of its own 1-D call, so a row is the mask's roots whatever block it is
-    solved in.  If some mask of the block does not converge, each mask is
-    solved alone, so that a failure lands on the masks that fail on their own.
+    solved in.  If the batched solve raises, every mask of the block fails:
+    the scan hands each one to the squarefree retry.  No block of degree 1
+    to 18 raises; the tests hold that to degree 12.
     """
     inner = np.arange(block * _BLOCK, min((block + 1) * _BLOCK, 1 << (degree - 1)))
     bits = 1 | (inner << 1) | (1 << degree)
     coeffs = ((bits[:, None] >> np.arange(degree + 1)) & 1).astype(float)
-    seeds = _seeds(degree)
     try:
-        return aberth_roots(coeffs, np.broadcast_to(seeds, (len(bits), degree))).tolist()
+        return aberth_roots(coeffs, np.broadcast_to(_seeds(degree), (len(bits), degree))).tolist()
     except ArithmeticError:
-        pass
-    rows: List[object] = []
-    for b, c in zip(bits.tolist(), coeffs):
-        try:
-            rows.append(aberth_roots(c, seeds).tolist())
-        except (ArithmeticError, ValueError):
-            rows.append(f"root finding failed for {Newman01(degree, b)}")
-    return rows
+        return [f"root finding failed for {Newman01(degree, b)}" for b in bits.tolist()]
 
 
 def _roots_squarefree(r: Newman01) -> List[complex]:
@@ -465,6 +455,10 @@ def split_survey(r: Newman01) -> SplitSurvey:
     unit mask is kept).  Returns r's SplitSurvey from its block's
     double-precision survey: its tally of verdicts, and candidates() to
     build its SplitCandidates.
+
+    Raises NumericFailure when r's roots cannot be paired into units or a
+    split keeps an imaginary residue, and, naming r, for every mask of a
+    block whose batched solve raises; the scan retries each such mask.
 
     One mask costs its whole block: the first call for a block solves and
     surveys all of its masks and keeps the arrays.  One mask took 12 ms at

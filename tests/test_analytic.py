@@ -315,6 +315,18 @@ def test_roots_high_precision():
         assert abs(_nearest(modes, z)[0] - z) <= 2.0**-52
 
 
+def test_roots_stay_clear_of_every_sector_edge():
+    # the premise of sorting by np.arctan2 alone: on [0, 1] every root lies
+    # at least 0.4 rad from the edges 0, 2 pi/5 and 4 pi/5 (0.4497, gamma at
+    # t = 1), and |d rho/dt| = |rho / (5 rho^2 + 3t)| stays below 0.3 (0.271),
+    # so between these points no root turns by more than 2e-5 rad
+    table = root_table(np.linspace(0.0, 1.0, 10_001))
+    ang = np.abs(np.angle(table.five()))
+    assert np.abs(ang[..., None] - np.array([0.0, 2 * math.pi / 5, 4 * math.pi / 5])).min() >= 0.4
+    rho = table.five()[:, [0, 1, 3]]
+    assert np.abs(rho / (5 * rho**2 + 3 * table.t[:, None])).max() < 0.3
+
+
 def test_root_derivatives_match_finite_differences_mid_interval():
     t, h = 0.3, 1e-6
     rm, r0, rp = find_roots(t - h), find_roots(t), find_roots(t + h)
@@ -760,35 +772,40 @@ def _ref_check_k(grids, tables):
     return margin
 
 
-def _ref_check_l(grids, tables):
-    margin = math.inf
+def _ref_l_terms(grids, tables):
+    """(l)'s terms, each a list over rows, in the order _check_l hands them
+    to _least: for each root the two |rho| bounds, the |rho'| bound and the
+    |rho''| bound at every point, then for each root the first and second
+    finite-difference terms at the _fd_inner points."""
     h = 1e-6
     fd_tol = 1e-4
+    ts, rows = _grid(grids.small).tolist(), tables["small"]
     shifted = tables["small±h"]
     half = len(shifted) // 2
-    neighbours = iter(zip(shifted[:half], shifted[half:]))
-    for t, r, fd in zip(_grid(grids.small), tables["small"], analytic._fd_inner(grids)):
-        t = float(t)
-        for rho in (complex(r.alpha), r.beta, r.gamma):
-            margin = min(
-                margin,
-                abs(rho) - 0.9990009,
-                1.0008097 - abs(rho),
-                0.2009 - abs(root_velocity(rho, t)),
-                0.0813 - abs(root_acceleration(rho, t)),
-            )
-        if fd:
-            rm, rp = next(neighbours)
-            for key in ("alpha", "beta", "gamma"):
-                a_, b_, c_ = (complex(getattr(x, key)) for x in (rm, r, rp))
-                fd1 = (c_ - a_) / (2 * h)
-                fd2 = (c_ - 2 * b_ + a_) / h**2
-                margin = min(
-                    margin,
-                    fd_tol - abs(fd1 - root_velocity(b_, t)),
-                    fd_tol * 50 - abs(fd2 - root_acceleration(b_, t)),
-                )
-    return margin
+    inner = [i for i, fd in enumerate(analytic._fd_inner(grids)) if fd]
+    terms = []
+    for key in ("alpha", "beta", "gamma"):
+        rhos = [complex(r.alpha) if key == "alpha" else getattr(r, key) for r in rows]
+        terms += [
+            [abs(rho) - 0.9990009 for rho in rhos],
+            [1.0008097 - abs(rho) for rho in rhos],
+            [0.2009 - abs(root_velocity(rho, t)) for rho, t in zip(rhos, ts)],
+            [0.0813 - abs(root_acceleration(rho, t)) for rho, t in zip(rhos, ts)],
+        ]
+    for key in ("alpha", "beta", "gamma"):
+        fd1s, fd2s = [], []
+        for rm, i, rp in zip(shifted[:half], inner, shifted[half:]):
+            a_, b_, c_ = (complex(getattr(x, key)) for x in (rm, rows[i], rp))
+            fd1 = (c_ - a_) / (2 * h)
+            fd2 = (c_ - 2 * b_ + a_) / h**2
+            fd1s.append(fd_tol - abs(fd1 - root_velocity(b_, ts[i])))
+            fd2s.append(fd_tol * 50 - abs(fd2 - root_acceleration(b_, ts[i])))
+        terms += [fd1s, fd2s]
+    return terms
+
+
+def _ref_check_l(grids, tables):
+    return min((min(term) for term in _ref_l_terms(grids, tables) if term), default=math.inf)
 
 
 def _ref_check_m(grids, tables):
@@ -941,17 +958,22 @@ def test_residue_columns_equal_the_reference():
 _POINTWISE = {"unit": "fkm", "large": "bc", "small": "ghjl"}
 
 
+def _terms(monkeypatch, cid, grids, tables):
+    """The margin arrays that check cid hands to _least, in order."""
+    seen, least = [], analytic._least
+    monkeypatch.setattr(analytic, "_least", lambda *ms: seen.extend(ms) or least(*ms))
+    analytic._BATTERY[cid]["check"](grids, tables)
+    monkeypatch.setattr(analytic, "_least", least)
+    return seen
+
+
 def _row_margins(monkeypatch, cid, grids, tables, inner):
     """Each row's margin of check cid as the column code computes it on the
     whole table (numpy's loops can round an array otherwise than one row):
     the row-wise least of the arrays the check hands to _least.  Arrays
     shorter than the table are (l)'s finite differences, at the inner rows."""
-    seen, least = [], analytic._least
-    monkeypatch.setattr(analytic, "_least", lambda *ms: seen.extend(ms) or least(*ms))
-    analytic._BATTERY[cid]["check"](grids, tables)
-    monkeypatch.setattr(analytic, "_least", least)
     rows = np.full(len(inner), np.inf)
-    for m in seen:
+    for m in _terms(monkeypatch, cid, grids, tables):
         m = np.min(np.reshape(m, (len(m), -1)), axis=1)
         at = slice(None) if len(m) == len(rows) else inner
         rows[at] = np.minimum(rows[at], m)
@@ -979,3 +1001,15 @@ def test_pointwise_margins_equal_the_reference(name, monkeypatch):
             near = [ref_shifted[rank[i]], ref_shifted[half + rank[i]]] if inner[i] else []
             want.append(_REF_CHECKS[cid](one, {name: [ref[i]], "small±h": near}))
         assert _row_margins(monkeypatch, cid, grids, tables, inner) == want, cid
+
+
+@pytest.mark.parametrize("grids", [EstimateGrids(), COARSE], ids=["default", "coarse"])
+def test_check_l_terms_equal_the_reference(grids, monkeypatch):
+    """Every term of (l) at every point, not just each point's least: a
+    rounding change in a term that is never the least shows here too."""
+    names = ("small", "small±h")
+    got = _terms(monkeypatch, "l", grids, {name: root_table(_table_ts(grids, name)) for name in names})
+    want = _ref_l_terms(grids, {name: _ref_root_table(_table_ts(grids, name)) for name in names})
+    assert len(got) == len(want) == 18
+    for k, (term, ref) in enumerate(zip(got, want)):
+        assert np.shape(term) == (len(ref),) and term.tolist() == ref, k

@@ -65,10 +65,13 @@ def test_mask_invariants():
         Newman01(25, (1 << 25) | 1)
 
 
-def test_mask_coeffs_and_str():
-    r = Newman01(4, 0b10011)
-    assert list(r.coeffs()) == [1.0, 1.0, 0.0, 0.0, 1.0]
-    assert str(r) == "1+x+x^4"
+def _coeffs(r):
+    # r's ascending coefficient vector of 0.0/1.0 values
+    return np.array([(r.bits >> k) & 1 for k in range(r.degree + 1)], dtype=float)
+
+
+def test_mask_str():
+    assert str(Newman01(4, 0b10011)) == "1+x+x^4"
 
 
 def _reversed(r):
@@ -174,7 +177,7 @@ def test_reconstruction_bound(degree, rng):
     except NumericFailure:
         survey = _retry_survey(r)
     budget = degree * (2**degree) * DEFAULT_TOL
-    want = r.coeffs()
+    want = _coeffs(r)
     for c in survey.candidates():
         got = np.convolve(c.p_coeffs, c.q_coeffs)
         assert np.max(np.abs(got - want)) <= budget
@@ -292,7 +295,7 @@ def test_shared_products_equal_the_ascending_loop(bits):
 
 def _solo_roots(r):
     try:
-        return aberth_roots(r.coeffs(), _seeds(r.degree))
+        return aberth_roots(_coeffs(r), _seeds(r.degree))
     except ArithmeticError:
         return None
 
@@ -334,16 +337,27 @@ def _outcomes(degree):
     return out
 
 
-def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
-    # a block whose batched solve raises hands each of its masks to its own
-    # 1-D solve, so every survey, failures included, comes out unchanged
-    want_scan, want_surveys = scan(8).to_dict(), _outcomes(8)
-    batched = []
+def test_no_batched_solve_to_degree_12_fails():
+    # the premise of losing a refused block whole: every batched solve of the
+    # 69 blocks of degrees 1..12 converges
+    for degree in range(1, 13):
+        for block in range(-(-(1 << (degree - 1)) // _BLOCK)):
+            rows = _block_roots(degree, block)
+            assert not any(isinstance(row, str) for row in rows), (degree, block)
+
+
+def test_failed_block_loses_every_mask_to_the_retry(monkeypatch):
+    # a block whose batched solve raises fails each of its masks by name,
+    # with no solve of a mask alone, and the scan retries every one of them:
+    # the retry's verdicts close the scan with the same split counts
+    want = scan(8)
+    batched, whole = [], []
 
     def no_batches(coeffs, seeds, *args, **kwargs):
         if np.ndim(coeffs) == 2:
             batched.append(len(coeffs))
             raise ArithmeticError("batched solve refused")
+        whole.append(len(coeffs))
         return aberth_roots(coeffs, seeds, *args, **kwargs)
 
     # clear the cache, or the surveys of the last block surveyed before the
@@ -351,12 +365,20 @@ def test_failed_block_falls_back_to_one_solve_per_mask(monkeypatch):
     _block_survey.cache_clear()
     monkeypatch.setattr(search, "aberth_roots", no_batches)
     try:
-        got_scan, got_surveys = scan(8).to_dict(), _outcomes(8)
+        for r in enumerate_01(8):
+            with pytest.raises(NumericFailure) as info:
+                split_survey(r)
+            assert str(info.value) == f"root finding failed for {r}"
+        assert whole == []
+        got = scan(8)
     finally:
         _block_survey.cache_clear()
     assert batched  # the batched solves were tried and refused
-    assert got_scan == want_scan
-    assert got_surveys == want_surveys
+    assert got.conjecture_holds()
+    for g, w in zip(got.summaries, want.summaries):
+        assert g.escalated == g.polynomials
+        assert g.splits == w.splits
+    assert not got.retry_failures
 
 
 # ----------------------------------------------------------------------
@@ -455,9 +477,9 @@ def _solve_counts(monkeypatch, refuse_batches):
 def test_block_survey_solves_each_block_once(monkeypatch):
     # _block_survey is the double pass's one cache: 13 blocks of 64 masks
     # (one per degree up to 7, then 2 and 4) take one batched solve each,
-    # and with batches refused each of the 511 masks takes one solve alone
+    # and a refused batch is not followed by any solve of a mask alone
     assert _solve_counts(monkeypatch, refuse_batches=False) == {1: 0, 2: 13}
-    assert _solve_counts(monkeypatch, refuse_batches=True) == {1: 511, 2: 13}
+    assert _solve_counts(monkeypatch, refuse_batches=True) == {1: 0, 2: 13}
 
 
 @pytest.mark.parametrize(
